@@ -99,6 +99,16 @@ def _rational_list(text: str) -> list[Fraction]:
     return [_rational(part) for part in text.split(",") if part.strip()]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _int_set(text: str) -> set[int]:
     try:
         return {int(part) for part in text.split(",") if part.strip()}
@@ -204,10 +214,12 @@ def _multiplier_from_flags(args, allow_default: bool = False) -> MultiplierSeq:
         return MultiplierSeq.all_ones()
     if args.explicit is not None:
         return MultiplierSeq.explicit(args.explicit)
-    parts = args.binom_negative.split(",")
-    if len(parts) != 2:
-        raise UsageError("--binom-negative takes 'n,r'")
-    return MultiplierSeq.binom_negative(int(parts[0]), _rational(parts[1]))
+    try:
+        n_text, r_text = args.binom_negative.split(",")
+        n = int(n_text)
+    except ValueError as exc:
+        raise UsageError("--binom-negative takes 'n,r' with an integer n") from exc
+    return MultiplierSeq.binom_negative(n, _rational(r_text))
 
 
 def _cmd_check(args) -> int:
@@ -423,32 +435,32 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--lo", type=_endpoint)
     check.add_argument("--hi", type=_endpoint)
     check.add_argument("--terms", type=_rational_list, help="sequence terms a0,a1,...")
-    check.add_argument("--window", type=int)
-    check.add_argument("--order", type=int)
+    check.add_argument("--window", type=_positive_int)
+    check.add_argument("--order", type=_positive_int)
     check.add_argument("--n", type=int)
     _add_multiplier_flags(check)
     check.set_defaults(func=_cmd_check)
 
-    for verb in ("transform", "op"):
-        operate = sub.add_parser(verb, help="apply a transform or bilinear product")
-        operate.add_argument("name", choices=[
-            "e", "e-inv", "w", "reflect", "multisect", "phi", "diamond", "sharp",
-            "hadamard", "schur", "dot", "circ", "hermite-poulain", "multiplier-apply",
-        ])
-        operate.add_argument("polys", nargs="*", help="polynomial JSON or file path")
-        operate.add_argument("--step", type=int)
-        operate.add_argument("--offset", type=int)
-        operate.add_argument("--F", help="JSON list of polynomial objects")
-        operate.add_argument("--alpha", type=_rational)
-        operate.add_argument("--beta", type=_rational)
-        _add_multiplier_flags(operate)
-        operate.set_defaults(func=_cmd_operate)
+    operate = sub.add_parser("op", aliases=["transform"],
+                             help="apply a transform or bilinear product")
+    operate.add_argument("name", choices=[
+        "e", "e-inv", "w", "reflect", "multisect", "phi", "diamond", "sharp",
+        "hadamard", "schur", "dot", "circ", "hermite-poulain", "multiplier-apply",
+    ])
+    operate.add_argument("polys", nargs="*", help="polynomial JSON or file path")
+    operate.add_argument("--step", type=int)
+    operate.add_argument("--offset", type=int)
+    operate.add_argument("--F", help="JSON list of polynomial objects")
+    operate.add_argument("--alpha", type=_rational)
+    operate.add_argument("--beta", type=_rational)
+    _add_multiplier_flags(operate)
+    operate.set_defaults(func=_cmd_operate)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=list(SUITE_NAMES))
-    verify.add_argument("--max-n", type=int, dest="max_n")
+    verify.add_argument("--max-n", type=_positive_int, dest="max_n")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_positive_int, default=1)
     verify.add_argument("--csv", action="store_true", help="emit a flat CSV table")
     verify.set_defaults(func=_cmd_verify)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .config import EnumGuards
 from .errors import PreconditionError, ResourceLimitError
-from .polynomial import Poly, ZERO, binom, monomial
+from .polynomial import Poly, ZERO, binom, monomial, unitize_with_degree
 from .transforms import w_transform
 
 X = Poly([0, 1])
@@ -79,16 +79,7 @@ def eulerian_poly(n: int) -> Poly:
     surjection family by the substitution x -> x/(1-x)."""
     if n < 1:
         raise PreconditionError("eulerian_poly needs n >= 1")
-    e = surjection_poly(n)
-    out = ZERO
-    shift = Poly([1, -1])
-    powers = [Poly([1])]
-    for _ in range(n):
-        powers.append(powers[-1] * shift)
-    for j, c in enumerate(e.coeffs):
-        if c:
-            out = out + monomial(j, c) * powers[n - j]
-    return out
+    return unitize_with_degree(surjection_poly(n), n, sign=-1)
 
 
 def eulerian_oracle(n: int, guards: EnumGuards | None = None) -> Poly:

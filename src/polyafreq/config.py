@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import os
 
+from .errors import PreconditionError
+
 #: Environment variable overriding both enumeration guards at once.
 MAX_ENUM_ENV = "POLYAFREQ_MAX_ENUM"
 
@@ -14,7 +16,8 @@ class EnumGuards:
     """Size limits for brute-force enumeration oracles.
 
     sn_max bounds symmetric-group enumerations (n! cases), bn_max signed
-    ones (2^n n! cases).  The MAX_ENUM_ENV variable overrides both.
+    ones (2^n n! cases).  The MAX_ENUM_ENV variable, a positive integer,
+    overrides both.
     """
 
     sn_max: int = 9
@@ -25,7 +28,12 @@ class EnumGuards:
         raw = os.environ.get(MAX_ENUM_ENV)
         if raw is None:
             return cls()
-        bound = int(raw)
+        try:
+            bound = int(raw)
+        except ValueError:
+            bound = 0
+        if bound < 1:
+            raise PreconditionError(f"{MAX_ENUM_ENV} must be a positive integer, got {raw!r}")
         return cls(sn_max=bound, bn_max=bound)
 
 

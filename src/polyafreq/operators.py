@@ -13,12 +13,11 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    InternalCheckError,
     NotRealRootedError,
     PreconditionError,
     ZeroPolynomialError,
 )
-from .polynomial import Poly, ZERO, monomial, poly_gcd
+from .polynomial import ONE, Poly, X, ZERO, monomial
 from .roots import (
     InterlaceRelation,
     check_nonneg_on_reals,
@@ -26,7 +25,7 @@ from .roots import (
     is_real_rooted,
     negative_witness,
 )
-from .transforms import MultiplierSeq, apply_multiplier, e_inverse, e_transform
+from .transforms import MultiplierSeq
 
 _STRICT_PAIR = {InterlaceRelation.INTERLACES_STRICT, InterlaceRelation.ALTERNATES_LEFT_STRICT}
 
@@ -67,32 +66,14 @@ def apply_phi(F: BivarOp, f: Poly) -> Poly:
 
 def hermite_poulain(f: Poly, g: Poly) -> Poly:
     """f(d/dx) applied to g: sum a_k g^(k) where f = sum a_k x^k."""
-    acc = ZERO
-    gk = g
-    for k, a in enumerate(f.coeffs):
-        if k > 0:
-            gk = gk.derivative()
-            if gk.is_zero:
-                break
-        if a:
-            acc = acc + gk.scale(a)
-    return acc
+    return apply_phi(BivarOp([Poly([a]) for a in f.coeffs]), g)
 
 
 def l_phi(F: BivarOp, f: Poly, xi) -> Poly:
     """The z-polynomial sum_k Q_k(xi) f^(k)(xi + z)."""
     xi = Fraction(xi)
-    acc = ZERO
-    fk = f
-    for k, qk in enumerate(F.q_list):
-        if k > 0:
-            fk = fk.derivative()
-            if fk.is_zero:
-                break
-        c = qk(xi)
-        if c:
-            acc = acc + fk.affine_compose(1, xi).scale(c)
-    return acc
+    constants = BivarOp([Poly([qk(xi)]) for qk in F.q_list])
+    return apply_phi(constants, f).affine_compose(1, xi)
 
 
 # -- hypothesis checking -------------------------------------------------------
@@ -214,29 +195,15 @@ def polya_line_check(f: Poly, b: Poly, s, t, u) -> bool:
         raise PreconditionError("b needs positive coefficients through index deg f")
     if t == 0:
         # vertical line x = -u/s: a derivative sum evaluated along y
-        scaled = b.affine_compose(-u / s, 0)
-        out = hermite_poulain(scaled, f)
+        out = hermite_poulain(b.affine_compose(-u / s, 0), f)
     elif s == 0:
-        # horizontal line y = u/t: coefficients b_k f^(k)(u/t)
-        xi = u / t
-        fk = f
-        coeffs = []
-        for k in range(n + 1):
-            coeffs.append(b.coeff(k) * fk(xi))
-            fk = fk.derivative()
-        out = Poly(coeffs)
+        # horizontal line y = u/t: coefficients b_k f^(k)(u/t), and
+        # f^(k)(xi) = k! [z^k] f(xi + z) makes that a Schur product
+        out = schur_product(b, f.affine_compose(1, u / t))
     else:
-        g = f.affine_compose(s / t, u / t)
-        acc = ZERO
-        gk = g
-        ratio = Fraction(1)
-        for k in range(n + 1):
-            a = ratio * b.coeff(k)
-            if a and not gk.is_zero:
-                acc = acc + (monomial(k) * gk).scale(a)
-            gk = gk.derivative()
-            ratio *= s / t
-        out = acc
+        ratio = s / t
+        weights = BivarOp([monomial(k, ratio ** k * b.coeff(k)) for k in range(n + 1)])
+        out = apply_phi(weights, f.affine_compose(ratio, u / t))
     if out.is_zero:
         return False
     return out.degree == n and is_real_rooted(out)
@@ -253,44 +220,33 @@ def schur_product(f: Poly, g: Poly) -> Poly:
 
 
 def hadamard_product(f: Poly, g: Poly) -> Poly:
-    """Coefficientwise product; re-derived from the Schur product as a check."""
-    out = Poly(a * b for a, b in zip(f.coeffs, g.coeffs))
-    via_schur = apply_multiplier(MultiplierSeq.factorial_inverse(), schur_product(f, g))
-    if via_schur != out:
-        raise InternalCheckError("Hadamard/Schur route disagreement")
-    return out
+    """Coefficientwise product sum_k a_k b_k x^k."""
+    return Poly(a * b for a, b in zip(f.coeffs, g.coeffs))
+
+
+def _derivative_sum(f: Poly, g: Poly, c, w: Poly) -> Poly:
+    """sum_{k <= min(deg f, deg g)} c(k) f^(k) g^(k) w^k."""
+    if f.is_zero or g.is_zero:
+        return ZERO
+    acc = ZERO
+    fk, gk, wk = f, g, ONE
+    for k in range(min(f.degree, g.degree) + 1):
+        if k:
+            fk, gk, wk = fk.derivative(), gk.derivative(), wk * w
+        ck = c(k)
+        if ck:
+            acc = acc + (fk * gk * wk).scale(ck)
+    return acc
 
 
 def sharp_product(f: Poly, g: Poly) -> Poly:
     """sum_k f^(k) g^(k) x^k / k!."""
-    acc = ZERO
-    fk, gk = f, g
-    k = 0
-    while not fk.is_zero and not gk.is_zero:
-        acc = acc + (fk * gk * monomial(k)).scale(Fraction(1, math.factorial(k)))
-        fk, gk = fk.derivative(), gk.derivative()
-        k += 1
-    return acc
+    return _derivative_sum(f, g, lambda k: Fraction(1, math.factorial(k)), X)
 
 
 def diamond_product(f: Poly, g: Poly) -> Poly:
-    """sum_k (f^(k)/k!)(g^(k)/k!) x^k (x+1)^k, cross-checked against the
-    conjugated-product route E(E^-1(f) E^-1(g))."""
-    acc = ZERO
-    fk, gk = f, g
-    k = 0
-    step = Poly([0, 1]) * Poly([1, 1])
-    weight = Poly([1])
-    while not fk.is_zero and not gk.is_zero:
-        scale = Fraction(1, math.factorial(k) ** 2)
-        acc = acc + (fk * gk * weight).scale(scale)
-        fk, gk = fk.derivative(), gk.derivative()
-        weight = weight * step
-        k += 1
-    via_e = e_transform(e_inverse(f) * e_inverse(g))
-    if via_e != acc:
-        raise InternalCheckError("diamond product dual-formula disagreement")
-    return acc
+    """sum_k (f^(k)/k!)(g^(k)/k!) x^k (x+1)^k, which equals E(E^-1(f) E^-1(g))."""
+    return _derivative_sum(f, g, lambda k: Fraction(1, math.factorial(k) ** 2), Poly([0, 1, 1]))
 
 
 def dot_form(f: Poly, g: Poly, L: MultiplierSeq, alpha, beta) -> Poly:
@@ -298,34 +254,11 @@ def dot_form(f: Poly, g: Poly, L: MultiplierSeq, alpha, beta) -> Poly:
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not alpha < beta:
         raise PreconditionError("dot form needs alpha < beta")
-    acc = ZERO
-    fk, gk = f, g
-    k = 0
-    step = Poly([-alpha, 1]) * Poly([-beta, 1])
-    weight = Poly([1])
-    while not fk.is_zero and not gk.is_zero:
-        lam = L.term(k)
-        if lam:
-            acc = acc + (fk * gk * weight).scale(lam / math.factorial(k))
-        fk, gk = fk.derivative(), gk.derivative()
-        weight = weight * step
-        k += 1
-    return acc
+    w = Poly([-alpha, 1]) * Poly([-beta, 1])
+    return _derivative_sum(f, g, lambda k: L.term(k) / math.factorial(k), w)
 
 
 def circ_form(f: Poly, g: Poly, L: MultiplierSeq, alpha) -> Poly:
     """sum_k (lambda_k / k!) f^(k) g^(k) (x-alpha)^k."""
-    alpha = Fraction(alpha)
-    acc = ZERO
-    fk, gk = f, g
-    k = 0
-    step = Poly([-alpha, 1])
-    weight = Poly([1])
-    while not fk.is_zero and not gk.is_zero:
-        lam = L.term(k)
-        if lam:
-            acc = acc + (fk * gk * weight).scale(lam / math.factorial(k))
-        fk, gk = fk.derivative(), gk.derivative()
-        weight = weight * step
-        k += 1
-    return acc
+    w = Poly([-Fraction(alpha), 1])
+    return _derivative_sum(f, g, lambda k: L.term(k) / math.factorial(k), w)

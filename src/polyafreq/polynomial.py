@@ -361,13 +361,17 @@ def binomial_poly(k: int) -> Poly:
 # -- Moebius-style substitutions ---------------------------------------------
 
 
-def unitize_with_degree(f: Poly, d: int) -> Poly:
-    """(1+x)^d * f(x/(1+x)) for any d >= deg f, expanded exactly."""
+def unitize_with_degree(f: Poly, d: int, sign: int = 1) -> Poly:
+    """(1 + sign*x)^d * f(x/(1 + sign*x)) for any d >= deg f and sign = +-1.
+
+    sign = +1 sends [-1,0]-rooted polynomials to nonpositive-rooted ones;
+    sign = -1 is its inverse at the same d.
+    """
     if f.is_zero:
         return ZERO
     if d < len(f.coeffs) - 1:
         raise ValueError("unitize degree below deg f")
-    shift = Poly([1, 1])
+    shift = Poly([1, sign])
     powers = [ONE]
     for _ in range(d):
         powers.append(powers[-1] * shift)
@@ -376,34 +380,3 @@ def unitize_with_degree(f: Poly, d: int) -> Poly:
         if c:
             acc = acc + monomial(j, c) * powers[d - j]
     return acc
-
-
-def mobius_unitize(f: Poly) -> Poly:
-    """(1+x)^{deg f} * f(x/(1+x)); sends [-1,0]-rooted to nonpositive-rooted."""
-    if f.is_zero:
-        return ZERO
-    return unitize_with_degree(f, len(f.coeffs) - 1)
-
-
-def deunitize_with_degree(f: Poly, d: int) -> Poly:
-    """(1-x)^d * f(x/(1-x)) for any d >= deg f, expanded exactly."""
-    if f.is_zero:
-        return ZERO
-    if d < len(f.coeffs) - 1:
-        raise ValueError("deunitize degree below deg f")
-    shift = Poly([1, -1])
-    powers = [ONE]
-    for _ in range(d):
-        powers.append(powers[-1] * shift)
-    acc = ZERO
-    for j, c in enumerate(f.coeffs):
-        if c:
-            acc = acc + monomial(j, c) * powers[d - j]
-    return acc
-
-
-def mobius_deunitize(f: Poly) -> Poly:
-    """(1-x)^{deg f} * f(x/(1-x)), the inverse direction of mobius_unitize."""
-    if f.is_zero:
-        return ZERO
-    return deunitize_with_degree(f, len(f.coeffs) - 1)

@@ -20,7 +20,6 @@ from .polynomial import (
     ZERO,
     binom,
     binomial_poly,
-    monomial,
     root_multiplicity,
     unitize_with_degree,
 )
@@ -66,24 +65,10 @@ def w_transform(f: Poly) -> Poly:
     """Numerator W(f) of sum_{i>=0} f(i) x^i = W(f)(x) / (1-x)^{deg f + 1}.
 
     Computed by de-unitizing E(f): W(f)(x) = (1-x)^{deg f} E(f)(x/(1-x)).
-    The (x+1)-multiplicity of E(f) cancels against the prefactor, which is
-    re-checked here rather than assumed.
     """
     if f.is_zero:
         raise ZeroPolynomialError("W-transform of zero polynomial")
-    d = len(f.coeffs) - 1
-    ef = e_transform(f)
-    shift = Poly([1, -1])
-    powers = [Poly([1])]
-    for _ in range(d):
-        powers.append(powers[-1] * shift)
-    w = ZERO
-    for j, c in enumerate(ef.coeffs):
-        if c:
-            w = w + monomial(j, c) * powers[d - j]
-    if unitize_with_degree(w, d) != ef:
-        raise InternalCheckError("W-transform prefactor cancellation failed")
-    return w
+    return unitize_with_degree(e_transform(f), len(f.coeffs) - 1, sign=-1)
 
 
 def e_multiplicity_at_minus_one(f: Poly) -> int:

@@ -182,3 +182,35 @@ def test_enum_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "6")
     code, out, _ = run_cli(capsys, "gen", "t_stack", "--n", "5", "--t", "2")
     assert code == 0 and json.loads(out) == {"coeffs": ["1", "20", "49", "20", "1"]}
+
+
+def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "op", "multiplier-apply", '{"coeffs":["1","1"]}',
+                           "--binom-negative", "x,1")
+    assert code == 2 and "Traceback" not in err and "--binom-negative" in err
+    monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "abc")
+    for argv in (
+        ("verify", "oracle-coherence"),
+        ("verify", "thm-6-5", "--max-n", "1"),  # only its evaluator reads the guard
+        ("gen", "t_stack", "--n", "3", "--t", "1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "Traceback" not in err and "POLYAFREQ_MAX_ENUM" in err
+    monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "0")
+    code, _, err = run_cli(capsys, "gen", "t_stack", "--n", "3", "--t", "1")
+    assert code == 2 and "POLYAFREQ_MAX_ENUM" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm-4-2", "--max-n", "-1"),
+    ("verify", "cor-6-10", "--max-n", "-2"),
+    ("verify", "thm-6-5", "--max-n", "0"),
+    ("verify", "thm-6-5", "--max-n", "2", "--jobs", "0"),
+    ("verify", "thm-6-5", "--max-n", "two"),
+    ("check", "pf-minors", "--terms", "1,3,3,1", "--window", "-2"),
+    ("check", "pf-minors", "--terms", "1,3,3,1", "--order", "0"),
+])
+def test_nonpositive_counts_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "positive integer" in err

@@ -36,7 +36,6 @@ from polyafreq.polynomial import (
     Poly,
     ZERO,
     binom,
-    mobius_unitize,
     monomial,
     unitize_with_degree,
 )
@@ -81,7 +80,7 @@ def test_surjection_family():
     for n in range(1, 10):
         assert surjection_poly(n + 1) == Poly([0, 1]) * g_poly(n)
         assert surjection_poly(n) == e_transform(monomial(n))
-        assert mobius_unitize(eulerian_poly(n)) == surjection_poly(n)
+        assert unitize_with_degree(eulerian_poly(n), n) == surjection_poly(n)
 
 
 def test_worpitzky_series():

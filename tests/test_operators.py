@@ -1,9 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polyafreq.config import RunConfig
 from polyafreq.errors import PreconditionError
+from polyafreq.jsonio import poly_from_dict
 from polyafreq.operators import (
     BivarOp,
     apply_phi,
@@ -26,11 +30,21 @@ from polyafreq.roots import (
     is_simple_rooted,
     roots_within,
 )
-from polyafreq.transforms import MultiplierSeq
+from polyafreq.suites import _SUITES
+from polyafreq.transforms import MultiplierSeq, e_inverse, e_transform
 
 IR = InterlaceRelation
 X = Poly([0, 1])
 XP1 = Poly([1, 1])
+
+int_polys = st.lists(st.integers(-9, 9), max_size=7).map(Poly)
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+sequences = st.sampled_from([
+    MultiplierSeq.all_ones(),
+    MultiplierSeq.factorial_inverse(),
+    MultiplierSeq.gamma_shift(-2),  # lambda_2 = 0 drops one term
+    MultiplierSeq.binom_negative(2, Fraction(1, 2)),
+])
 
 
 def from_roots(roots):
@@ -277,3 +291,79 @@ def test_maincor_end_to_end_alternating_preservation():
         assert is_real_rooted(img_f) and is_real_rooted(img_g)
         rels = {interlace_relation(img_f, img_g), interlace_relation(img_g, img_f)}
         assert rels & {IR.INTERLACES, IR.INTERLACES_STRICT, IR.ALTERNATES_LEFT, IR.ALTERNATES_LEFT_STRICT}
+
+
+# -- the kernels against their defining sums, term by term -------------------------
+
+
+def defining_sum(f, g, c, w):
+    """sum_k c(k) f^(k) g^(k) w^k up to the first vanishing derivative."""
+    acc, k = ZERO, 0
+    while not f.derivative(k).is_zero and not g.derivative(k).is_zero:
+        acc = acc + (f.derivative(k) * g.derivative(k) * w ** k).scale(c(k))
+        k += 1
+    return acc
+
+
+def inverse_factorial(k):
+    return Fraction(1, math.factorial(k))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(int_polys, max_size=4), int_polys, int_polys, small_rationals)
+def test_linear_kernels_match_defining_sums(qs, f, g, xi):
+    F = BivarOp(qs)
+    phi, l_sum = ZERO, ZERO
+    for k, qk in enumerate(F.q_list):
+        phi = phi + qk * f.derivative(k)
+        l_sum = l_sum + f.derivative(k).affine_compose(1, xi).scale(qk(xi))
+    assert apply_phi(F, f) == phi
+    assert l_phi(F, f, xi) == l_sum
+    hp = ZERO
+    for k, a in enumerate(f.coeffs):
+        hp = hp + g.derivative(k).scale(a)
+    assert hermite_poulain(f, g) == hp
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(int_polys, int_polys, sequences, small_rationals, st.integers(1, 12))
+def test_bilinear_kernels_match_defining_sums(f, g, L, alpha, gap):
+    beta = alpha + Fraction(gap, 3)
+    assert sharp_product(f, g) == defining_sum(f, g, inverse_factorial, X)
+    assert diamond_product(f, g) == defining_sum(
+        f, g, lambda k: inverse_factorial(k) ** 2, X * XP1
+    )
+    lam = lambda k: L.term(k) * inverse_factorial(k)
+    x_alpha, x_beta = Poly([-alpha, 1]), Poly([-beta, 1])
+    assert dot_form(f, g, L, alpha, beta) == defining_sum(f, g, lam, x_alpha * x_beta)
+    assert circ_form(f, g, L, alpha) == defining_sum(f, g, lam, x_alpha)
+
+
+def test_dot_form_reads_terms_through_the_smaller_degree():
+    # an explicit sequence with terms 0 and 1 only is enough exactly when
+    # the sum stops at k = min(deg f, deg g) <= 1
+    L = MultiplierSeq.explicit([1, 1])
+    for df in range(5):
+        for dg in range(5):
+            f, g = XP1 ** df, Poly([2, -1]) ** dg
+            if min(df, dg) >= 2:
+                with pytest.raises(PreconditionError):
+                    dot_form(f, g, L, -1, 1)
+            else:
+                assert dot_form(f, g, L, -1, 1) == defining_sum(
+                    f, g, lambda k: L.term(k) * inverse_factorial(k), Poly([-1, 0, 1])
+                )
+
+
+def test_diamond_equals_e_route_on_suite_inputs():
+    cases = [p for p in _SUITES["products-3"][0](RunConfig(seed=0)) if p["op"] == "diamond"]
+    assert len(cases) == 200
+    for params in cases:
+        f, g = poly_from_dict(params["f"]), poly_from_dict(params["g"])
+        assert diamond_product(f, g) == e_transform(e_inverse(f) * e_inverse(g))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(int_polys, int_polys)
+def test_diamond_equals_e_route(f, g):
+    assert diamond_product(f, g) == e_transform(e_inverse(f) * e_inverse(g))

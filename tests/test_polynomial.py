@@ -12,14 +12,13 @@ from polyafreq.polynomial import (
     binom,
     binomial_poly,
     content,
-    mobius_deunitize,
-    mobius_unitize,
     monomial,
     poly_gcd,
     primitive_part,
     root_multiplicity,
     squarefree_decomposition,
     squarefree_part,
+    unitize_with_degree,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
@@ -73,10 +72,17 @@ def test_eval():
 
 
 def test_mobius_unitize_examples():
-    assert mobius_unitize(Poly([0, 1])) == Poly([0, 1])
-    assert mobius_unitize(monomial(2)) == monomial(2)
+    assert unitize_with_degree(Poly([0, 1]), 1) == Poly([0, 1])
+    assert unitize_with_degree(monomial(2), 2) == monomial(2)
     # x + 4x^2 + x^3 -> x(1+x)^2 + 4x^2(1+x) + x^3
-    assert mobius_unitize(Poly([0, 1, 4, 1])) == Poly([0, 1, 6, 6])
+    assert unitize_with_degree(Poly([0, 1, 4, 1]), 3) == Poly([0, 1, 6, 6])
+    # x + 6x^2 + 6x^3 -> x(1-x)^2 + 6x^2(1-x) + 6x^3
+    assert unitize_with_degree(Poly([0, 1, 6, 6]), 3, sign=-1) == Poly([0, 1, 4, 1])
+    # a degree above deg f adds a (1 +- x) factor per step
+    assert unitize_with_degree(Poly([2]), 2, sign=-1) == Poly([2, -4, 2])
+    assert unitize_with_degree(ZERO, 3) == ZERO
+    with pytest.raises(ValueError):
+        unitize_with_degree(Poly([0, 1, 4, 1]), 2)
 
 
 def test_binomial_poly():
@@ -124,12 +130,12 @@ def test_affine_compose_inverts(f, a, b):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(polys(max_degree=12))
-def test_mobius_round_trip(f):
-    u = mobius_unitize(f)
-    # round trip is the identity whenever unitize does not drop degree
-    if not f.is_zero and u.degree == f.degree:
-        assert mobius_deunitize(u) == f
+@given(polys(max_degree=12), st.integers(min_value=0, max_value=3), st.sampled_from([1, -1]))
+def test_mobius_round_trip(f, extra, sign):
+    # the two substitutions at the same d are inverse to each other
+    d = max(f.degree, 0) + extra
+    u = unitize_with_degree(f, d, sign)
+    assert unitize_with_degree(u, d, -sign) == f
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

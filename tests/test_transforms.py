@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyafreq.errors import InternalCheckError, PreconditionError, ZeroPolynomialError
+from polyafreq.errors import PreconditionError, ZeroPolynomialError
 from polyafreq.polynomial import (
     NEG_INF,
     POS_INF,
@@ -13,6 +13,7 @@ from polyafreq.polynomial import (
     binom,
     binomial_poly,
     monomial,
+    unitize_with_degree,
 )
 from polyafreq.roots import (
     InterlaceRelation,
@@ -140,6 +141,13 @@ def test_w_transform_series_oracle():
         ]
         for i, c in enumerate(prod):
             assert c == w.coeff(i)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polys().filter(lambda f: not f.is_zero))
+def test_w_transform_unitizes_back_to_e(f):
+    # W(f) is E(f) de-unitized at d = deg f; unitizing at the same d undoes it
+    assert unitize_with_degree(w_transform(f), f.degree) == e_transform(f)
 
 
 def test_e_multiplicity_at_minus_one():

@@ -276,8 +276,8 @@ def _cmd_check(args) -> int:
         _emit(payload)
         return 0 if report.nonnegative else 1
     if kind == "multiplier-n":
-        if args.n is None:
-            raise UsageError("check multiplier-n needs --n")
+        if args.n is None or args.n < 0:
+            raise UsageError("check multiplier-n needs a nonnegative integer --n")
         seq = _multiplier_from_flags(args)
         verdict = is_multiplier_n_sequence(seq, args.n)
         _emit({"kind": kind, "n": args.n, "verdict": verdict})

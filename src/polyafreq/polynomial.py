@@ -4,11 +4,17 @@ Coefficients are `fractions.Fraction` throughout; index i holds the
 coefficient of x^i and the trailing coefficient of a nonzero polynomial is
 never zero.  The zero polynomial has an empty coefficient tuple and degree
 ``NEG_INF``, a formal value comparing below every number.
+
+Evaluation, `primitive_part` and `poly_gcd` clear the denominators once and
+then compute in Python `int`: evaluation runs Horner on the homogenised form
+and `poly_gcd` runs a primitive pseudo-remainder sequence.  They return the
+same `Fraction` and `Poly` values that rational arithmetic gives.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -104,6 +110,12 @@ class Poly:
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
+    @functools.cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, L): L the lcm of the coefficient denominators, nums_i = L*c_i."""
+        lcm = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Poly) -> Poly:
@@ -189,12 +201,21 @@ class Poly:
         return Poly(cs)
 
     def __call__(self, x0: RationalLike) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact evaluation by integer Horner on the homogenised form.
+
+        With x0 = a/b, n_i = L*c_i for L the lcm of the coefficient
+        denominators and d = deg self, the value is
+        (sum_i n_i * a^i * b^(d-i)) / (L * b^d).
+        """
         x0 = _as_fraction(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        a, b = x0.numerator, x0.denominator
+        nums, lcm = self._integer_form
+        acc, bpow = 0, 1
+        for c in reversed(nums):
+            acc = acc * a + c * bpow
+            bpow *= b
+        # bpow ends at b^(d+1), one factor of b past the denominator
+        return Fraction(acc * b, lcm * bpow)
 
     def affine_compose(self, a: RationalLike, b: RationalLike) -> Poly:
         """Expand self(a*x + b) exactly."""
@@ -263,9 +284,7 @@ def content(f: Poly) -> Fraction:
 
 def primitive_part(f: Poly) -> Poly:
     """f scaled by a positive rational to integer coefficients with gcd 1."""
-    if f.is_zero:
-        return ZERO
-    return f.scale(1 / content(f))
+    return Poly(_primitive_ints(f))
 
 
 def monic(f: Poly) -> Poly:
@@ -276,11 +295,46 @@ def monic(f: Poly) -> Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(f, 0) = monic f."""
-    a, b = f, g
-    while not b.is_zero:
-        # primitive normalization keeps remainder coefficients small
-        a, b = b, primitive_part(a % b)
-    return monic(a)
+    a, b = _primitive_ints(f), _primitive_ints(g)
+    while b:
+        a, b = b, _primitive_remainder(a, b)
+    return monic(Poly(a))
+
+
+def _primitive(nums) -> list[int]:
+    """The integers nums divided by their gcd, as a new list."""
+    g = math.gcd(*nums)
+    return [c // g for c in nums] if g > 1 else list(nums)
+
+
+def _primitive_ints(f: Poly) -> list[int]:
+    """Coefficients of primitive_part(f) as Python ints."""
+    return _primitive(f._integer_form[0])
+
+
+def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of |lc(b)|^k * (a mod b) on integer coefficient lists.
+
+    Each elimination step multiplies the partial remainder by |lc(b)| and
+    subtracts a multiple of b, so k <= deg a - deg b + 1.  The factor is
+    positive: the result is the positive integer-primitive rescaling of the
+    rational remainder a mod b, with its sign.  b must be nonzero.
+    """
+    db = len(b) - 1
+    lead = abs(b[-1])
+    # -sign(lc(b)) * b: adding q * neg cancels a leading q after the rescaling
+    neg = [-c for c in b] if b[-1] > 0 else b
+    r = list(a)
+    while len(r) > db:
+        q = r.pop()
+        k = len(r) - db
+        if lead != 1:
+            r = [lead * c for c in r]
+        for j in range(db):
+            r[k + j] += q * neg[j]
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
 
 
 def squarefree_part(f: Poly) -> Poly:

@@ -5,6 +5,10 @@ roots; multiplicities come from the Yun decomposition.  All interval
 bisection uses the half-open convention (lo, hi], which makes counts
 additive under splitting; closed-interval questions test endpoints by
 exact evaluation.
+
+Sturm chains are built in Python `int` by a primitive pseudo-remainder
+sequence, and their members are evaluated at rational points by integer
+Horner (`Poly.__call__`); only the returned values are `Fraction`.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from .polynomial import (
     POS_INF,
     Poly,
     binom,
-    monic,
     poly_gcd,
-    primitive_part,
     root_multiplicity,
     squarefree_decomposition,
     squarefree_part,
     _Extreme,
+    _primitive,
+    _primitive_ints,
+    _primitive_remainder,
 )
 
 _REFINE_CAP = 100_000
@@ -41,17 +46,22 @@ _REFINE_CAP = 100_000
 
 
 def sturm_chain(f: Poly) -> list[Poly]:
-    """Canonical Sturm chain of f, with positive integer-primitive rescaling."""
-    chain = [primitive_part(f)]
-    d = f.derivative()
-    if not d.is_zero:
-        chain.append(primitive_part(d))
+    """Canonical Sturm chain of f, with positive integer-primitive rescaling.
+
+    The members are f, f' and the negated remainders, each scaled by a
+    positive rational to integer coefficients with gcd 1.
+    """
+    p = _primitive_ints(f)
+    chain = [p]
+    d = [i * c for i, c in enumerate(p)][1:]
+    if d:
+        chain.append(_primitive(d))
         while True:
-            r = chain[-2] % chain[-1]
-            if r.is_zero:
+            r = _primitive_remainder(chain[-2], chain[-1])
+            if not r:
                 break
-            chain.append(primitive_part(-r))
-    return chain
+            chain.append([-c for c in r])
+    return [Poly(q) for q in chain]
 
 
 def _variations(chain: list[Poly], x0: Fraction) -> int:
@@ -283,21 +293,6 @@ def isolate_roots(f: Poly) -> list[RootBox]:
     return boxes
 
 
-def refine_root_box(f: Poly, box: RootBox, width) -> RootBox:
-    """Shrink an isolating box of f below the requested width by bisection."""
-    width = Fraction(width)
-    if width <= 0:
-        raise PreconditionError("refinement width must be positive")
-    sf = squarefree_part(f)
-    chain = sturm_chain(sf)
-    lo, hi = box.lo, box.hi
-    for _ in range(_REFINE_CAP):
-        if hi - lo <= width:
-            return RootBox(lo=lo, hi=hi, multiplicity=box.multiplicity)
-        lo, hi = _halve(sf, chain, lo, hi)
-    raise InternalCheckError("box refinement failed to converge")
-
-
 # -- interlacing and dominance ------------------------------------------------
 
 
@@ -355,18 +350,8 @@ def _expanded_positions(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
     return alphas, betas, c.degree <= 0
 
 
-def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
-    """Classify the ordered pair (f, g) by the weave of their root multisets.
-
-    interlaces: deg g = deg f + 1 with beta_1 <= alpha_1 <= beta_2 <= ...;
-    alternates_left: equal degrees with alpha_1 <= beta_1 <= alpha_2 <= ...;
-    the strict variants additionally require gcd(f, g) constant.
-    """
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomialError("interlace relation needs nonzero polynomials")
-    if not is_real_rooted(f) or not is_real_rooted(g):
-        raise NotRealRootedError("interlace relation needs real-rooted polynomials")
-    alphas, betas, coprime = _expanded_positions(f, g)
+def _classify(alphas: list[int], betas: list[int], coprime: bool) -> InterlaceRelation:
+    """The relation of (f, g) from the merged root positions of f and g."""
     i, j = len(alphas), len(betas)
     if j == i + 1:
         ok = all(betas[k] <= alphas[k] <= betas[k + 1] for k in range(i))
@@ -383,12 +368,33 @@ def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
     return InterlaceRelation.NONE
 
 
+def _checked_positions(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
+    """`_expanded_positions(f, g)`, raising unless f and g are nonzero and real-rooted."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomialError("interlace relation needs nonzero polynomials")
+    if not is_real_rooted(f) or not is_real_rooted(g):
+        raise NotRealRootedError("interlace relation needs real-rooted polynomials")
+    return _expanded_positions(f, g)
+
+
+def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
+    """Classify the ordered pair (f, g) by the weave of their root multisets.
+
+    interlaces: deg g = deg f + 1 with beta_1 <= alpha_1 <= beta_2 <= ...;
+    alternates_left: equal degrees with alpha_1 <= beta_1 <= alpha_2 <= ...;
+    the strict variants additionally require gcd(f, g) constant.
+    """
+    return _classify(*_checked_positions(f, g))
+
+
 def alternates(f: Poly, g: Poly, strict: bool = False) -> bool:
     """True when one of f, g interlaces or alternates left of the other."""
     ok = {InterlaceRelation.INTERLACES_STRICT, InterlaceRelation.ALTERNATES_LEFT_STRICT}
     if not strict:
         ok |= {InterlaceRelation.INTERLACES, InterlaceRelation.ALTERNATES_LEFT}
-    return interlace_relation(f, g) in ok or interlace_relation(g, f) in ok
+    # swapping f and g swaps their merged root positions
+    alphas, betas, coprime = _checked_positions(f, g)
+    return _classify(alphas, betas, coprime) in ok or _classify(betas, alphas, coprime) in ok
 
 
 def root_dominance(f: Poly, g: Poly) -> bool:

@@ -297,8 +297,9 @@ def _eval_dominance(params: dict):
     for image in (ef, eg):
         if not is_simple_rooted(image) or not roots_within(image, -1, 0):
             return False, _repro_check("simple", image)
-    ok = interlace_relation(ef, eg) in _ALT
-    return ok, None if ok else {"relation": interlace_relation(ef, eg).value}
+    rel = interlace_relation(ef, eg)
+    ok = rel in _ALT
+    return ok, None if ok else {"relation": rel.value}
 
 
 # -- two-pass stack sorting counts ----------------------------------------------------
@@ -376,8 +377,9 @@ def _eval_t_deform(params: dict):
         return ok, None if ok else _repro_check("simple", a)
     shifted = a.exact_divide(X)
     shifted_next = eulerian_t_poly(n + 1, t).exact_divide(X)
-    ok = interlace_relation(shifted, shifted_next) == IR.INTERLACES_STRICT
-    return ok, None if ok else {"relation": interlace_relation(shifted, shifted_next).value}
+    rel = interlace_relation(shifted, shifted_next)
+    ok = rel == IR.INTERLACES_STRICT
+    return ok, None if ok else {"relation": rel.value}
 
 
 # -- cycle-weighted descent polynomials at negative integer weights ---------------------

@@ -54,6 +54,8 @@ def test_check_verdicts(capsys):
     assert code == 1 and json.loads(out)["verdict"] is False
     code, out, _ = run_cli(capsys, "check", "multiplier-n", "--gamma-shift", "1", "--n", "5")
     assert code == 0
+    code, out, _ = run_cli(capsys, "check", "multiplier-n", "--gamma-shift", "1", "--n", "0")
+    assert code == 0 and json.loads(out) == {"kind": "multiplier-n", "n": 0, "verdict": True}
     code, out, _ = run_cli(
         capsys, "check", "interval", "--poly", '{"coeffs":["0","1","6","6"]}',
         "--lo=-1", "--hi", "0",
@@ -188,6 +190,8 @@ def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "op", "multiplier-apply", '{"coeffs":["1","1"]}',
                            "--binom-negative", "x,1")
     assert code == 2 and "Traceback" not in err and "--binom-negative" in err
+    code, out, err = run_cli(capsys, "check", "multiplier-n", "--gamma-shift", "1", "--n", "-3")
+    assert code == 2 and out == "" and "Traceback" not in err and "--n" in err
     monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "abc")
     for argv in (
         ("verify", "oracle-coherence"),

@@ -8,6 +8,7 @@ from polyafreq.errors import NotRealRootedError, PreconditionError, ZeroPolynomi
 from polyafreq.polynomial import NEG_INF, POS_INF, Poly, ZERO, monomial
 from polyafreq.roots import (
     InterlaceRelation,
+    alternates,
     check_nonneg_on_reals,
     count_distinct_real_roots,
     interlace_relation,
@@ -16,7 +17,6 @@ from polyafreq.roots import (
     isolate_roots,
     negative_witness,
     newton_inequalities,
-    refine_root_box,
     root_dominance,
     roots_within,
     sturm_count,
@@ -96,18 +96,21 @@ def test_isolate_irrational():
     for b in boxes:
         assert not b.is_point
         assert f(b.lo) * f(b.hi) < 0
-    tight = refine_root_box(f, boxes[1], Fraction(1, 1000))
-    assert tight.width <= Fraction(1, 1000)
-    assert Fraction(1414, 1000) < tight.hi < Fraction(1415, 1000) or tight.lo < Fraction(14143, 10000)
+    # the boxes bracket -sqrt(2) and sqrt(2)
+    assert boxes[0].hi <= 0 <= boxes[1].lo
+    assert boxes[0].hi ** 2 < 2 < boxes[0].lo ** 2
+    assert boxes[1].lo ** 2 < 2 < boxes[1].hi ** 2
 
 
 def test_isolate_lemma_318_instance():
     f = Poly([1, -6, 6])
     boxes = isolate_roots(f)
     assert len(boxes) == 2
-    tight = [refine_root_box(f, b, Fraction(1, 100)) for b in boxes]
-    assert all(0 < b.lo and b.hi < 1 for b in tight)
+    # roots (3 +- sqrt(3))/6, both inside (0, 1)
+    assert all(not b.is_point and f(b.lo) * f(b.hi) < 0 for b in boxes)
+    assert all(0 <= b.lo and b.hi <= 1 for b in boxes)
     assert roots_within(f, 0, 1)
+    assert sturm_count(f, 0, Fraction(1, 2)) == 1 and sturm_count(f, Fraction(1, 2), 1) == 1
 
 
 def test_isolate_requires_real_rooted():
@@ -157,6 +160,18 @@ def reference_relation(roots_f, roots_g):
 def test_interlace_matches_rational_oracle(rf, rg):
     f, g = from_roots(rf), from_roots(rg)
     assert interlace_relation(f, g) == reference_relation(rf, rg)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_roots, small_roots, st.booleans())
+def test_alternates_is_either_order(rf, rg, strict):
+    # the relation of each order computed on its own, as alternates was defined
+    f, g = from_roots(rf), from_roots(rg)
+    ok = {IR.INTERLACES_STRICT, IR.ALTERNATES_LEFT_STRICT}
+    if not strict:
+        ok |= {IR.INTERLACES, IR.ALTERNATES_LEFT}
+    either = reference_relation(rf, rg) in ok or reference_relation(rg, rf) in ok
+    assert alternates(f, g, strict) == either == alternates(g, f, strict)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

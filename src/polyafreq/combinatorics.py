@@ -123,6 +123,8 @@ def is_t_stack_sortable(perm: tuple[int, ...], t: int) -> bool:
 
 def t_stack_poly(n: int, t: int, guards: EnumGuards | None = None) -> Poly:
     """Descent polynomial of the t-stack-sortable permutations in S_n."""
+    if n < 1:
+        raise PreconditionError("t_stack_poly needs n >= 1")
     if t < 0:
         raise PreconditionError("t_stack_poly needs t >= 0")
     g = _guards(guards)
@@ -298,6 +300,8 @@ def signed_perm_stats(n: int, guards: EnumGuards | None = None) -> StatTable:
 
 def b_euler_multi(n: int, qs) -> Poly:
     """W-transform of prod_i ((1+q_i) x + 1)."""
+    if n < 0:
+        raise PreconditionError("b_euler_multi needs n >= 0")
     qs = [Fraction(v) for v in qs]
     if len(qs) != n:
         raise PreconditionError(f"need exactly {n} weights")

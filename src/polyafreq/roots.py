@@ -1,10 +1,13 @@
-"""Exact real-root analysis via Sturm sequences and interval bisection.
+"""Exact real-root analysis via Sturm sequences.
 
 Root counting works on the square-free part, so counts are of *distinct*
-roots; multiplicities come from the Yun decomposition.  All interval
-bisection uses the half-open convention (lo, hi], which makes counts
-additive under splitting; closed-interval questions test endpoints by
-exact evaluation.
+roots; multiplicities come from the Yun decomposition.  Interlacing is
+decided from a Cauchy index, which the signed remainder sequence of the two
+coprime parts gives from leading signs and degrees alone, with no
+evaluation.  Only root dominance, `isolate_roots` and the sample points of
+`sample_points_between_roots` isolate roots, by interval bisection in the
+half-open convention (lo, hi], which makes counts additive under splitting;
+closed-interval questions test endpoints by exact evaluation.
 
 Sturm chains are built in Python `int` by a primitive pseudo-remainder
 sequence, and their members are evaluated at rational points by integer
@@ -64,13 +67,17 @@ def sturm_chain(f: Poly) -> list[Poly]:
     return [Poly(q) for q in chain]
 
 
+def _sign_changes(signs: list[bool]) -> int:
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def _variations(chain: list[Poly], x0: Fraction) -> int:
     signs = []
     for p in chain:
         v = p(x0)
         if v:
             signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _sign_changes(signs)
 
 
 def _chain_count(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -350,31 +357,40 @@ def _expanded_positions(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
     return alphas, betas, c.degree <= 0
 
 
-def _classify(alphas: list[int], betas: list[int], coprime: bool) -> InterlaceRelation:
-    """The relation of (f, g) from the merged root positions of f and g."""
-    i, j = len(alphas), len(betas)
-    if j == i + 1:
-        ok = all(betas[k] <= alphas[k] <= betas[k + 1] for k in range(i))
-        if ok:
-            return InterlaceRelation.INTERLACES_STRICT if coprime else InterlaceRelation.INTERLACES
-        return InterlaceRelation.NONE
-    if i == j:
-        ok = all(alphas[k] <= betas[k] for k in range(i)) and all(
-            betas[k] <= alphas[k + 1] for k in range(i - 1)
-        )
-        if ok:
-            return InterlaceRelation.ALTERNATES_LEFT_STRICT if coprime else InterlaceRelation.ALTERNATES_LEFT
-        return InterlaceRelation.EQUAL_DEGREE_NONE
-    return InterlaceRelation.NONE
+def _cauchy_index(u: list[int], v: list[int]) -> int:
+    """Cauchy index of u/v over the reals, for integer coefficient lists.
+
+    Sturm's generalised theorem: the index is V(-inf) - V(+inf) on the
+    signed remainder sequence v, u, -rem(v, u), ...  Each member here is a
+    positive multiple of the one in the theorem, so the signs at +-inf come
+    from the leading coefficients and degrees alone.
+    """
+    seq = [v, u]
+    while True:
+        r = _primitive_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    at_pos = [p[-1] > 0 for p in seq]
+    # the sign at -inf flips for odd degree, i.e. for an even coefficient count
+    at_neg = [s == (len(p) % 2 == 1) for s, p in zip(at_pos, seq)]
+    return _sign_changes(at_neg) - _sign_changes(at_pos)
 
 
-def _checked_positions(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
-    """`_expanded_positions(f, g)`, raising unless f and g are nonzero and real-rooted."""
+def _coprime_parts(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
+    """(u, v, coprime): f and g divided by c = gcd(f, g), as integer lists.
+
+    u and v are positive multiples of f/c and g/c; coprime says that c is
+    constant.  Raises unless f and g are nonzero and real-rooted.
+    """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("interlace relation needs nonzero polynomials")
     if not is_real_rooted(f) or not is_real_rooted(g):
         raise NotRealRootedError("interlace relation needs real-rooted polynomials")
-    return _expanded_positions(f, g)
+    c = poly_gcd(f, g)
+    if c.degree <= 0:
+        return _primitive_ints(f), _primitive_ints(g), True
+    return _primitive_ints(f.exact_divide(c)), _primitive_ints(g.exact_divide(c)), False
 
 
 def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
@@ -383,18 +399,43 @@ def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
     interlaces: deg g = deg f + 1 with beta_1 <= alpha_1 <= beta_2 <= ...;
     alternates_left: equal degrees with alpha_1 <= beta_1 <= alpha_2 <= ...;
     the strict variants additionally require gcd(f, g) constant.
+
+    The relation is decided from the Cauchy index of u/v, u = f/c and
+    v = g/c for c = gcd(f, g); no root is isolated.  Interlacing says
+    0 <= #{beta <= t} - #{alpha <= t} <= 1 at every t, and alternating left
+    says 0 <= #{alpha <= t} - #{beta <= t} <= 1; a common factor leaves both
+    counts unchanged, so (f, g) and (u, v) are related alike.
+    |Ind(u/v)| = deg v forces deg v simple real poles whose jumps have one
+    sign, hence a simple root of u in each gap between them.  With equal
+    degrees the sign of the index, times sign(lc u * lc v), says which of
+    u and v has the smallest root; two constants have index 0 = deg u.
     """
-    return _classify(*_checked_positions(f, g))
+    u, v, coprime = _coprime_parts(f, g)
+    du, dv = len(u) - 1, len(v) - 1
+    if dv == du + 1:
+        if abs(_cauchy_index(u, v)) == dv:
+            return InterlaceRelation.INTERLACES_STRICT if coprime else InterlaceRelation.INTERLACES
+        return InterlaceRelation.NONE
+    if du == dv:
+        sign = 1 if (u[-1] > 0) == (v[-1] > 0) else -1
+        if sign * _cauchy_index(u, v) == du:
+            return InterlaceRelation.ALTERNATES_LEFT_STRICT if coprime else InterlaceRelation.ALTERNATES_LEFT
+        return InterlaceRelation.EQUAL_DEGREE_NONE
+    return InterlaceRelation.NONE
 
 
 def alternates(f: Poly, g: Poly, strict: bool = False) -> bool:
     """True when one of f, g interlaces or alternates left of the other."""
-    ok = {InterlaceRelation.INTERLACES_STRICT, InterlaceRelation.ALTERNATES_LEFT_STRICT}
-    if not strict:
-        ok |= {InterlaceRelation.INTERLACES, InterlaceRelation.ALTERNATES_LEFT}
-    # swapping f and g swaps their merged root positions
-    alphas, betas, coprime = _checked_positions(f, g)
-    return _classify(alphas, betas, coprime) in ok or _classify(betas, alphas, coprime) in ok
+    u, v, coprime = _coprime_parts(f, g)
+    if strict and not coprime:
+        return False
+    if len(u) > len(v):
+        u, v = v, u
+    # With deg v = deg u + 1 only u can interlace v.  With equal degrees
+    # Ind(v/u) = -Ind(u/v), since Ind(u/v) + Ind(v/u) is half the change of
+    # sign(uv) from -inf to +inf, so one order alternates left exactly when
+    # |Ind(u/v)| = deg u.
+    return len(v) - len(u) <= 1 and abs(_cauchy_index(u, v)) == len(v) - 1
 
 
 def root_dominance(f: Poly, g: Poly) -> bool:

@@ -192,6 +192,13 @@ def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
     assert code == 2 and "Traceback" not in err and "--binom-negative" in err
     code, out, err = run_cli(capsys, "check", "multiplier-n", "--gamma-shift", "1", "--n", "-3")
     assert code == 2 and out == "" and "Traceback" not in err and "--n" in err
+    for argv, message in (
+        (("gen", "t_stack", "--n", "0", "--t", "1"), "t_stack_poly needs n >= 1"),
+        (("gen", "t_stack", "--n", "-2", "--t", "1"), "t_stack_poly needs n >= 1"),
+        (("gen", "b_euler", "--n", "-3", "--q", "1/2"), "b_euler_multi needs n >= 0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err and message in err
     monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "abc")
     for argv in (
         ("verify", "oracle-coherence"),

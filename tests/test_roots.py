@@ -1,9 +1,13 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyafreq import roots
+from polyafreq.combinatorics import b_euler_q
+from polyafreq.config import RunConfig
 from polyafreq.errors import NotRealRootedError, PreconditionError, ZeroPolynomialError
 from polyafreq.polynomial import NEG_INF, POS_INF, Poly, ZERO, monomial
 from polyafreq.roots import (
@@ -21,6 +25,7 @@ from polyafreq.roots import (
     roots_within,
     sturm_count,
 )
+from polyafreq.suites import run_suite
 
 IR = InterlaceRelation
 
@@ -192,6 +197,129 @@ def test_obreschkoff_combinations(rf):
         comb = al * f + be * g
         if not comb.is_zero:
             assert is_real_rooted(comb)
+
+
+# -- the isolation route, kept as the oracle of the Cauchy-index route ---------
+
+
+def _classify(alphas: list[int], betas: list[int], coprime: bool) -> IR:
+    """The relation of (f, g) from the merged root positions of f and g."""
+    i, j = len(alphas), len(betas)
+    if j == i + 1:
+        ok = all(betas[k] <= alphas[k] <= betas[k + 1] for k in range(i))
+        if ok:
+            return IR.INTERLACES_STRICT if coprime else IR.INTERLACES
+        return IR.NONE
+    if i == j:
+        ok = all(alphas[k] <= betas[k] for k in range(i)) and all(
+            betas[k] <= alphas[k + 1] for k in range(i - 1)
+        )
+        if ok:
+            return IR.ALTERNATES_LEFT_STRICT if coprime else IR.ALTERNATES_LEFT
+        return IR.EQUAL_DEGREE_NONE
+    return IR.NONE
+
+
+def isolation_relations(f, g):
+    """The relations of (f, g) and of (g, f) by isolating and merging roots."""
+    alphas, betas, coprime = roots._expanded_positions(f, g)
+    return _classify(alphas, betas, coprime), _classify(betas, alphas, coprime)
+
+
+def isolation_alternates(f, g, strict):
+    ok = {IR.INTERLACES_STRICT, IR.ALTERNATES_LEFT_STRICT}
+    if not strict:
+        ok |= {IR.INTERLACES, IR.ALTERNATES_LEFT}
+    return any(rel in ok for rel in isolation_relations(f, g))
+
+
+# x^2 - 2, 6x^2 + 6x + 1, x^2 - x - 1 and 2x^2 - 4x + 1 have irrational roots
+_QUADRATICS = (Poly([-2, 0, 1]), Poly([1, 6, 6]), Poly([-1, -1, 1]), Poly([1, -4, 2]))
+_linear = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(lambda r: Poly([-r, 1]))
+_factors = st.lists(
+    st.tuples(st.one_of(_linear, st.sampled_from(_QUADRATICS)), st.integers(1, 3)), max_size=3
+)
+_leads = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+def _product(factors, lead=1):
+    p = Poly([lead])
+    for h, m in factors:
+        p = p * h ** m
+    return p
+
+
+@st.composite
+def real_rooted_pairs(draw):
+    """(f, g) real-rooted, often interlacing or alternating, with shared factors.
+
+    h' interlaces h, and h + lam*h' alternates left of h for lam > 0 (right
+    for lam < 0); a repeated root of h is a common root of the pair.
+    """
+    h = _product(draw(_factors), draw(_leads))
+    kind = draw(st.sampled_from(("independent", "derivative", "hermite")))
+    if kind == "independent":
+        f, g = _product(draw(_factors), draw(_leads)), h
+    elif kind == "derivative":
+        f, g = h.derivative().scale(draw(_leads)) if h.degree else h, h
+    else:
+        f, g = (h + h.derivative().scale(draw(_leads))).scale(draw(_leads)), h
+    shared = _product(draw(st.lists(st.tuples(_linear, st.integers(1, 2)), max_size=1)))
+    f, g = f * shared, g * shared
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+def test_cauchy_index_route_matches_isolation():
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(real_rooted_pairs(), st.booleans())
+    def check(pair, strict):
+        f, g = pair
+        forward, backward = isolation_relations(f, g)
+        assert interlace_relation(f, g) == forward
+        assert interlace_relation(g, f) == backward
+        assert alternates(f, g, strict) == isolation_alternates(f, g, strict)
+        seen[forward] += 1
+
+    check()
+    assert set(seen) == set(IR), seen
+
+
+def test_cauchy_index_route_on_fixed_pairs():
+    # the Wronskian-sketch counterexample: u = (x-1)^3 is not square-free
+    f = from_roots([1, 1, 1, Fraction(3, 2)])
+    g = from_roots([Fraction(3, 2)] * 4)
+    for a, b in ((f, g), (g, f)):
+        assert interlace_relation(a, b) == isolation_relations(a, b)[0] == IR.EQUAL_DEGREE_NONE
+        assert not alternates(a, b)
+    b0, b1 = b_euler_q(20, 0), b_euler_q(20, 1)
+    assert b1.degree == b0.degree + 1
+    assert interlace_relation(b0, b1) == isolation_relations(b0, b1)[0] == IR.INTERLACES_STRICT
+    assert alternates(b1, b0, strict=True)
+
+
+def _no_isolation(*args, **kwargs):
+    raise AssertionError("interlacing isolated roots")
+
+
+def test_interlacing_isolates_no_root():
+    pairs = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(real_rooted_pairs())
+    def collect(pair):
+        pairs.append((pair, isolation_relations(*pair)[0], isolation_alternates(*pair, False)))
+
+    collect()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_isolate_squarefree", _no_isolation)
+        mp.setattr(roots, "_separate_all", _no_isolation)
+        for (f, g), relation, either in pairs:
+            assert interlace_relation(f, g) == relation
+            assert alternates(f, g) == either
+        report = run_suite("chain-6", RunConfig(seed=0))
+    assert report.cases and all(c.verdict for c in report.cases)
 
 
 def test_positive_sum_interlacing():

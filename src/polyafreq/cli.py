@@ -54,7 +54,7 @@ from .operators import (
     schur_product,
     sharp_product,
 )
-from .pf import is_log_concave, is_pf_finite, is_unimodal, minors_nonneg, toeplitz_window
+from .pf import is_log_concave, is_pf_finite, is_unimodal, minors_nonneg
 from .polynomial import NEG_INF, POS_INF, Poly
 from .roots import (
     InterlaceRelation,
@@ -92,11 +92,20 @@ def _rational(text: str) -> Fraction:
     try:
         return rational_from_str(text)
     except PolyafreqError as exc:
-        raise UsageError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _list_parts(text: str) -> list[str]:
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list without empty elements, got {text!r}"
+        )
+    return parts
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    return [_rational(part) for part in text.split(",") if part.strip()]
+    return [_rational(part) for part in _list_parts(text)]
 
 
 def _positive_int(text: str) -> int:
@@ -111,9 +120,9 @@ def _positive_int(text: str) -> int:
 
 def _int_set(text: str) -> set[int]:
     try:
-        return {int(part) for part in text.split(",") if part.strip()}
+        return {int(part) for part in _list_parts(text)}
     except ValueError as exc:
-        raise UsageError(f"malformed integer set {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"malformed integer set {text!r}") from exc
 
 
 def _endpoint(text: str):
@@ -219,7 +228,7 @@ def _multiplier_from_flags(args, allow_default: bool = False) -> MultiplierSeq:
         n = int(n_text)
     except ValueError as exc:
         raise UsageError("--binom-negative takes 'n,r' with an integer n") from exc
-    return MultiplierSeq.binom_negative(n, _rational(r_text))
+    return MultiplierSeq.binom_negative(n, rational_from_str(r_text))
 
 
 def _cmd_check(args) -> int:
@@ -264,7 +273,7 @@ def _cmd_check(args) -> int:
             terms = f.coeffs
         size = args.window if args.window else len(terms) + 2
         order = args.order if args.order else min(4, size)
-        report = minors_nonneg(toeplitz_window(terms, size), order)
+        report = minors_nonneg(terms, size, order)
         payload = {"kind": kind, "verdict": report.nonnegative, "window": size, "order": order}
         if report.witness is not None:
             rows, cols, value = report.witness

@@ -1,14 +1,27 @@
 """Total positivity of Toeplitz windows and Polya frequency verdicts.
 
 The finite PF verdict is exact through real-rootedness; bounded Toeplitz
-windows with exhaustive minor checks corroborate it (total positivity of
-the infinite matrix cannot be decided from a window, so the window check
-is never the primary verdict).
+windows with minor checks corroborate it (total positivity of the infinite
+matrix cannot be decided from a window, so the window check is never the
+primary verdict).
+
+The window M[i][j] = a_{i-j} of a sequence with a_t = 0 outside
+0 <= t <= deg is lower-triangular and banded.  A minor with sorted rows r
+and columns c is therefore 0 unless c_i <= r_i <= c_i + deg for every i:
+if r_i < c_i, rows r_0..r_i meet columns c_i..c_{k-1} in a zero block, and
+if r_i > c_i + deg, rows r_i..r_{k-1} meet columns c_0..c_i in one; either
+block spans k + 1 rows and columns, so the minor vanishes (Frobenius-Koenig).
+The window is also shift-invariant: moving the rows and columns of a
+nonzero minor down by c_0 <= r_0 gives an equal minor that comes no later
+in lexicographic order.  So the lexicographically first negative minor has
+c_0 = 0, and `minors_nonneg` evaluates only the admissible minors
+{c_0 = 0, c_i <= r_i <= c_i + deg}, in the order of an exhaustive check.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,47 +30,20 @@ from .errors import PreconditionError
 from .polynomial import NEG_INF, Poly
 from .roots import roots_within
 
-Matrix = list[list[Fraction]]
-
-
-@dataclasses.dataclass(frozen=True)
-class SeqWindow:
-    """Finite window a_0..a_N of a sequence, zero-padded on the right and
-    zero for negative indices."""
-
-    terms: tuple[Fraction, ...]
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(Fraction(t) for t in terms))
-
-    @classmethod
-    def from_poly(cls, f: Poly) -> "SeqWindow":
-        return cls(f.coeffs)
+#: Most minors one `minors_nonneg` call evaluates: the admissible minors of
+#: every order plus its table of all 2 x 2 minors of the window.
+MAX_MINORS = 1_000_000
 
 
 def _terms_of(s) -> tuple[Fraction, ...]:
-    if isinstance(s, SeqWindow):
-        return s.terms
     if isinstance(s, Poly):
         return s.coeffs
     return tuple(Fraction(t) for t in s)
 
 
-def toeplitz_window(s, size: int) -> Matrix:
-    """size x size matrix M[i][j] = a_{i-j} with zero padding."""
-    terms = _terms_of(s)
-    zero = Fraction(0)
-
-    def entry(i, j):
-        k = i - j
-        return terms[k] if 0 <= k < len(terms) else zero
-
-    return [[entry(i, j) for j in range(size)] for i in range(size)]
-
-
 @dataclasses.dataclass(frozen=True)
 class MinorReport:
-    """Verdict of an exhaustive minor check; a negative verdict carries the
+    """Verdict of a minor check; a negative verdict carries the
     lexicographically first offending minor."""
 
     nonnegative: bool
@@ -90,107 +76,192 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-# index layout of the six 2+2 column splits in a Laplace expansion along the
-# first two rows of a 4x4 minor: (top pair, bottom pair, sign)
-_SPLITS4 = (
-    ((0, 1), (2, 3), 1),
-    ((0, 2), (1, 3), -1),
-    ((0, 3), (1, 2), 1),
-    ((1, 2), (0, 3), 1),
-    ((1, 3), (0, 2), -1),
-    ((2, 3), (0, 1), 1),
-)
+def _admissible_count(size: int, deg: int, order: int) -> int:
+    """Number of admissible minors of orders 1..order >= 1, for deg < size.
 
-
-def minors_nonneg(matrix: Matrix, order: int) -> MinorReport:
-    """Exhaustively check every k x k minor, k <= order, for nonnegativity.
-
-    Denominators are cleared first (a positive scaling, so minor signs are
-    unchanged); small minors go through cached Laplace expansions and
-    orders above four fall back to Bareiss elimination.  Enumeration is
-    lexicographic in (k, rows, cols) and stops at the first negative minor.
+    count[r][c] holds the admissible (rows, cols) of the current order whose
+    last row is r and last column c; those of the next order end at an
+    admissible (r, c) after any (r', c') with r' < r and c' < c, a sum read
+    from the two-dimensional prefix sums of count.
     """
-    n = len(matrix)
-    if order > n:
+    total = deg + 1
+    if order < 2:
+        return total
+    count = [[int(c == 0 and r <= deg) for c in range(size)] for r in range(size)]
+    for _ in range(2, order + 1):
+        below = [[0] * (size + 1)]
+        for row in count:
+            running = 0
+            sums = [0]
+            for value, above in zip(row, below[-1][1:]):
+                running += value
+                sums.append(above + running)
+            below.append(sums)
+        count = [
+            [below[r][c] if c <= r <= c + deg else 0 for c in range(size)]
+            for r in range(size)
+        ]
+        total += sum(map(sum, count))
+    return total
+
+
+def _pair(a: int, b: int, n: int) -> int:
+    """Index of the pair a < b in itertools.combinations(range(n), 2)."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
+def _row_parts(rows: tuple[int, ...], n: int):
+    """The det2 rows the order-k loop of `minors_nonneg` reads for these rows."""
+    if len(rows) == 2:
+        return _pair(*rows, n)
+    if len(rows) == 3:
+        return _pair(rows[1], rows[2], n)
+    if len(rows) == 4:
+        return _pair(rows[0], rows[1], n), _pair(rows[2], rows[3], n)
+    return None
+
+
+def _col_parts(cols: tuple[int, ...], n: int):
+    """The det2 columns the order-k loop of `minors_nonneg` reads for these columns."""
+    if len(cols) == 2:
+        return _pair(*cols, n)
+    if len(cols) == 3:
+        c0, c1, c2 = cols
+        return cols + (_pair(c1, c2, n), _pair(c0, c2, n), _pair(c0, c1, n))
+    if len(cols) == 4:
+        # Laplace expansion along the first two rows: the (top, bottom) pairs of
+        # the six column splits, whose signs are + - + + - +
+        c0, c1, c2, c3 = cols
+        return (
+            _pair(c0, c1, n), _pair(c2, c3, n),
+            _pair(c0, c2, n), _pair(c1, c3, n),
+            _pair(c0, c3, n), _pair(c1, c2, n),
+            _pair(c1, c2, n), _pair(c0, c3, n),
+            _pair(c1, c3, n), _pair(c0, c2, n),
+            _pair(c2, c3, n), _pair(c0, c1, n),
+        )
+    return None
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(size: int, deg: int, k: int):
+    """The admissible k x k minors of a size x size window of bandwidth deg.
+
+    Returns (columns, parts, entries).  columns lists each admissible column
+    set once, and parts its `_col_parts`.  entries holds (rows,
+    `_row_parts(rows)`, ids) for the row sets in lexicographic order, where
+    ids index the row set's admissible column sets in lexicographic order.
+    Every row set with r_0 <= deg has one, and the column sets are generated
+    column by column, c_i running from max(c_{i-1} + 1, r_i - deg) to r_i,
+    so the cost grows with the plan and not with C(size - 1, k - 1).
+    """
+    index: dict[tuple[int, ...], int] = {}
+    entries = []
+    for rows in itertools.combinations(range(size), k):
+        if rows[0] > deg:
+            break
+        partial = [(0,)]
+        for r in rows[1:]:
+            partial = [
+                cols + (c,)
+                for cols in partial
+                for c in range(max(cols[-1] + 1, r - deg), r + 1)
+            ]
+        ids = tuple(index.setdefault(cols, len(index)) for cols in partial)
+        entries.append((rows, _row_parts(rows, size), ids))
+    return list(index), [_col_parts(cols, size) for cols in index], entries
+
+
+def minors_nonneg(terms, size: int, order: int) -> MinorReport:
+    """Check the k x k minors, k <= order, of the size x size Toeplitz window
+    M[i][j] = a_{i-j} of a sequence (a `Poly` or an iterable of rationals,
+    zero-padded) for nonnegativity.
+
+    Only the admissible minors {c_0 = 0, c_i <= r_i <= c_i + deg} are
+    evaluated: by the band and shift argument of the module docstring every
+    other minor is 0 or equals an admissible one that comes earlier.  They
+    are enumerated lexicographically in (k, rows, cols) from compiled plans
+    (`_plan`, cached per (size, deg, k)), so the first negative one found is
+    the lexicographically first negative minor of the whole window.
+    Denominators are cleared first (a positive scaling, so minor signs are
+    unchanged); 2 x 2 minors come from one table, orders 3 and 4 from
+    Laplace expansions over it and higher orders from Bareiss elimination.
+    More than MAX_MINORS evaluations raise PreconditionError before any.
+    """
+    if order > size:
         raise PreconditionError("minor order exceeds matrix dimension")
-    lcm = 1
-    for row in matrix:
-        for a in row:
-            lcm = math.lcm(lcm, Fraction(a).denominator)
-    m = [[int(Fraction(a) * lcm) for a in row] for row in matrix]
+    a = _terms_of(terms)[:size]
+    support = [t for t, x in enumerate(a) if x != 0]
+    if not support or order < 1:
+        return MinorReport(nonnegative=True)
+    deg = support[-1]
+    table = math.comb(size, 2) ** 2 if order >= 2 else 0
+    if table > MAX_MINORS or table + _admissible_count(size, deg, order) > MAX_MINORS:
+        raise PreconditionError(
+            f"minors up to order {order} of a window of size {size} and bandwidth {deg} "
+            f"need more than {MAX_MINORS} evaluations"
+        )
+    lcm = math.lcm(*(x.denominator for x in a))
+    a = [int(x * lcm) for x in a[: deg + 1]]
 
     def report(rows, cols, det_int, k):
         value = Fraction(det_int, lcm ** k)
         return MinorReport(nonnegative=False, witness=(tuple(rows), tuple(cols), value))
 
-    # k = 1
-    if order >= 1:
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] < 0:
-                    return report((i,), (j,), m[i][j], 1)
+    for i, x in enumerate(a):
+        if x < 0:
+            return report((i,), (0,), x, 1)
+    if order < 2:
+        return MinorReport(nonnegative=True)
 
-    pairs = list(itertools.combinations(range(n), 2))
-    pair_index = {p: t for t, p in enumerate(pairs)}
+    m = [[a[i - j] if 0 <= i - j <= deg else 0 for j in range(size)] for i in range(size)]
+    pairs = list(itertools.combinations(range(size), 2))
+    det2 = [
+        [m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0] for c0, c1 in pairs]
+        for r0, r1 in pairs
+    ]
 
-    # k = 2, recording the table reused by the higher orders
-    det2: list[list[int]] = []
-    if order >= 2:
-        for r0, r1 in pairs:
-            mr0, mr1 = m[r0], m[r1]
-            det2.append([mr0[c0] * mr1[c1] - mr0[c1] * mr1[c0] for c0, c1 in pairs])
-        for ri, (r0, r1) in enumerate(pairs):
-            row = det2[ri]
-            for ci, (c0, c1) in enumerate(pairs):
-                if row[ci] < 0:
-                    return report((r0, r1), (c0, c1), row[ci], 2)
+    columns, parts, entries = _plan(size, deg, 2)
+    for rows, ri, ids in entries:
+        row = det2[ri]
+        for ci in ids:
+            d = row[parts[ci]]
+            if d < 0:
+                return report(rows, columns[ci], d, 2)
 
     # k = 3: expansion along the first row of each minor
     if order >= 3:
-        triples = list(itertools.combinations(range(n), 3))
-        col_parts = [
-            (
-                pair_index[(c1, c2)],
-                pair_index[(c0, c2)],
-                pair_index[(c0, c1)],
-            )
-            for c0, c1, c2 in triples
-        ]
-        for r0, r1, r2 in triples:
-            top = m[r0]
-            bottom = det2[pair_index[(r1, r2)]]
-            for ci, (c0, c1, c2) in enumerate(triples):
-                p12, p02, p01 = col_parts[ci]
+        columns, parts, entries = _plan(size, deg, 3)
+        for rows, bi, ids in entries:
+            top = m[rows[0]]
+            bottom = det2[bi]
+            for ci in ids:
+                c0, c1, c2, p12, p02, p01 = parts[ci]
                 d = top[c0] * bottom[p12] - top[c1] * bottom[p02] + top[c2] * bottom[p01]
                 if d < 0:
-                    return report((r0, r1, r2), (c0, c1, c2), d, 3)
+                    return report(rows, columns[ci], d, 3)
 
     # k = 4: Laplace along the first two rows, six products of cached 2x2s
     if order >= 4:
-        quads = list(itertools.combinations(range(n), 4))
-        col_splits = []
-        for quad in quads:
-            col_splits.append(
-                tuple(
-                    (pair_index[(quad[a], quad[b])], pair_index[(quad[c], quad[d])], sg)
-                    for (a, b), (c, d), sg in _SPLITS4
+        columns, parts, entries = _plan(size, deg, 4)
+        for rows, (ti, bi), ids in entries:
+            top = det2[ti]
+            bottom = det2[bi]
+            for ci in ids:
+                t0, b0, t1, b1, t2, b2, t3, b3, t4, b4, t5, b5 = parts[ci]
+                d = (
+                    top[t0] * bottom[b0] - top[t1] * bottom[b1] + top[t2] * bottom[b2]
+                    + top[t3] * bottom[b3] - top[t4] * bottom[b4] + top[t5] * bottom[b5]
                 )
-            )
-        for quad_r in quads:
-            r0, r1, r2, r3 = quad_r
-            top = det2[pair_index[(r0, r1)]]
-            bottom = det2[pair_index[(r2, r3)]]
-            for ci, quad_c in enumerate(quads):
-                d = 0
-                for ti, bi, sg in col_splits[ci]:
-                    d += sg * top[ti] * bottom[bi]
                 if d < 0:
-                    return report(quad_r, quad_c, d, 4)
+                    return report(rows, columns[ci], d, 4)
 
     # k >= 5: generic fraction-free elimination
     for k in range(5, order + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(n), k):
+        columns, _, entries = _plan(size, deg, k)
+        for rows, _, ids in entries:
+            for ci in ids:
+                cols = columns[ci]
                 d = bareiss_determinant([[m[i][j] for j in cols] for i in rows])
                 if d < 0:
                     return report(rows, cols, d, k)
@@ -206,7 +277,7 @@ def pf_window_report(f, size: int | None = None, order: int = 4) -> MinorReport:
     terms = _terms_of(f)
     if size is None:
         size = len(terms) + 2
-    return minors_nonneg(toeplitz_window(terms, size), min(order, size))
+    return minors_nonneg(terms, size, min(order, size))
 
 
 # -- sequence-level verdicts --------------------------------------------------------

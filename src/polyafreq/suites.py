@@ -59,7 +59,6 @@ from .pf import (
     is_unimodal,
     minors_nonneg,
     pf_window_report,
-    toeplitz_window,
 )
 from .polynomial import (
     NEG_INF,
@@ -744,7 +743,7 @@ def _gen_pf_coherence(cfg: RunConfig) -> list[dict]:
 
 def _eval_pf_coherence(params: dict):
     if params["kind"] == "counterexample":
-        report = minors_nonneg(toeplitz_window((1, 1, 0, 1), 4), 2)
+        report = minors_nonneg((1, 1, 0, 1), 4, 2)
         ok = not report.nonnegative and report.witness is not None and report.witness[2] == -1
         return ok, None if ok else {"failed": "expected witness -1"}
     f = _parse_poly(params, "poly")

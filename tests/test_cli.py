@@ -199,6 +199,24 @@ def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err and message in err
+    poly = '{"coeffs":["1","1"]}'
+    for argv, flag in (
+        (("gen", "b_euler", "--n", "3", "--q", "x"), "--q"),
+        (("gen", "eulerian_t", "--n", "3", "--t", "1/0"), "--t"),
+        (("gen", "b_euler_multi", "--n", "2", "--qs", "1,x"), "--qs"),
+        (("gen", "p_bn_subset", "--n", "2", "--set", "0,y"), "--set"),
+        (("gen", "p_bn_subset", "--n", "2", "--set", "0,1/2"), "--set"),
+        (("check", "pf-minors", "--terms", "1,x"), "--terms"),
+        (("check", "multiplier-n", "--n", "3", "--gamma-shift", "x"), "--gamma-shift"),
+        (("check", "multiplier-n", "--n", "3", "--explicit", "1,x"), "--explicit"),
+        (("op", "dot", poly, poly, "--alpha", "x", "--beta", "1"), "--alpha"),
+        (("op", "dot", poly, poly, "--alpha", "1", "--beta", "x"), "--beta"),
+        (("check", "interval", "--poly", poly, "--lo", "x", "--hi", "1"), "--lo"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err and flag in err, argv
+    code, _, err = run_cli(capsys, "op", "multiplier-apply", poly, "--binom-negative", "2,x")
+    assert code == 2 and "Traceback" not in err and "malformed rational" in err
     monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "abc")
     for argv in (
         ("verify", "oracle-coherence"),
@@ -225,3 +243,34 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err and "positive integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "pf-minors", "--terms", "1,,2"),
+    ("check", "pf-minors", "--terms", "1,2,"),
+    ("check", "pf-minors", "--terms", ""),
+    ("check", "pf-minors", "--terms", " "),
+    ("gen", "b_euler_multi", "--n", "2", "--qs", "1,,2"),
+    ("gen", "p_bn_subset", "--n", "2", "--set", "0,,2"),
+    ("gen", "p_bn_subset", "--n", "2", "--set", ""),
+    ("check", "multiplier-n", "--n", "3", "--explicit", ""),
+])
+def test_empty_list_elements_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "without empty elements" in err
+
+
+def test_pf_minors_guard(capsys, monkeypatch):
+    import polyafreq.pf as pf
+
+    def evaluated(*args):
+        raise AssertionError("a minor was evaluated")
+
+    monkeypatch.setattr(pf, "_plan", evaluated)
+    monkeypatch.setattr(pf, "bareiss_determinant", evaluated)
+    code, out, err = run_cli(
+        capsys, "check", "pf-minors", "--terms", ",".join(["1"] * 30), "--window", "30", "--order", "15"
+    )
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "more than" in err

@@ -1,13 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from minor_oracle import exhaustive_minors, toeplitz_window
 from polyafreq.combinatorics import eulerian_poly, multisect, w2_poly
+from polyafreq import pf
 from polyafreq.errors import PreconditionError
 from polyafreq.pf import (
-    MinorReport,
-    SeqWindow,
     bareiss_determinant,
     has_internal_zeros,
     is_log_concave,
@@ -15,7 +18,6 @@ from polyafreq.pf import (
     is_unimodal,
     minors_nonneg,
     pf_window_report,
-    toeplitz_window,
 )
 from polyafreq.polynomial import Poly, ZERO
 
@@ -59,12 +61,12 @@ def test_bareiss_determinant():
 
 
 def test_minors_nonneg_pf_window():
-    report = minors_nonneg(toeplitz_window((1, 2, 1), 4), 4)
+    report = minors_nonneg((1, 2, 1), 4, 4)
     assert report.nonnegative and report.witness is None
 
 
 def test_minors_negative_witness():
-    report = minors_nonneg(toeplitz_window((1, 1, 0, 1), 4), 2)
+    report = minors_nonneg((1, 1, 0, 1), 4, 2)
     assert not report.nonnegative
     rows, cols, value = report.witness
     assert value == -1
@@ -75,31 +77,30 @@ def test_minors_negative_witness():
 
 
 def test_minors_witness_is_lex_first():
-    report = minors_nonneg(toeplitz_window((1, 1, 0, 1), 4), 4)
+    report = minors_nonneg((1, 1, 0, 1), 4, 4)
     assert report.witness[0] == (1, 3) and report.witness[1] == (0, 1)
 
 
 def test_minors_identity_sequence():
     for r in (1, 2, 3, 4, 5):
-        report = minors_nonneg(toeplitz_window((1,), 6), r)
+        report = minors_nonneg((1,), 6, r)
         assert report.nonnegative
 
 
 def test_minors_rational_entries():
-    w = toeplitz_window((Fraction(1, 2), Fraction(1, 3)), 3)
-    assert minors_nonneg(w, 2).nonnegative
+    assert minors_nonneg((Fraction(1, 2), Fraction(1, 3)), 3, 2).nonnegative
     bad = [[Fraction(0), Fraction(1, 5)], [Fraction(1, 5), Fraction(1)]]
-    report = minors_nonneg(bad, 2)
+    report = exhaustive_minors(bad, 2)
     assert report.witness[2] == Fraction(-1, 25)
 
 
 def test_minors_order_bound():
     with pytest.raises(PreconditionError):
-        minors_nonneg(toeplitz_window((1,), 3), 4)
+        minors_nonneg((1,), 3, 4)
 
 
 def test_order_five_path():
-    report = minors_nonneg(toeplitz_window((1, 5, 10, 10, 5, 1), 8), 5)
+    report = minors_nonneg((1, 5, 10, 10, 5, 1), 8, 5)
     assert report.nonnegative
 
 
@@ -134,7 +135,7 @@ def test_sequence_predicates():
     assert has_internal_zeros((1, 1, 0, 1))
     assert not is_log_concave((1, 1, 0, 1))
     assert not has_internal_zeros((0, 1, 2, 0))
-    assert is_unimodal(SeqWindow((1, 2, 2, 1)))
+    assert is_unimodal((1, 2, 2, 1))
     assert not is_unimodal((1, 0, 1))
     a6 = eulerian_poly(6).coeffs
     assert is_log_concave(a6) and is_unimodal(a6)
@@ -159,3 +160,118 @@ def test_pf_closed_under_multisection():
         for step in (2, 3):
             for offset in range(step):
                 assert is_pf_finite(multisect(f, step, offset))
+
+
+# -- the admissible-minor route against the exhaustive one ------------------------------
+
+
+def _pf_terms(roots, lead):
+    return from_roots([-r for r in roots], lead=lead).coeffs
+
+
+@st.composite
+def toeplitz_queries(draw):
+    """(terms, size, order) over the sequences a window check meets and more:
+    PF sequences with zero padding on either side, the same times a factor
+    with complex roots or with one term perturbed (so that low orders pass
+    and a later one fails), and free rational sequences with negative and
+    zero terms.  Orders reach 6, so the Bareiss path runs; windows are
+    shorter and longer than the sequence."""
+    kind = draw(st.sampled_from(("complex", "perturbed", "pf", "free")))
+    if kind == "free":
+        terms = draw(st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(-3, 6, max_denominator=4)),
+            max_size=8,
+        ))
+    else:
+        roots = draw(st.lists(st.fractions(0, 4, max_denominator=3), max_size=6))
+        terms = list(_pf_terms(roots, draw(st.integers(1, 3))))
+        if kind == "complex":
+            # x^2 + 2sx + s^2 + e, roots -s +- i sqrt(e)
+            s = draw(st.fractions(Fraction(1, 4), 2, max_denominator=4))
+            e = s * s * draw(st.fractions(Fraction(1, 64), 2, max_denominator=64))
+            terms = list((Poly(terms) * Poly([s * s + e, 2 * s, 1])).coeffs)
+        if kind == "perturbed":
+            i = draw(st.integers(0, len(terms) - 1))
+            terms[i] += draw(st.fractions(-2, 2, max_denominator=8))
+        terms = [Fraction(0)] * draw(st.integers(0, 2)) + terms + [Fraction(0)] * draw(st.integers(0, 2))
+    order = draw(st.sampled_from((6, 5, 4, 3, 2, 1)))
+    size = draw(st.integers(order, 8))
+    return terms, size, order
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(toeplitz_queries())
+def test_minors_match_exhaustive_route(query):
+    terms, size, order = query
+    assert minors_nonneg(terms, size, order) == exhaustive_minors(toeplitz_window(terms, size), order)
+
+
+def test_minors_match_exhaustive_route_on_fixed_windows():
+    """Every seed-0 `pf-coherence` window and the w2(n) windows that
+    `check pf-minors` meets at orders 4 and 5, through both routes."""
+    from polyafreq.config import RunConfig
+    from polyafreq.suites import _gen_pf_coherence, _parse_poly
+
+    windows = [
+        (_parse_poly(p, "poly"), 4)
+        for p in _gen_pf_coherence(RunConfig(seed=0))
+        if p["kind"] == "window"
+    ]
+    assert len(windows) == 100
+    windows += [(w2_poly(n), 4) for n in range(6, 12)]
+    windows += [(w2_poly(n), 5) for n in range(4, 9)]
+    for f, order in windows:
+        size = len(f.coeffs) + 2
+        report = minors_nonneg(f, size, order)
+        assert report == exhaustive_minors(toeplitz_window(f, size), order)
+        assert report == pf_window_report(f, order=order)
+
+
+def test_first_negative_minor_at_each_order():
+    """(x^2 + bx + c)(1 + x)^m with b^2 < 4c has nonnegative terms but is not
+    PF; these windows first fail at orders 2 to 6, as the exhaustive route
+    finds them."""
+    for terms, size, k in (
+        ((2, 1, 1), 5, 2),
+        ((1, 1, 1), 5, 3),
+        ((2, 2, 1), 5, 4),
+        ((1, 3, 4, 3, 1), 7, 5),
+        ((1, 4, 7, 7, 4, 1), 8, 6),
+    ):
+        order = min(6, size)
+        report = minors_nonneg(terms, size, order)
+        assert report == exhaustive_minors(toeplitz_window(terms, size), order)
+        rows, cols, value = report.witness
+        assert len(rows) == k and cols[0] == 0 and value < 0
+
+
+def test_admissible_count_matches_plans():
+    def brute(size, deg, order):
+        return sum(
+            1
+            for k in range(1, order + 1)
+            for rows in itertools.combinations(range(size), k)
+            for cols in itertools.combinations(range(size), k)
+            if cols[0] == 0 and all(c <= r <= c + deg for r, c in zip(rows, cols))
+        )
+
+    for size, deg, order in ((1, 0, 1), (5, 2, 3), (6, 0, 6), (7, 3, 4), (8, 7, 5), (6, 1, 2)):
+        count = pf._admissible_count(size, deg, order)
+        assert count == brute(size, deg, order)
+        planned = sum(len(ids) for k in range(2, order + 1) for _, _, ids in pf._plan(size, deg, k)[2])
+        assert count == deg + 1 + planned
+    # check pf-minors --terms 1,3,3,1 --window 12 --order 12 still answers
+    assert pf._admissible_count(12, 3, 12) == 331_981
+    assert 331_981 + math.comb(12, 2) ** 2 <= pf.MAX_MINORS
+
+
+def test_minor_guard_counts_the_2x2_table(monkeypatch):
+    """Dense windows are refused in `tests/test_cli.py::test_pf_minors_guard`;
+    here few minors are admissible, but the 2 x 2 table is too large."""
+    assert pf._admissible_count(60, 1, 2) < 1000
+    monkeypatch.setattr(pf, "_plan", None)
+    with pytest.raises(PreconditionError, match="more than"):
+        minors_nonneg((1, 1), 60, 2)
+    assert minors_nonneg((1, 1), 60, 1).nonnegative
+    assert minors_nonneg([0] * 5, 60, 15).nonnegative  # every minor of a zero window is 0

@@ -34,7 +34,7 @@ from .combinatorics import (
     w2_poly,
 )
 from .config import RunConfig
-from .errors import PolyafreqError, PreconditionError
+from .errors import NotRealRootedError, PolyafreqError, PreconditionError, ZeroPolynomialError
 from .jsonio import (
     load_poly_argument,
     poly_from_dict,
@@ -492,10 +492,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
+    except (UsageError, PreconditionError, ZeroPolynomialError, NotRealRootedError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except PolyafreqError as exc:

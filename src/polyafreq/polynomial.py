@@ -1,21 +1,22 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are `fractions.Fraction` throughout; index i holds the
-coefficient of x^i and the trailing coefficient of a nonzero polynomial is
-never zero.  The zero polynomial has an empty coefficient tuple and degree
-``NEG_INF``, a formal value comparing below every number.
+A `Poly` stores integer numerators over one positive denominator: index i
+of `nums` holds the numerator of the coefficient of x^i, the denominator
+`den` is shared, gcd(den, *nums) is 1 and the last numerator of a nonzero
+polynomial is never zero.  The zero polynomial has no numerators and degree
+``NEG_INF``, a formal value comparing below every number.  `coeffs` gives
+the same coefficients as `fractions.Fraction` values.
 
-Evaluation, `primitive_part` and `poly_gcd` clear the denominators once and
-then compute in Python `int`: evaluation runs Horner on the homogenised form
-and `poly_gcd` runs a primitive pseudo-remainder sequence.  They return the
-same `Fraction` and `Poly` values that rational arithmetic gives.
+Ring operations, derivatives, division and evaluation run in Python `int`
+and divide by one gcd per result; `poly_gcd` runs a primitive
+pseudo-remainder sequence on the numerators.  They return the same values
+that `Fraction` arithmetic gives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -76,67 +77,115 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 @dataclasses.dataclass(frozen=True, init=False)
 class Poly:
-    """Immutable dense polynomial over Fraction, constant term first."""
+    """Immutable dense polynomial over the rationals, constant term first.
 
-    coeffs: tuple[Fraction, ...]
+    Coefficient i is nums[i]/den, stored in canonical form: den > 0,
+    gcd(den, *nums) == 1 and the last entry of nums is nonzero.  The zero
+    polynomial is ((), 1).  Equal polynomials therefore have equal fields,
+    and the dataclass equality and hash are those of the polynomial.
+    """
+
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _from_ints(cls, nums: list[int], den: int = 1) -> Poly:
+        """The polynomial sum_i nums[i]/den * x^i, for any nonzero integer den.
+
+        Takes ownership of the list nums, which it may modify.
+        """
+        self = object.__new__(cls)
+        self._store(nums, den)
+        return self
+
+    def _store(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     # -- basic queries -----------------------------------------------------
 
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
     @property
     def degree(self) -> int | _Extreme:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     @property
     def is_standard(self) -> bool:
         """Positive leading coefficient."""
-        return bool(self.coeffs) and self.coeffs[-1] > 0
+        return bool(self.nums) and self.nums[-1] > 0
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
-    @functools.cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(nums, L): L the lcm of the coefficient denominators, nums_i = L*c_i."""
-        lcm = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
+    def _over(self, den: int) -> list[int]:
+        """The numerators over den, a multiple of self.den."""
+        m = den // self.den
+        return [m * c for c in self.nums] if m != 1 else list(self.nums)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Poly) -> Poly:
-        return Poly(a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0)))
+        den = math.lcm(self.den, other.den)
+        a, b = self._over(den), other._over(den)
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] += c
+        return Poly._from_ints(a, den)
 
     def __sub__(self, other: Poly) -> Poly:
-        return Poly(a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0)))
+        den = math.lcm(self.den, other.den)
+        a, b = self._over(den), other._over(den)
+        if len(a) < len(b):
+            a.extend([0] * (len(b) - len(a)))
+        for i, c in enumerate(b):
+            a[i] -= c
+        return Poly._from_ints(a, den)
 
     def __neg__(self) -> Poly:
-        return Poly(-c for c in self.coeffs)
+        return Poly._from_ints([-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self.nums, other.nums
+            if not a or not b:
                 return ZERO
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Poly(out)
+            if len(a) < len(b):
+                a, b = b, a
+            out = [0] * (len(a) + len(b) - 1)
+            for j, y in enumerate(b):
+                if y:
+                    for i, x in enumerate(a, j):
+                        out[i] += x * y
+            return Poly._from_ints(out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -144,7 +193,8 @@ class Poly:
 
     def scale(self, c: RationalLike) -> Poly:
         c = _as_fraction(c)
-        return Poly(c * a for a in self.coeffs)
+        p = c.numerator
+        return Poly._from_ints([p * a for a in self.nums], self.den * c.denominator)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -159,21 +209,38 @@ class Poly:
         return result
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """Quotient and remainder by integer pseudo-division.
+
+        Each step scales the partial remainder and quotient by the smallest
+        positive s with lc(other) | s*t, t the leading numerator, keeping
+        S*A = Q*B + R on the numerators A, B with S the product of the s.
+        One division by S at the end gives the unique rational answer.
+        """
         if other.is_zero:
             raise ZeroPolynomialError("division by the zero polynomial")
-        if self.is_zero or len(self.coeffs) < len(other.coeffs):
+        if self.is_zero or len(self.nums) < len(other.nums):
             return ZERO, self
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, len(other.coeffs) - 1
-        inv_lead = 1 / other.coeffs[-1]
-        quot = [Fraction(0)] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            q = rem[dd + k] * inv_lead
+        b = other.nums
+        db, lead = len(b) - 1, b[-1]
+        rem = list(self.nums)
+        quot = [0] * (len(rem) - db)
+        total = 1
+        for k in range(len(quot) - 1, -1, -1):
+            t = rem.pop()
+            if not t:
+                continue
+            g = math.gcd(t, lead) if lead > 0 else -math.gcd(t, lead)
+            s = lead // g
+            if s != 1:
+                rem = [s * c for c in rem]
+                quot = [s * c for c in quot]
+                total *= s
+            q = t // g
             quot[k] = q
-            if q:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q * b
-        return Poly(quot), Poly(rem[:dd])
+            for j in range(db):
+                rem[k + j] -= q * b[j]
+        den = total * self.den
+        return Poly._from_ints([other.den * c for c in quot], den), Poly._from_ints(rem, den)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -193,55 +260,53 @@ class Poly:
     def derivative(self, k: int = 1) -> Poly:
         if k < 0:
             raise ValueError("negative derivative order")
-        cs = self.coeffs
-        for _ in range(k):
-            if len(cs) <= 1:
-                return ZERO
-            cs = tuple(Fraction(i) * cs[i] for i in range(1, len(cs)))
-        return Poly(cs)
+        nums = self.nums
+        # falling factorial (i+k)!/i!, starting from k! at i = 0
+        ff = math.factorial(k)
+        out = []
+        for i in range(len(nums) - k):
+            out.append(ff * nums[i + k])
+            ff = ff * (i + k + 1) // (i + 1)
+        return Poly._from_ints(out, self.den)
 
     def __call__(self, x0: RationalLike) -> Fraction:
         """Exact evaluation by integer Horner on the homogenised form.
 
-        With x0 = a/b, n_i = L*c_i for L the lcm of the coefficient
-        denominators and d = deg self, the value is
-        (sum_i n_i * a^i * b^(d-i)) / (L * b^d).
+        With x0 = a/b and d = deg self, the value is
+        (sum_i nums_i * a^i * b^(d-i)) / (den * b^d).
         """
         x0 = _as_fraction(x0)
         a, b = x0.numerator, x0.denominator
-        nums, lcm = self._integer_form
         acc, bpow = 0, 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             acc = acc * a + c * bpow
             bpow *= b
         # bpow ends at b^(d+1), one factor of b past the denominator
-        return Fraction(acc * b, lcm * bpow)
+        return Fraction(acc * b, self.den * bpow)
 
     def affine_compose(self, a: RationalLike, b: RationalLike) -> Poly:
         """Expand self(a*x + b) exactly."""
         arg = Poly([_as_fraction(b), _as_fraction(a)])
         acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly([c])
+        for c in reversed(self.nums):
+            acc = acc * arg + Poly._from_ints([c], self.den)
         return acc
 
     def reversed_coeffs(self, degree: int | None = None) -> Poly:
         """x^d * self(1/x) for d = degree (defaults to deg self)."""
+        n = len(self.nums)
         if degree is None:
-            if self.is_zero:
+            if not n:
                 return ZERO
-            degree = len(self.coeffs) - 1
-        if degree < len(self.coeffs) - 1:
+            degree = n - 1
+        if degree < n - 1:
             raise ValueError("reversal degree below true degree")
-        cs = [Fraction(0)] * (degree + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[degree - i] = c
-        return Poly(cs)
+        return Poly._from_ints([0] * (degree + 1 - n) + list(reversed(self.nums)), self.den)
 
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -267,24 +332,11 @@ X = Poly([0, 1])
 
 
 def monomial(k: int, c: RationalLike = 1) -> Poly:
-    return Poly([0] * k + [_as_fraction(c)])
+    c = _as_fraction(c)
+    return Poly._from_ints([0] * k + [c.numerator], c.denominator)
 
 
 # -- gcd and square-free structure ------------------------------------------
-
-
-def content(f: Poly) -> Fraction:
-    """Positive rational c with f/c integer-primitive; 0 for the zero polynomial."""
-    if f.is_zero:
-        return Fraction(0)
-    num = math.gcd(*(c.numerator for c in f.coeffs))
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return Fraction(num, den)
-
-
-def primitive_part(f: Poly) -> Poly:
-    """f scaled by a positive rational to integer coefficients with gcd 1."""
-    return Poly(_primitive_ints(f))
 
 
 def monic(f: Poly) -> Poly:
@@ -295,21 +347,16 @@ def monic(f: Poly) -> Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(f, 0) = monic f."""
-    a, b = _primitive_ints(f), _primitive_ints(g)
+    a, b = _primitive(f.nums), _primitive(g.nums)
     while b:
         a, b = b, _primitive_remainder(a, b)
-    return monic(Poly(a))
+    return monic(Poly._from_ints(a))
 
 
 def _primitive(nums) -> list[int]:
     """The integers nums divided by their gcd, as a new list."""
     g = math.gcd(*nums)
     return [c // g for c in nums] if g > 1 else list(nums)
-
-
-def _primitive_ints(f: Poly) -> list[int]:
-    """Coefficients of primitive_part(f) as Python ints."""
-    return _primitive(f._integer_form[0])
 
 
 def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -341,7 +388,7 @@ def squarefree_part(f: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of f."""
     if f.is_zero:
         raise ZeroPolynomialError("square-free part of zero")
-    if len(f.coeffs) <= 2:
+    if len(f.nums) <= 2:
         return monic(f)
     return monic(f.exact_divide(poly_gcd(f, f.derivative())))
 
@@ -354,7 +401,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """
     if f.is_zero:
         raise ZeroPolynomialError("square-free decomposition of zero")
-    if len(f.coeffs) == 1:
+    if len(f.nums) == 1:
         return []
     fm = monic(f)
     d = poly_gcd(fm, fm.derivative())
@@ -423,7 +470,7 @@ def unitize_with_degree(f: Poly, d: int, sign: int = 1) -> Poly:
     """
     if f.is_zero:
         return ZERO
-    if d < len(f.coeffs) - 1:
+    if d < len(f.nums) - 1:
         raise ValueError("unitize degree below deg f")
     shift = Poly([1, sign])
     powers = [ONE]

@@ -38,7 +38,6 @@ from .polynomial import (
     squarefree_part,
     _Extreme,
     _primitive,
-    _primitive_ints,
     _primitive_remainder,
 )
 
@@ -54,7 +53,7 @@ def sturm_chain(f: Poly) -> list[Poly]:
     The members are f, f' and the negated remainders, each scaled by a
     positive rational to integer coefficients with gcd 1.
     """
-    p = _primitive_ints(f)
+    p = _primitive(f.nums)
     chain = [p]
     d = [i * c for i, c in enumerate(p)][1:]
     if d:
@@ -64,7 +63,7 @@ def sturm_chain(f: Poly) -> list[Poly]:
             if not r:
                 break
             chain.append([-c for c in r])
-    return [Poly(q) for q in chain]
+    return [Poly._from_ints(q) for q in chain]
 
 
 def _sign_changes(signs: list[bool]) -> int:
@@ -389,8 +388,8 @@ def _coprime_parts(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
         raise NotRealRootedError("interlace relation needs real-rooted polynomials")
     c = poly_gcd(f, g)
     if c.degree <= 0:
-        return _primitive_ints(f), _primitive_ints(g), True
-    return _primitive_ints(f.exact_divide(c)), _primitive_ints(g.exact_divide(c)), False
+        return _primitive(f.nums), _primitive(g.nums), True
+    return _primitive(f.exact_divide(c).nums), _primitive(g.exact_divide(c).nums), False
 
 
 def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:

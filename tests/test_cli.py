@@ -196,6 +196,11 @@ def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
         (("gen", "t_stack", "--n", "0", "--t", "1"), "t_stack_poly needs n >= 1"),
         (("gen", "t_stack", "--n", "-2", "--t", "1"), "t_stack_poly needs n >= 1"),
         (("gen", "b_euler", "--n", "-3", "--q", "1/2"), "b_euler_multi needs n >= 0"),
+        # ZeroPolynomialError and NotRealRootedError are bad input, not failing verdicts
+        (("check", "real-rooted", '{"coeffs":[]}'), "real-rootedness of zero polynomial"),
+        (("check", "interlace", '{"coeffs":["1","0","1"]}', '{"coeffs":["1","1"]}'),
+         "needs real-rooted polynomials"),
+        (("op", "w", '{"coeffs":[]}'), "W-transform of zero polynomial"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err and message in err

@@ -1,58 +1,60 @@
 """Integer routes against the `Fraction` routes they replaced.
 
-`Poly.__call__` evaluates by integer Horner on the homogenised form, and
-`poly_gcd` and `sturm_chain` run primitive pseudo-remainder sequences on
-Python ints.  The oracles below are the `Fraction` routes those functions
-used before: Horner over `Fraction`, and Euclidean remainder sequences built
-from `Poly.__mod__` and a `content`-scaled primitive part.
+`Poly` stores integer numerators over one denominator.  `Poly.__call__`
+evaluates by integer Horner on the homogenised form of those numerators,
+and `poly_gcd` and `sturm_chain` run primitive pseudo-remainder sequences on
+them.  The oracles below are the `Fraction` routes those functions used
+before, built from the coefficient-tuple loops of `poly_oracle`: Horner over
+`Fraction`, and Euclidean remainder sequences with a `content`-scaled
+primitive part.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import poly_oracle as oracle
+from poly_oracle import content, primitive_part
 from polyafreq.combinatorics import eulerian_poly
 from polyafreq.polynomial import (
     Poly,
     ZERO,
     _primitive_remainder,
-    content,
     monic,
     poly_gcd,
-    primitive_part,
 )
 from polyafreq.roots import sturm_chain
 
 
 def fraction_horner(f: Poly, x0) -> Fraction:
-    x0 = Fraction(x0)
-    acc = Fraction(0)
-    for c in reversed(f.coeffs):
-        acc = acc * x0 + c
-    return acc
+    return oracle.horner(f.coeffs, x0)
 
 
 def fraction_primitive(f: Poly) -> Poly:
-    return ZERO if f.is_zero else f.scale(1 / content(f))
+    return ZERO if f.is_zero else Poly(oracle.scale(f.coeffs, 1 / content(f)))
+
+
+def fraction_mod(f: Poly, g: Poly) -> Poly:
+    return Poly(oracle.divmod_(f.coeffs, g.coeffs)[1])
 
 
 def fraction_gcd(f: Poly, g: Poly) -> Poly:
     a, b = f, g
     while not b.is_zero:
-        a, b = b, fraction_primitive(a % b)
-    return monic(a)
+        a, b = b, fraction_primitive(fraction_mod(a, b))
+    return a if a.is_zero else Poly(oracle.scale(a.coeffs, 1 / a.coeffs[-1]))
 
 
 def fraction_sturm_chain(f: Poly) -> list[Poly]:
     chain = [fraction_primitive(f)]
-    d = f.derivative()
+    d = Poly(oracle.derivative(f.coeffs))
     if not d.is_zero:
         chain.append(fraction_primitive(d))
         while True:
-            r = chain[-2] % chain[-1]
+            r = fraction_mod(chain[-2], chain[-1])
             if r.is_zero:
                 break
-            chain.append(fraction_primitive(-r))
+            chain.append(fraction_primitive(Poly(oracle.neg(r.coeffs))))
     return chain
 
 
@@ -128,7 +130,7 @@ def test_eval_vanishes_at_exact_rational_roots(g, r, m):
     st.lists(st.integers(-30, 30), min_size=1, max_size=8).filter(lambda b: b[-1] != 0),
 )
 def test_primitive_remainder_keeps_the_sign(a, b):
-    expected = fraction_primitive(Poly(a) % Poly(b))
+    expected = fraction_primitive(fraction_mod(Poly(a), Poly(b)))
     assert Poly(_primitive_remainder(a, b)) == expected
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poly_oracle import content, primitive_part
 from polyafreq.errors import ExactDivisionError, ZeroPolynomialError
 from polyafreq.polynomial import (
     NEG_INF,
@@ -11,10 +12,8 @@ from polyafreq.polynomial import (
     ZERO,
     binom,
     binomial_poly,
-    content,
     monomial,
     poly_gcd,
-    primitive_part,
     root_multiplicity,
     squarefree_decomposition,
     squarefree_part,

@@ -1,5 +1,12 @@
 """Command-line front end: gen / check / transform / op / verify.
 
+The verbs gen, check and op (alias transform) each read one table, built
+when `build_parser` runs: `_families`, `_checks` and `_operations` map a name
+to its callable, the number of polynomial arguments it takes and the flags it
+needs.  The parser's choices are the table keys, and one handler per verb
+dispatches through the table, so a new family, check or operation is one
+entry.
+
 Polynomials travel as JSON objects {"coeffs": ["p/q", ...]} (inline or as a
 file path); rationals on the command line are "p/q" strings.  Note that a
 negative rational flag value must be attached with '=', e.g. --t=-1/2,
@@ -38,7 +45,6 @@ from .errors import NotRealRootedError, PolyafreqError, PreconditionError, ZeroP
 from .jsonio import (
     load_poly_argument,
     poly_from_dict,
-    poly_to_dict,
     poly_to_json,
     rational_from_str,
     rational_to_str,
@@ -138,66 +144,154 @@ def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
-# -- gen -------------------------------------------------------------------------
+# -- tables and their handlers ---------------------------------------------------
+#
+# An entry is (callable, polynomial arguments, flags).  The callable receives
+# the polynomials, then the flag values in the listed order.  A flag is the
+# name of a parsed option; "multiplier" stands for the multiplier flag group,
+# and a trailing "?" marks a flag that may be absent (None, or the all-ones
+# sequence for "multiplier?").  `_TERMS` in place of a count reads --terms, or
+# else the coefficients of one polynomial.
+
+_TERMS = "terms"
 
 
-def _require(args, name: str):
-    value = getattr(args, name, None)
-    if value is None:
-        raise UsageError(f"family {args.family!r} requires --{name.replace('_', '-')}")
-    return value
+def _families() -> dict:
+    return {
+        "eulerian": (eulerian_poly, 0, ("n",)),
+        "surjection": (surjection_poly, 0, ("n",)),
+        "eulerian_t": (eulerian_t_poly, 0, ("n", "t")),
+        "q_eulerian": (q_eulerian_poly, 0, ("n", "q")),
+        "e_q": (e_q_poly, 0, ("n", "q")),
+        "b_euler": (b_euler_q, 0, ("n", "q")),
+        "b_euler_multi": (b_euler_multi, 0, ("n", "qs")),
+        "p_bn_subset": (p_bn_subset, 0, ("n", "set")),
+        "p_dn": (p_dn_poly, 0, ("n",)),
+        "fz_h": (fz_h_poly, 0, ("type", "n")),
+        "w2": (w2_poly, 0, ("n",)),
+        "t_stack": (_t_stack, 0, ("n", "t")),
+        "narayana": (narayana_poly, 0, ("n",)),
+    }
 
 
-def _cmd_gen(args) -> int:
-    family = args.family
-    n = args.n
-    if n is None:
-        raise UsageError("gen requires --n")
-    if family == "eulerian":
-        poly = eulerian_poly(n)
-    elif family == "surjection":
-        poly = surjection_poly(n)
-    elif family == "eulerian_t":
-        poly = eulerian_t_poly(n, _require(args, "t"))
-    elif family == "q_eulerian":
-        poly = q_eulerian_poly(n, _require(args, "q"))
-    elif family == "e_q":
-        poly = e_q_poly(n, _require(args, "q"))
-    elif family == "b_euler":
-        poly = b_euler_q(n, _require(args, "q"))
-    elif family == "b_euler_multi":
-        poly = b_euler_multi(n, _require(args, "qs"))
-    elif family == "p_bn_subset":
-        poly = p_bn_subset(n, _require(args, "set"))
-    elif family == "p_dn":
-        poly = p_dn_poly(n)
-    elif family == "fz_h":
-        poly = fz_h_poly(_require(args, "type"), n)
-    elif family == "w2":
-        poly = w2_poly(n)
-    elif family == "t_stack":
-        t = _require(args, "t")
-        if t.denominator != 1 or t < 0:
-            raise UsageError("t_stack needs a nonnegative integer --t")
-        poly = t_stack_poly(n, int(t))
-    elif family == "narayana":
-        poly = narayana_poly(n)
+def _checks() -> dict:
+    """Each check returns its verdict, or (passed, the output fields)."""
+    return {
+        "real-rooted": (is_real_rooted, 1, ()),
+        "simple": (is_simple_rooted, 1, ()),
+        "interval": (roots_within, 1, ("lo", "hi")),
+        "interlace": (_interlace, 2, ()),
+        "dominance": (root_dominance, 2, ()),
+        "pf": (is_pf_finite, 1, ()),
+        "pf-minors": (_pf_minors, _TERMS, ("window?", "order?")),
+        "log-concave": (is_log_concave, _TERMS, ()),
+        "unimodal": (is_unimodal, _TERMS, ()),
+        "nonneg-on-reals": (check_nonneg_on_reals, 1, ()),
+        "multiplier-n": (_multiplier_n, 0, ("n", "multiplier")),
+    }
+
+
+def _operations() -> dict:
+    return {
+        "e": (e_transform, 1, ()),
+        "e-inv": (e_inverse, 1, ()),
+        "w": (w_transform, 1, ()),
+        "reflect": (reflect, 1, ()),
+        "multisect": (multisect, 1, ("step", "offset")),
+        "phi": (_phi, 1, ("F",)),
+        "diamond": (diamond_product, 2, ()),
+        "sharp": (sharp_product, 2, ()),
+        "hadamard": (hadamard_product, 2, ()),
+        "schur": (schur_product, 2, ()),
+        "dot": (dot_form, 2, ("multiplier?", "alpha", "beta")),
+        "circ": (circ_form, 2, ("multiplier?", "alpha")),
+        "hermite-poulain": (hermite_poulain, 2, ()),
+        "multiplier-apply": (lambda f, seq: apply_multiplier(seq, f), 1, ("multiplier",)),
+    }
+
+
+def _arguments(args, what: str, arity, flags) -> list:
+    """The polynomials, then the flag values, that the entry's callable takes."""
+    if arity == _TERMS:
+        inputs = [args.terms if args.terms is not None else _polys(args, what, 1)[0].coeffs]
     else:
-        raise UsageError(f"unknown family {family!r}")
-    print(poly_to_json(poly))
+        inputs = _polys(args, what, arity) if arity else []
+    missing = [
+        f"--{flag}" for flag in flags
+        if flag != "multiplier" and not flag.endswith("?") and getattr(args, flag) is None
+    ]
+    if missing:
+        raise UsageError(f"{what} needs {' and '.join(missing)}")
+    for flag in flags:
+        name = flag.rstrip("?")
+        if name == "multiplier":
+            inputs.append(_multiplier_from_flags(args, allow_default=flag != name))
+        else:
+            inputs.append(getattr(args, name))
+    return inputs
+
+
+def _polys(args, what: str, count: int) -> list[Poly]:
+    sources = list(args.polys or [])
+    if getattr(args, "poly", None) is not None:
+        sources.insert(0, args.poly)
+    if len(sources) != count:
+        raise UsageError(f"{what} needs exactly {count} polynomial argument(s)")
+    return [load_poly_argument(s) for s in sources]
+
+
+def _cmd_poly(args, what: str, entry) -> int:
+    """gen and op: print the polynomial that the entry's callable returns."""
+    fn, arity, flags = entry
+    print(poly_to_json(fn(*_arguments(args, what, arity, flags))))
     return 0
 
 
-# -- check -----------------------------------------------------------------------
+def _cmd_check(args, what: str, entry) -> int:
+    fn, arity, flags = entry
+    result = fn(*_arguments(args, what, arity, flags))
+    passed, fields = result if isinstance(result, tuple) else (result, {"verdict": result})
+    _emit({"kind": args.kind, **fields})
+    return 0 if passed else 1
 
 
-def _poly_inputs(args, count: int) -> list[Poly]:
-    sources = list(args.polys or [])
-    if args.poly is not None:
-        sources.insert(0, args.poly)
-    if len(sources) != count:
-        raise UsageError(f"check {args.kind!r} needs exactly {count} polynomial argument(s)")
-    return [load_poly_argument(s) for s in sources]
+def _t_stack(n: int, t: Fraction) -> Poly:
+    if t.denominator != 1 or t < 0:
+        raise UsageError("t_stack needs a nonnegative integer --t")
+    return t_stack_poly(n, int(t))
+
+
+def _interlace(f: Poly, g: Poly):
+    relation = interlace_relation(f, g)
+    return relation in _GOOD_RELATIONS, {"relation": relation.value}
+
+
+def _pf_minors(terms, window: int | None, order: int | None):
+    size = window or len(terms) + 2
+    order = order or min(4, size)
+    report = minors_nonneg(terms, size, order)
+    fields = {"verdict": report.nonnegative, "window": size, "order": order}
+    if report.witness is not None:
+        rows, cols, value = report.witness
+        fields["witness"] = {"rows": list(rows), "cols": list(cols), "minor": rational_to_str(value)}
+    return report.nonnegative, fields
+
+
+def _multiplier_n(n: int, seq: MultiplierSeq):
+    if n < 0:
+        raise UsageError("check multiplier-n needs a nonnegative integer --n")
+    verdict = is_multiplier_n_sequence(seq, n)
+    return verdict, {"n": n, "verdict": verdict}
+
+
+def _phi(f: Poly, text: str) -> Poly:
+    try:
+        q_list = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed --F: {exc}") from exc
+    if not isinstance(q_list, list):
+        raise UsageError("--F must be a JSON list of polynomial objects")
+    return apply_phi(BivarOp([poly_from_dict(q) for q in q_list]), f)
 
 
 def _multiplier_from_flags(args, allow_default: bool = False) -> MultiplierSeq:
@@ -229,139 +323,6 @@ def _multiplier_from_flags(args, allow_default: bool = False) -> MultiplierSeq:
     except ValueError as exc:
         raise UsageError("--binom-negative takes 'n,r' with an integer n") from exc
     return MultiplierSeq.binom_negative(n, rational_from_str(r_text))
-
-
-def _cmd_check(args) -> int:
-    kind = args.kind
-    if kind in ("real-rooted", "simple", "pf", "nonneg-on-reals"):
-        (f,) = _poly_inputs(args, 1)
-        verdict = {
-            "real-rooted": is_real_rooted,
-            "simple": is_simple_rooted,
-            "pf": is_pf_finite,
-            "nonneg-on-reals": check_nonneg_on_reals,
-        }[kind](f)
-        _emit({"kind": kind, "verdict": verdict})
-        return 0 if verdict else 1
-    if kind in ("log-concave", "unimodal"):
-        terms = args.terms if args.terms is not None else _poly_inputs(args, 1)[0].coeffs
-        verdict = is_log_concave(terms) if kind == "log-concave" else is_unimodal(terms)
-        _emit({"kind": kind, "verdict": verdict})
-        return 0 if verdict else 1
-    if kind == "interval":
-        (f,) = _poly_inputs(args, 1)
-        if args.lo is None or args.hi is None:
-            raise UsageError("check interval needs --lo and --hi")
-        verdict = roots_within(f, args.lo, args.hi)
-        _emit({"kind": kind, "verdict": verdict})
-        return 0 if verdict else 1
-    if kind == "interlace":
-        f, g = _poly_inputs(args, 2)
-        relation = interlace_relation(f, g)
-        _emit({"kind": kind, "relation": relation.value})
-        return 0 if relation in _GOOD_RELATIONS else 1
-    if kind == "dominance":
-        f, g = _poly_inputs(args, 2)
-        verdict = root_dominance(f, g)
-        _emit({"kind": kind, "verdict": verdict})
-        return 0 if verdict else 1
-    if kind == "pf-minors":
-        if args.terms is not None:
-            terms = args.terms
-        else:
-            (f,) = _poly_inputs(args, 1)
-            terms = f.coeffs
-        size = args.window if args.window else len(terms) + 2
-        order = args.order if args.order else min(4, size)
-        report = minors_nonneg(terms, size, order)
-        payload = {"kind": kind, "verdict": report.nonnegative, "window": size, "order": order}
-        if report.witness is not None:
-            rows, cols, value = report.witness
-            payload["witness"] = {
-                "rows": list(rows),
-                "cols": list(cols),
-                "minor": rational_to_str(value),
-            }
-        _emit(payload)
-        return 0 if report.nonnegative else 1
-    if kind == "multiplier-n":
-        if args.n is None or args.n < 0:
-            raise UsageError("check multiplier-n needs a nonnegative integer --n")
-        seq = _multiplier_from_flags(args)
-        verdict = is_multiplier_n_sequence(seq, args.n)
-        _emit({"kind": kind, "n": args.n, "verdict": verdict})
-        return 0 if verdict else 1
-    raise UsageError(f"unknown check kind {kind!r}")
-
-
-# -- transform / op ----------------------------------------------------------------
-
-
-def _cmd_operate(args) -> int:
-    name = args.name
-    polys = [load_poly_argument(s) for s in args.polys or []]
-
-    def need(count: int):
-        if len(polys) != count:
-            raise UsageError(f"{name!r} needs exactly {count} polynomial argument(s)")
-
-    if name == "e":
-        need(1)
-        out = e_transform(polys[0])
-    elif name == "e-inv":
-        need(1)
-        out = e_inverse(polys[0])
-    elif name == "w":
-        need(1)
-        out = w_transform(polys[0])
-    elif name == "reflect":
-        need(1)
-        out = reflect(polys[0])
-    elif name == "multisect":
-        need(1)
-        if args.step is None:
-            raise UsageError("multisect needs --step (and optional --offset)")
-        out = multisect(polys[0], args.step, args.offset or 0)
-    elif name == "phi":
-        need(1)
-        if args.F is None:
-            raise UsageError("phi needs --F as a JSON list of polynomials")
-        try:
-            q_list = json.loads(args.F)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed --F: {exc}") from exc
-        if not isinstance(q_list, list):
-            raise UsageError("--F must be a JSON list of polynomial objects")
-        out = apply_phi(BivarOp([poly_from_dict(q) for q in q_list]), polys[0])
-    elif name == "multiplier-apply":
-        need(1)
-        out = apply_multiplier(_multiplier_from_flags(args), polys[0])
-    elif name == "hermite-poulain":
-        need(2)
-        out = hermite_poulain(polys[0], polys[1])
-    elif name in ("diamond", "sharp", "hadamard", "schur"):
-        need(2)
-        out = {
-            "diamond": diamond_product,
-            "sharp": sharp_product,
-            "hadamard": hadamard_product,
-            "schur": schur_product,
-        }[name](polys[0], polys[1])
-    elif name == "dot":
-        need(2)
-        if args.alpha is None or args.beta is None:
-            raise UsageError("dot needs --alpha and --beta")
-        out = dot_form(polys[0], polys[1], _multiplier_from_flags(args, allow_default=True),
-                       args.alpha, args.beta)
-    elif name == "circ":
-        need(2)
-        if args.alpha is None:
-            raise UsageError("circ needs --alpha")
-        out = circ_form(polys[0], polys[1], _multiplier_from_flags(args, allow_default=True), args.alpha)
-    else:
-        raise UsageError(f"unknown operation {name!r}")
-    print(poly_to_json(out))
-    return 0
 
 
 # -- verify ------------------------------------------------------------------------
@@ -421,24 +382,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    families, checks, operations = _families(), _checks(), _operations()
+
     gen = sub.add_parser("gen", help="generate a polynomial family member")
-    gen.add_argument("family", choices=[
-        "eulerian", "surjection", "eulerian_t", "q_eulerian", "e_q", "b_euler",
-        "b_euler_multi", "p_bn_subset", "p_dn", "fz_h", "w2", "t_stack", "narayana",
-    ])
+    gen.add_argument("family", choices=list(families))
     gen.add_argument("--n", type=int)
     gen.add_argument("--t", type=_rational)
     gen.add_argument("--q", type=_rational)
     gen.add_argument("--qs", type=_rational_list)
     gen.add_argument("--set", type=_int_set)
     gen.add_argument("--type", choices=["A", "B", "D"])
-    gen.set_defaults(func=_cmd_gen)
+    gen.set_defaults(
+        func=lambda args: _cmd_poly(args, f"gen {args.family}", families[args.family])
+    )
 
     check = sub.add_parser("check", help="decide a property, exit 0/1 by verdict")
-    check.add_argument("kind", choices=[
-        "real-rooted", "simple", "interval", "interlace", "dominance", "pf",
-        "pf-minors", "log-concave", "unimodal", "nonneg-on-reals", "multiplier-n",
-    ])
+    check.add_argument("kind", choices=list(checks))
     check.add_argument("polys", nargs="*", help="polynomial JSON or file path")
     check.add_argument("--poly", help="inline polynomial JSON")
     check.add_argument("--lo", type=_endpoint)
@@ -448,22 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--order", type=_positive_int)
     check.add_argument("--n", type=int)
     _add_multiplier_flags(check)
-    check.set_defaults(func=_cmd_check)
+    check.set_defaults(
+        func=lambda args: _cmd_check(args, f"check {args.kind}", checks[args.kind])
+    )
 
     operate = sub.add_parser("op", aliases=["transform"],
                              help="apply a transform or bilinear product")
-    operate.add_argument("name", choices=[
-        "e", "e-inv", "w", "reflect", "multisect", "phi", "diamond", "sharp",
-        "hadamard", "schur", "dot", "circ", "hermite-poulain", "multiplier-apply",
-    ])
+    operate.add_argument("name", choices=list(operations))
     operate.add_argument("polys", nargs="*", help="polynomial JSON or file path")
     operate.add_argument("--step", type=int)
-    operate.add_argument("--offset", type=int)
+    operate.add_argument("--offset", type=int, default=0)
     operate.add_argument("--F", help="JSON list of polynomial objects")
     operate.add_argument("--alpha", type=_rational)
     operate.add_argument("--beta", type=_rational)
     _add_multiplier_flags(operate)
-    operate.set_defaults(func=_cmd_operate)
+    operate.set_defaults(
+        func=lambda args: _cmd_poly(args, f"op {args.name}", operations[args.name])
+    )
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=list(SUITE_NAMES))

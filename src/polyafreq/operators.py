@@ -69,13 +69,6 @@ def hermite_poulain(f: Poly, g: Poly) -> Poly:
     return apply_phi(BivarOp([Poly([a]) for a in f.coeffs]), g)
 
 
-def l_phi(F: BivarOp, f: Poly, xi) -> Poly:
-    """The z-polynomial sum_k Q_k(xi) f^(k)(xi + z)."""
-    xi = Fraction(xi)
-    constants = BivarOp([Poly([qk(xi)]) for qk in F.q_list])
-    return apply_phi(constants, f).affine_compose(1, xi)
-
-
 # -- hypothesis checking -------------------------------------------------------
 
 

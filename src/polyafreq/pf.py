@@ -310,10 +310,3 @@ def is_unimodal(s) -> bool:
         i += 1
     return i == len(terms) - 1
 
-
-def has_internal_zeros(s) -> bool:
-    terms = _terms_of(s)
-    support = [i for i, t in enumerate(terms) if t != 0]
-    if len(support) < 2:
-        return False
-    return any(terms[i] == 0 for i in range(support[0] + 1, support[-1]))

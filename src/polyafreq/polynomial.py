@@ -4,8 +4,8 @@ A `Poly` stores integer numerators over one positive denominator: index i
 of `nums` holds the numerator of the coefficient of x^i, the denominator
 `den` is shared, gcd(den, *nums) is 1 and the last numerator of a nonzero
 polynomial is never zero.  The zero polynomial has no numerators and degree
-``NEG_INF``, a formal value comparing below every number.  `coeffs` gives
-the same coefficients as `fractions.Fraction` values.
+``NEG_INF``, the float -inf, which compares below every number.  `coeffs`
+gives the same coefficients as `fractions.Fraction` values.
 
 Ring operations, derivatives, division and evaluation run in Python `int`
 and divide by one gcd per result; `poly_gcd` runs a primitive
@@ -24,49 +24,12 @@ from .errors import ExactDivisionError, ZeroPolynomialError
 
 RationalLike = Fraction | int | str
 
+NEG_INF = -math.inf
+POS_INF = math.inf
 
-class _Extreme:
-    """Formal signed infinity, usable as a degree or interval endpoint."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def __lt__(self, other):
-        if isinstance(other, _Extreme):
-            return self._sign < other._sign
-        return self._sign < 0
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        if isinstance(other, _Extreme):
-            return self._sign > other._sign
-        return self._sign > 0
-
-    def __ge__(self, other):
-        return self == other or self > other
-
-    def __eq__(self, other):
-        return isinstance(other, _Extreme) and self._sign == other._sign
-
-    def __hash__(self):
-        return hash(("_Extreme", self._sign))
-
-    def __neg__(self):
-        return POS_INF if self._sign < 0 else NEG_INF
-
-    def __repr__(self):
-        return "+inf" if self._sign > 0 else "-inf"
-
-
-NEG_INF = _Extreme(-1)
-POS_INF = _Extreme(+1)
-
-#: Extended rationals: a Fraction or one of the two formal infinities.
-ExtendedRational = Fraction | _Extreme
+#: Extended rationals: a Fraction or one of the two float infinities, which
+#: compare exactly with every Fraction.
+ExtendedRational = Fraction | float
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -124,7 +87,7 @@ class Poly:
         return tuple(Fraction(c, den) for c in self.nums)
 
     @property
-    def degree(self) -> int | _Extreme:
+    def degree(self) -> int | float:
         return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property

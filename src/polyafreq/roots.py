@@ -31,12 +31,10 @@ from .polynomial import (
     NEG_INF,
     POS_INF,
     Poly,
-    binom,
     poly_gcd,
     root_multiplicity,
     squarefree_decomposition,
     squarefree_part,
-    _Extreme,
     _primitive,
     _primitive_remainder,
 )
@@ -138,33 +136,35 @@ def is_simple_rooted(f: Poly) -> bool:
 def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
     """True iff f is real-rooted and every root lies in the closed [lo, hi].
 
-    Either endpoint may be NEG_INF / POS_INF.
+    Either endpoint may be NEG_INF / POS_INF.  Endpoints are compared, never
+    converted to float, so a rational endpoint of any size stays exact.
     """
     if f.is_zero:
         raise ZeroPolynomialError("roots_within of zero polynomial")
-    if isinstance(lo, _Extreme) and lo == POS_INF:
+    if lo == POS_INF:
         raise PreconditionError("lo endpoint may not be +inf")
-    if isinstance(hi, _Extreme) and hi == NEG_INF:
+    if hi == NEG_INF:
         raise PreconditionError("hi endpoint may not be -inf")
-    if not isinstance(lo, _Extreme) and not isinstance(hi, _Extreme):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise PreconditionError("roots_within needs lo <= hi")
+    if lo != NEG_INF:
+        lo = Fraction(lo)
+    if hi != POS_INF:
+        hi = Fraction(hi)
+    if lo > hi:
+        raise PreconditionError("roots_within needs lo <= hi")
     if not is_real_rooted(f):
         return False
     deg = len(f.coeffs) - 1
     if deg == 0:
         return True
-    if not isinstance(lo, _Extreme) and not isinstance(hi, _Extreme) and lo == hi:
+    if lo == hi:
         return root_multiplicity(f, lo) == deg
     sf = squarefree_part(f)
     B = cauchy_root_bound(sf)
     chain = sturm_chain(sf)
     total = _chain_count(chain, -B, B)
-    left = -B if isinstance(lo, _Extreme) else max(Fraction(lo), -B)
-    right = B if isinstance(hi, _Extreme) else min(Fraction(hi), B)
+    left, right = max(lo, -B), min(hi, B)
     inside = _chain_count(chain, left, right) if left < right else 0
-    if not isinstance(lo, _Extreme) and f(lo) == 0:
+    if lo != NEG_INF and f(lo) == 0:
         inside += 1
     return inside == total
 
@@ -510,26 +510,3 @@ def negative_witness(p: Poly) -> Fraction | None:
             return x
     return None
 
-
-# -- coefficient inequalities ---------------------------------------------------
-
-
-def newton_inequalities(f: Poly) -> bool:
-    """Strict binomial-normalized log-concavity at interior support indices.
-
-    For f = a_m x^m + ... + a_n x^n with a_m, a_n the first and last nonzero
-    coefficients, checks a_i^2/C(n,i)^2 > a_{i-1}/C(n,i-1) * a_{i+1}/C(n,i+1)
-    for all m < i < n; vacuously true for short supports.  The inequality can
-    fail at the support boundary itself (e.g. (x+1)^2 at i
-    in {m, n}), which is deliberately outside the checked range.
-    """
-    support = [i for i, c in enumerate(f.coeffs) if c != 0]
-    if len(support) == 0:
-        return True
-    m, n = support[0], support[-1]
-    for i in range(m + 1, n):
-        lhs = f.coeffs[i] ** 2 / binom(n, i) ** 2
-        rhs = (f.coeffs[i - 1] / binom(n, i - 1)) * (f.coeffs[i + 1] / binom(n, i + 1))
-        if not lhs > rhs:
-            return False
-    return True

@@ -81,7 +81,6 @@ from .roots import (
 )
 from .transforms import (
     MultiplierSeq,
-    apply_multiplier,
     e_multiplicity_at_minus_one,
     e_transform,
     reflect,
@@ -148,14 +147,6 @@ def _frac(rng: random.Random, lo: int, hi: int, den: int = 1) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def _poly_param(f: Poly) -> dict:
-    return poly_to_dict(f)
-
-
-def _parse_poly(params: dict, key: str) -> Poly:
-    return poly_from_dict(params[key])
-
-
 def _from_roots(roots, lead=1) -> Poly:
     p = Poly([lead])
     for r in roots:
@@ -179,8 +170,9 @@ def _rand_unit_rooted(rng: random.Random, max_deg: int) -> Poly:
     return _from_roots(-Fraction(rng.randint(0, 12), 12) for _ in range(d))
 
 
-def _repro_check(kind: str, f: Poly) -> dict:
-    return {"repro": f"polyafreq check {kind} --poly '{poly_to_json(f)}'"}
+def _repro_check(kind: str, f: Poly, flags: str = "") -> dict:
+    """A `polyafreq check` command line that replays the failed check on f."""
+    return {"repro": f"polyafreq check {kind} --poly '{poly_to_json(f)}'{flags}"}
 
 
 # -- exact identity suite (binomial-basis transform laws) --------------------------
@@ -200,7 +192,7 @@ def _gen_identities(cfg: RunConfig) -> list[dict]:
             f = f * Poly([j, 1])
         for _ in range(rng.randint(0, 4)):
             f = f * Poly([_frac(rng, -6, 6, 2), 1])
-        params.append({"kind": "w-degree-law", "i": i, "staircase": k, "poly": _poly_param(f)})
+        params.append({"kind": "w-degree-law", "i": i, "staircase": k, "poly": poly_to_dict(f)})
     return params
 
 
@@ -214,7 +206,7 @@ def _eval_identities(params: dict) -> Case | tuple[bool, dict | None]:
         f = Poly(rational_from_str(c) for c in params["coeffs"])
         ok = reflect(e_transform(f)) == e_transform(reflect(f))
         return ok, None
-    f = _parse_poly(params, "poly")
+    f = poly_from_dict(params["poly"])
     mult = e_multiplicity_at_minus_one(f)
     if mult < params["staircase"]:
         return False, {"mult": mult}
@@ -250,7 +242,7 @@ def _eval_e_images(params: dict):
     if not is_simple_rooted(image):
         return False, _repro_check("simple", image)
     if not roots_within(image, -1, 0):
-        return False, _repro_check("interval", image)
+        return False, _repro_check("interval", image, " --lo=-1 --hi 0")
     low, high = e_transform(XP1 ** d), e_transform(monomial(d))
     if interlace_relation(low, image) not in _ALT:
         return False, {"failed": "lower alternation"}
@@ -294,8 +286,10 @@ def _eval_dominance(params: dict):
         return False, {"failed": "dominance construction"}
     ef, eg = e_transform(f), e_transform(g)
     for image in (ef, eg):
-        if not is_simple_rooted(image) or not roots_within(image, -1, 0):
+        if not is_simple_rooted(image):
             return False, _repro_check("simple", image)
+        if not roots_within(image, -1, 0):
+            return False, _repro_check("interval", image, " --lo=-1 --hi 0")
     rel = interlace_relation(ef, eg)
     ok = rel in _ALT
     return ok, None if ok else {"relation": rel.value}
@@ -372,7 +366,7 @@ def _eval_t_deform(params: dict):
     n = params["n"]
     a = eulerian_t_poly(n, t)
     if params["kind"] == "rooted":
-        ok = is_real_rooted(a) and is_simple_rooted(a)
+        ok = is_simple_rooted(a)
         return ok, None if ok else _repro_check("simple", a)
     shifted = a.exact_divide(X)
     shifted_next = eulerian_t_poly(n + 1, t).exact_divide(X)
@@ -463,7 +457,7 @@ def _eval_subsets(params: dict):
     n = params["n"]
     if params["kind"] == "rooted":
         p = p_bn_subset(n, set(params["subset"]))
-        ok = not p.is_zero and is_real_rooted(p) and is_simple_rooted(p)
+        ok = not p.is_zero and is_simple_rooted(p)
         return ok, None if ok else _repro_check("simple", p)
     table = signed_perm_stats(n)
     for mask in range(2 ** (n + 1)):
@@ -520,11 +514,11 @@ def _eval_weyl(params: dict):
         return ok, None
     if params["kind"] == "dfamily":
         h = fz_h_poly("D", n)
-        ok = is_real_rooted(h) and is_simple_rooted(h)
+        ok = is_simple_rooted(h)
         return ok, None if ok else _repro_check("simple", h)
     alpha, beta = rational_from_str(params["alpha"]), rational_from_str(params["beta"])
     F = weyl_combination(n, alpha, beta)
-    if not is_real_rooted(F) or not is_simple_rooted(F):
+    if not is_simple_rooted(F):
         return False, _repro_check("simple", F)
     lower = fz_h_poly("B", n - 1)
     rel = interlace_relation(lower, F)
@@ -546,22 +540,22 @@ def _gen_products(cfg: RunConfig) -> list[dict]:
     for op in _PRODUCT_OPS:
         for i in range(200):
             f = _rand_real_rooted(rng, top)
-            entry = {"op": op, "i": i, "f": _poly_param(f)}
+            entry = {"op": op, "i": i, "f": poly_to_dict(f)}
             if op in ("schur", "hadamard"):
-                entry["g"] = _poly_param(_rand_same_sign(rng, top))
+                entry["g"] = poly_to_dict(_rand_same_sign(rng, top))
             elif op == "sharp":
                 # the x^k weight is not symmetric under reflection, so the
                 # rootedness conclusion needs nonpositive-rooted g
                 d = rng.randint(1, top)
-                entry["g"] = _poly_param(_from_roots(-_frac(rng, 0, 5, 2) for _ in range(d)))
+                entry["g"] = poly_to_dict(_from_roots(-_frac(rng, 0, 5, 2) for _ in range(d)))
             elif op == "diamond":
-                entry["g"] = _poly_param(_rand_unit_rooted(rng, top))
+                entry["g"] = poly_to_dict(_rand_unit_rooted(rng, top))
             elif op == "dot":
                 alpha = _frac(rng, -4, 0, 2)
                 beta = alpha + Fraction(rng.randint(1, 8), 2)
                 d = rng.randint(1, top)
                 g = _from_roots(alpha + Fraction(rng.randint(0, 16), 16) * (beta - alpha) for _ in range(d))
-                entry["g"] = _poly_param(g)
+                entry["g"] = poly_to_dict(g)
                 entry["alpha"] = rational_to_str(alpha)
                 entry["beta"] = rational_to_str(beta)
                 entry["seq"] = rng.choice(("all_ones", "factorial_inverse"))
@@ -569,24 +563,18 @@ def _gen_products(cfg: RunConfig) -> list[dict]:
                 alpha = _frac(rng, -3, 3, 2)
                 d = rng.randint(1, top)
                 g = _from_roots(alpha - Fraction(rng.randint(0, 12), 3) for _ in range(d))
-                entry["g"] = _poly_param(g)
+                entry["g"] = poly_to_dict(g)
                 entry["alpha"] = rational_to_str(alpha)
                 entry["seq"] = rng.choice(("all_ones", "factorial_inverse"))
             else:
-                entry["g"] = _poly_param(_rand_real_rooted(rng, top))
+                entry["g"] = poly_to_dict(_rand_real_rooted(rng, top))
             params.append(entry)
     return params
 
 
-def _sequence_of(name: str) -> MultiplierSeq:
-    if name == "all_ones":
-        return MultiplierSeq.all_ones()
-    return MultiplierSeq.factorial_inverse()
-
-
 def _eval_products(params: dict):
     op = params["op"]
-    f, g = _parse_poly(params, "f"), _parse_poly(params, "g")
+    f, g = poly_from_dict(params["f"]), poly_from_dict(params["g"])
     if op == "hermite-poulain":
         out = hermite_poulain(f, g)
         if out.is_zero:
@@ -606,10 +594,10 @@ def _eval_products(params: dict):
     elif op == "diamond":
         out = diamond_product(f, g)
     elif op == "dot":
-        out = dot_form(f, g, _sequence_of(params["seq"]),
+        out = dot_form(f, g, MultiplierSeq(kind=params["seq"]),
                        rational_from_str(params["alpha"]), rational_from_str(params["beta"]))
     else:
-        out = circ_form(f, g, _sequence_of(params["seq"]), rational_from_str(params["alpha"]))
+        out = circ_form(f, g, MultiplierSeq(kind=params["seq"]), rational_from_str(params["alpha"]))
     if out.is_zero:
         return True, None
     if not is_real_rooted(out):
@@ -642,7 +630,7 @@ def _gen_operator_checks(cfg: RunConfig) -> list[dict]:
         params.append({"kind": "hypotheses", "d": d, "expect": "proved", **sym})
         for i in range(100):
             f = _rand_real_rooted(rng, d)
-            params.append({"kind": "image", "i": i, "f": _poly_param(f), **sym})
+            params.append({"kind": "image", "i": i, "f": poly_to_dict(f), **sym})
         for i in range(20):
             d_pair = rng.randint(1, d)
             pool: set[Fraction] = set()
@@ -653,8 +641,8 @@ def _gen_operator_checks(cfg: RunConfig) -> list[dict]:
                 {
                     "kind": "alternating",
                     "i": i,
-                    "f": _poly_param(_from_roots(vals[0::2])),
-                    "g": _poly_param(_from_roots(vals[1::2])),
+                    "f": poly_to_dict(_from_roots(vals[0::2])),
+                    "g": poly_to_dict(_from_roots(vals[1::2])),
                     **sym,
                 }
             )
@@ -672,10 +660,10 @@ def _eval_operator_checks(params: dict):
         ok = rep.cond_i == "refuted" and bool(rep.witnesses)
         return ok, None if ok else {"cond_i": rep.cond_i}
     if params["kind"] == "image":
-        out = apply_phi(F, _parse_poly(params, "f"))
+        out = apply_phi(F, poly_from_dict(params["f"]))
         ok = not out.is_zero and is_real_rooted(out)
         return ok, None if ok else _repro_check("real-rooted", out)
-    f, g = _parse_poly(params, "f"), _parse_poly(params, "g")
+    f, g = poly_from_dict(params["f"]), poly_from_dict(params["g"])
     if interlace_relation(f, g) != IR.ALTERNATES_LEFT_STRICT:
         return False, {"failed": "input pair not strictly alternating"}
     img_f, img_g = apply_phi(F, f), apply_phi(F, g)
@@ -701,8 +689,8 @@ def _gen_line_checks(cfg: RunConfig) -> list[dict]:
         params.append(
             {
                 "i": i,
-                "f": _poly_param(f),
-                "b": _poly_param(b),
+                "f": poly_to_dict(f),
+                "b": poly_to_dict(b),
                 "s": rational_to_str(s),
                 "t": rational_to_str(t),
                 "u": rational_to_str(u),
@@ -713,8 +701,8 @@ def _gen_line_checks(cfg: RunConfig) -> list[dict]:
 
 def _eval_line_checks(params: dict):
     ok = polya_line_check(
-        _parse_poly(params, "f"),
-        _parse_poly(params, "b"),
+        poly_from_dict(params["f"]),
+        poly_from_dict(params["b"]),
         rational_from_str(params["s"]),
         rational_from_str(params["t"]),
         rational_from_str(params["u"]),
@@ -732,12 +720,12 @@ def _gen_pf_coherence(cfg: RunConfig) -> list[dict]:
     for i in range(100):
         d = rng.randint(1, top)
         f = _from_roots([-Fraction(rng.randint(0, 9)) for _ in range(d)], lead=rng.randint(1, 3))
-        params.append({"kind": "window", "i": i, "poly": _poly_param(f)})
+        params.append({"kind": "window", "i": i, "poly": poly_to_dict(f)})
     params.append({"kind": "counterexample"})
     for i in range(20):
         d = rng.randint(2, top)
         f = _from_roots([-Fraction(rng.randint(0, 8), 2) for _ in range(d)])
-        params.append({"kind": "multisect", "i": i, "poly": _poly_param(f), "step": rng.randint(2, 3)})
+        params.append({"kind": "multisect", "i": i, "poly": poly_to_dict(f), "step": rng.randint(2, 3)})
     return params
 
 
@@ -746,7 +734,7 @@ def _eval_pf_coherence(params: dict):
         report = minors_nonneg((1, 1, 0, 1), 4, 2)
         ok = not report.nonnegative and report.witness is not None and report.witness[2] == -1
         return ok, None if ok else {"failed": "expected witness -1"}
-    f = _parse_poly(params, "poly")
+    f = poly_from_dict(params["poly"])
     if params["kind"] == "multisect":
         step = params["step"]
         ok = all(is_pf_finite(multisect(f, step, off)) for off in range(step))
@@ -855,7 +843,7 @@ def _eval_integer_filled(params: dict):
         f = f * Poly([-rational_from_str(text), 1])
     image = e_transform(f)
     ok = roots_within(image, NEG_INF, 0)
-    return ok, None if ok else _repro_check("interval", image)
+    return ok, None if ok else _repro_check("interval", image, " --lo=-inf --hi 0")
 
 
 # -- registry and runner ---------------------------------------------------------------------------

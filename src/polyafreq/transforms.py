@@ -12,7 +12,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .errors import InternalCheckError, PreconditionError, ZeroPolynomialError
+from .errors import PreconditionError, ZeroPolynomialError
 from .polynomial import (
     NEG_INF,
     POS_INF,
@@ -72,27 +72,11 @@ def w_transform(f: Poly) -> Poly:
 
 
 def e_multiplicity_at_minus_one(f: Poly) -> int:
-    """mult(-1, E(f)), cross-checked against divisibility of f by (x+1)...(x+k).
-
-    The two characterizations must agree; a mismatch raises InternalCheckError.
-    """
+    """mult(-1, E(f)), the length k of the longest staircase (x+1)...(x+k)
+    that divides f."""
     if f.is_zero:
         raise ZeroPolynomialError("multiplicity query on zero polynomial")
-    via_e = root_multiplicity(e_transform(f), -1)
-    k = 0
-    rest = f
-    while True:
-        factor = Poly([k + 1, 1])
-        quotient, remainder = divmod(rest, factor)
-        if not remainder.is_zero:
-            break
-        rest = quotient
-        k += 1
-    if via_e != k:
-        raise InternalCheckError(
-            f"mult(-1, E(f)) = {via_e} but maximal staircase divisor has length {k}"
-        )
-    return via_e
+    return root_multiplicity(e_transform(f), -1)
 
 
 # -- multiplier sequences ------------------------------------------------------
@@ -166,44 +150,3 @@ def is_multiplier_n_sequence(seq: MultiplierSeq, n: int) -> bool:
         return True
     return roots_within(image, NEG_INF, 0) or roots_within(image, 0, POS_INF)
 
-
-# -- terminating hypergeometric series ------------------------------------------
-
-
-def pochhammer(a, m: int) -> Fraction:
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(m):
-        out *= a + i
-    return out
-
-
-def hypergeom_2f1(a: int, b, c) -> Poly:
-    """Terminating 2F1(a, b; c; x) as an exact polynomial; needs a = -n <= 0.
-
-    Raises if (c)_m vanishes inside the truncation range.
-    """
-    if a > 0:
-        raise PreconditionError("2F1 terminates only for a nonpositive integer a")
-    n = -a
-    b, c = Fraction(b), Fraction(c)
-    if c.denominator == 1 and -n < c <= 0:
-        raise PreconditionError("pole of (c)_m inside the truncation range")
-    coeffs = []
-    num, den = Fraction(1), Fraction(1)
-    for m in range(n + 1):
-        coeffs.append(num / (den * math.factorial(m)))
-        num *= (a + m) * (b + m)
-        den *= c + m
-    return Poly(coeffs)
-
-
-def jacobi_poly(n: int, alpha, beta) -> Poly:
-    """Jacobi P_n^{(alpha,beta)} as an exact polynomial in x."""
-    if n < 0:
-        raise PreconditionError("jacobi_poly needs n >= 0")
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    series = hypergeom_2f1(-n, 1 + alpha + beta + n, 1 + alpha)
-    lead = pochhammer(1 + alpha, n) / math.factorial(n)
-    # substitute the argument (1 - x)/2
-    return series.affine_compose(Fraction(-1, 2), Fraction(1, 2)).scale(lead)

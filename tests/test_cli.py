@@ -71,6 +71,20 @@ def test_check_verdicts(capsys):
     assert code == 0 and json.loads(out)["verdict"] is True
 
 
+def test_interval_endpoints_stay_exact(capsys):
+    # a float conversion of either endpoint would overflow
+    huge = "1" + "0" * 400
+    for hi in (huge, huge + "/3"):
+        code, out, _ = run_cli(
+            capsys, "check", "interval", "--poly", '{"coeffs":["2","-3","1"]}', "--lo=-3", "--hi", hi
+        )
+        assert code == 0 and json.loads(out)["verdict"] is True
+    code, out, _ = run_cli(
+        capsys, "check", "interval", "--poly", '{"coeffs":["2","-3","1"]}', f"--lo=-{huge}", "--hi", "3/2"
+    )
+    assert code == 1 and json.loads(out)["verdict"] is False
+
+
 def test_check_pf_minors_witness(capsys):
     code, out, _ = run_cli(
         capsys, "check", "pf-minors", "--terms", "1,1,0,1", "--window", "4", "--order", "2"

@@ -20,7 +20,6 @@ from polyafreq.roots import (
     is_simple_rooted,
     isolate_roots,
     negative_witness,
-    newton_inequalities,
     root_dominance,
     roots_within,
     sturm_count,
@@ -401,12 +400,6 @@ def test_nonneg_check_agrees_with_sampling(coeffs):
     assert check_nonneg_on_reals(p) == (negative_witness(p) is None)
 
 
-def test_newton_inequalities():
-    assert not newton_inequalities(Poly([1, 2, 1]))  # boundary case: 1 > 1 fails
-    assert newton_inequalities(Poly([1, 4, 1]))
-    assert newton_inequalities(Poly([0, 1, 4, 1]))
-    assert newton_inequalities(Poly([5]))
-    assert newton_inequalities(ZERO)
 
 
 def test_count_distinct():

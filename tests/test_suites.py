@@ -1,8 +1,12 @@
+import ast
 import json
+import shlex
 
 import pytest
 
+from polyafreq import cli, suites
 from polyafreq.config import RunConfig
+from polyafreq.polynomial import Poly
 from polyafreq.suites import SUITE_NAMES, run_suite
 
 from boundary_cases import boundary_ids
@@ -67,3 +71,40 @@ def test_unknown_suite():
 def test_suite_names_cover_registry():
     assert "all" in SUITE_NAMES
     assert len(SUITE_NAMES) == 17
+
+
+def emitted_repros() -> set[tuple[str, str]]:
+    """(kind, flags) of every `_repro_check` call in the suites' source."""
+    tree = ast.parse(open(suites.__file__, encoding="utf-8").read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_repro_check":
+            literals = [node.args[0]] + node.args[2:]
+            assert all(isinstance(a, ast.Constant) for a in literals), ast.dump(node)
+            kind, *flags = [a.value for a in literals]
+            out.add((kind, flags[0] if flags else ""))
+    return out
+
+
+# A polynomial that fails each check the suites emit a repro for.
+FAILING = {
+    ("simple", ""): Poly([1, 2, 1]),  # (x+1)^2
+    ("real-rooted", ""): Poly([1, 0, 1]),  # x^2 + 1
+    ("pf", ""): Poly([1, 1, 1]),  # positive coefficients, complex roots
+    ("interval", " --lo=-1 --hi 0"): Poly([2, 1]),  # root -2
+    ("interval", " --lo=-inf --hi 0"): Poly([-1, 1]),  # root 1
+}
+
+
+def test_every_repro_replays_to_a_failing_verdict(capsys):
+    assert emitted_repros() == set(FAILING)
+    for (kind, flags), f in FAILING.items():
+        argv = shlex.split(suites._repro_check(kind, f, flags)["repro"])
+        assert argv[:2] == ["polyafreq", "check"]
+        assert cli.main(argv[1:]) == 1, argv
+        assert json.loads(capsys.readouterr().out)["verdict"] is False
+
+
+def test_suite_names_are_cli_table_keys():
+    assert {kind for kind, _ in emitted_repros()} <= set(cli._checks())
+    assert set(suites._PRODUCT_OPS) <= set(cli._operations())

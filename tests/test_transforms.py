@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyafreq.errors import PreconditionError, ZeroPolynomialError
+from polyafreq.config import RunConfig
+from polyafreq.errors import ZeroPolynomialError
+from polyafreq.jsonio import poly_from_dict
 from polyafreq.polynomial import (
     NEG_INF,
     POS_INF,
@@ -28,13 +30,12 @@ from polyafreq.transforms import (
     e_inverse,
     e_multiplicity_at_minus_one,
     e_transform,
-    hypergeom_2f1,
     is_multiplier_n_sequence,
-    jacobi_poly,
     reflect,
     to_binomial_basis,
     w_transform,
 )
+from polyafreq.suites import _gen_identities
 
 IR = InterlaceRelation
 
@@ -157,6 +158,38 @@ def test_e_multiplicity_at_minus_one():
     staircase = Poly([1, 1]) * Poly([2, 1]) * Poly([3, 1])
     assert e_multiplicity_at_minus_one(staircase) == 3
     assert e_multiplicity_at_minus_one(staircase * Poly([7, 1])) == 3
+    with pytest.raises(ZeroPolynomialError):
+        e_multiplicity_at_minus_one(ZERO)
+
+
+def staircase_length(f):
+    """The largest k with (x+1)(x+2)...(x+k) dividing f, by trial division."""
+    k = 0
+    while True:
+        quotient, remainder = divmod(f, Poly([k + 1, 1]))
+        if not remainder.is_zero:
+            return k
+        f = quotient
+        k += 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(polys(max_degree=6).filter(lambda f: not f.is_zero), st.integers(0, 5))
+def test_e_multiplicity_matches_staircase_divisors(f, k):
+    for j in range(1, k + 1):
+        f = f * Poly([j, 1])
+    assert e_multiplicity_at_minus_one(f) == staircase_length(f)
+
+
+def test_e_multiplicity_matches_staircase_on_w_degree_law_inputs():
+    inputs = [
+        poly_from_dict(p["poly"])
+        for p in _gen_identities(RunConfig(seed=0))
+        if p["kind"] == "w-degree-law"
+    ]
+    assert len(inputs) == 25
+    for f in inputs:
+        assert e_multiplicity_at_minus_one(f) == staircase_length(f)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -208,29 +241,6 @@ def test_binom_negative_is_n_sequence():
     for n in (1, 2, 3, 4, 6):
         for r in (Fraction(0), Fraction(1), Fraction(5, 2)):
             assert is_multiplier_n_sequence(MultiplierSeq.binom_negative(n, r), n)
-
-
-def test_hypergeom_frozen():
-    assert hypergeom_2f1(-2, 3, 1) == Poly([1, -6, 6])
-    assert hypergeom_2f1(-5, Fraction(1, 2), Fraction(7, 3))(0) == 1
-    with pytest.raises(PreconditionError):
-        hypergeom_2f1(-3, 2, -1)
-
-
-def test_jacobi_identity_with_2f1():
-    # P_n^{(0, r-1)}(1 - 2x) = 2F1(-n, n+r; 1; x)
-    for n in (1, 2, 3, 5):
-        for r in (Fraction(1), Fraction(2), Fraction(7, 2)):
-            lhs = jacobi_poly(n, 0, r - 1).affine_compose(-2, 1)
-            rhs = hypergeom_2f1(-n, n + r, 1)
-            assert lhs == rhs
-    assert jacobi_poly(2, 0, 0).affine_compose(-2, 1) == Poly([1, -6, 6])
-
-
-def test_jacobi_roots_inside_unit_interval():
-    for n in (2, 4):
-        p = jacobi_poly(n, Fraction(1, 2), Fraction(3, 2))
-        assert roots_within(p, -1, 1)
 
 
 def test_e_image_of_nonneg_combinations():

@@ -3,14 +3,11 @@
 from .polynomial import NEG_INF, POS_INF, Poly, ZERO, ONE, X, monomial
 from .roots import (
     InterlaceRelation,
-    RootBox,
     interlace_relation,
     is_real_rooted,
     is_simple_rooted,
-    isolate_roots,
     root_dominance,
     roots_within,
-    sturm_count,
 )
 from .transforms import MultiplierSeq, e_inverse, e_transform, reflect, w_transform
 from .operators import BivarOp, apply_phi
@@ -24,14 +21,11 @@ __all__ = [
     "X",
     "monomial",
     "InterlaceRelation",
-    "RootBox",
     "interlace_relation",
     "is_real_rooted",
     "is_simple_rooted",
-    "isolate_roots",
     "root_dominance",
     "roots_within",
-    "sturm_count",
     "MultiplierSeq",
     "e_inverse",
     "e_transform",

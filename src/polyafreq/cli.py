@@ -151,9 +151,14 @@ def _emit(data: dict) -> None:
 # name of a parsed option; "multiplier" stands for the multiplier flag group,
 # and a trailing "?" marks a flag that may be absent (None, or the all-ones
 # sequence for "multiplier?").  `_TERMS` in place of a count reads --terms, or
-# else the coefficients of one polynomial.
+# else the coefficients of one polynomial.  A flag, polynomial or --terms
+# that the entry does not read is a usage error.
 
 _TERMS = "terms"
+_MULTIPLIER_FLAGS = ("gamma_shift", "factorial_inverse", "binom_negative", "explicit", "all_ones")
+#: Parsed attributes that are not flags: the verb, the entry's name, the
+#: handler and the polynomial arguments.
+_NOT_FLAGS = frozenset({"command", "family", "kind", "name", "func", "polys", "poly"})
 
 
 def _families() -> dict:
@@ -197,7 +202,7 @@ def _operations() -> dict:
         "e-inv": (e_inverse, 1, ()),
         "w": (w_transform, 1, ()),
         "reflect": (reflect, 1, ()),
-        "multisect": (multisect, 1, ("step", "offset")),
+        "multisect": (lambda f, step, offset: multisect(f, step, offset or 0), 1, ("step", "offset?")),
         "phi": (_phi, 1, ("F",)),
         "diamond": (diamond_product, 2, ()),
         "sharp": (sharp_product, 2, ()),
@@ -212,10 +217,25 @@ def _operations() -> dict:
 
 def _arguments(args, what: str, arity, flags) -> list:
     """The polynomials, then the flag values, that the entry's callable takes."""
+    read = {flag.rstrip("?") for flag in flags}
+    if "multiplier" in read:
+        read.update(_MULTIPLIER_FLAGS)
     if arity == _TERMS:
-        inputs = [args.terms if args.terms is not None else _polys(args, what, 1)[0].coeffs]
+        read.add("terms")
+        if args.terms is None:
+            inputs = [_polys(args, what, 1)[0].coeffs]
+        elif _sources(args):
+            raise UsageError(f"{what} takes --terms or one polynomial, not both")
+        else:
+            inputs = [args.terms]
     else:
-        inputs = _polys(args, what, arity) if arity else []
+        inputs = _polys(args, what, arity)
+    unread = [
+        "--" + dest.replace("_", "-") for dest, value in vars(args).items()
+        if dest not in _NOT_FLAGS and dest not in read and _given(value)
+    ]
+    if unread:
+        raise UsageError(f"{what} does not read {', '.join(unread)}")
     missing = [
         f"--{flag}" for flag in flags
         if flag != "multiplier" and not flag.endswith("?") and getattr(args, flag) is None
@@ -231,10 +251,21 @@ def _arguments(args, what: str, arity, flags) -> list:
     return inputs
 
 
-def _polys(args, what: str, count: int) -> list[Poly]:
-    sources = list(args.polys or [])
+def _given(value) -> bool:
+    """A flag was given: every flag defaults to None, or False for a switch."""
+    return value is not None and value is not False
+
+
+def _sources(args) -> list[str]:
+    """The polynomial arguments: --poly first, then the positional ones."""
+    sources = list(getattr(args, "polys", None) or [])
     if getattr(args, "poly", None) is not None:
         sources.insert(0, args.poly)
+    return sources
+
+
+def _polys(args, what: str, count: int) -> list[Poly]:
+    sources = _sources(args)
     if len(sources) != count:
         raise UsageError(f"{what} needs exactly {count} polynomial argument(s)")
     return [load_poly_argument(s) for s in sources]
@@ -295,16 +326,10 @@ def _phi(f: Poly, text: str) -> Poly:
 
 
 def _multiplier_from_flags(args, allow_default: bool = False) -> MultiplierSeq:
-    chosen = [
-        args.gamma_shift is not None,
-        args.factorial_inverse,
-        args.binom_negative is not None,
-        args.explicit is not None,
-        args.all_ones,
-    ]
-    if sum(chosen) == 0 and allow_default:
+    chosen = [dest for dest in _MULTIPLIER_FLAGS if _given(getattr(args, dest))]
+    if not chosen and allow_default:
         return MultiplierSeq.all_ones()
-    if sum(chosen) != 1:
+    if len(chosen) != 1:
         raise UsageError(
             "choose exactly one of --gamma-shift/--factorial-inverse/"
             "--binom-negative/--explicit/--all-ones"
@@ -416,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     operate.add_argument("name", choices=list(operations))
     operate.add_argument("polys", nargs="*", help="polynomial JSON or file path")
     operate.add_argument("--step", type=int)
-    operate.add_argument("--offset", type=int, default=0)
+    operate.add_argument("--offset", type=int)
     operate.add_argument("--F", help="JSON list of polynomial objects")
     operate.add_argument("--alpha", type=_rational)
     operate.add_argument("--beta", type=_rational)

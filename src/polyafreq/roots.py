@@ -1,13 +1,15 @@
 """Exact real-root analysis via Sturm sequences.
 
-Root counting works on the square-free part, so counts are of *distinct*
-roots; multiplicities come from the Yun decomposition.  Interlacing is
-decided from a Cauchy index, which the signed remainder sequence of the two
-coprime parts gives from leading signs and degrees alone, with no
-evaluation.  Only root dominance, `isolate_roots` and the sample points of
-`sample_points_between_roots` isolate roots, by interval bisection in the
-half-open convention (lo, hi], which makes counts additive under splitting;
-closed-interval questions test endpoints by exact evaluation.
+Real-rootedness reads one Sturm chain, that of f itself: the chain
+f, f', -rem, ... ends at gcd(f, f'), so it counts the distinct real roots of
+f at any two points that are not roots, and f is real-rooted exactly when
+that count equals deg f - deg gcd(f, f').  Interlacing is decided from a
+Cauchy index, which the signed remainder sequence of the two coprime parts
+gives from leading signs and degrees alone, with no evaluation.  Only root
+dominance and the sample points of `sample_points_between_roots` isolate
+roots, by interval bisection in the half-open convention (lo, hi], which
+makes counts additive under splitting; closed-interval questions test
+endpoints by exact evaluation.
 
 Sturm chains are built in Python `int` by a primitive pseudo-remainder
 sequence, and their members are evaluated at rational points by integer
@@ -16,7 +18,6 @@ Horner (`Poly.__call__`); only the returned values are `Fraction`.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from fractions import Fraction
 
@@ -91,46 +92,34 @@ def cauchy_root_bound(f: Poly) -> Fraction:
     return 1 + max(abs(c) for c in f.coeffs[:-1]) / lead
 
 
-def sturm_count(f: Poly, lo, hi) -> int:
-    """Number of distinct real roots of f in the half-open interval (lo, hi]."""
+def _root_summary(f: Poly, what: str) -> tuple[int, int]:
+    """(distinct real roots of f, deg gcd(f, f')) from the Sturm chain of f.
+
+    The chain ends at gcd(f, f') up to scale, and dividing every member by
+    it leaves a Sturm chain of the square-free part of f with the same sign
+    variations at any point that is not a root, such as the Cauchy bound +-B.
+    """
     if f.is_zero:
-        raise ZeroPolynomialError("Sturm count of zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise PreconditionError("sturm_count needs lo < hi")
-    if len(f.coeffs) <= 1:
-        return 0
-    chain = sturm_chain(squarefree_part(f))
-    return _chain_count(chain, lo, hi)
+        raise ZeroPolynomialError(f"{what} of zero polynomial")
+    chain = sturm_chain(f)
+    B = cauchy_root_bound(f)
+    return _chain_count(chain, -B, B), chain[-1].degree
 
 
 def count_distinct_real_roots(f: Poly) -> int:
-    if f.is_zero:
-        raise ZeroPolynomialError("root count of zero polynomial")
-    if len(f.coeffs) <= 1:
-        return 0
-    sf = squarefree_part(f)
-    B = cauchy_root_bound(sf)
-    chain = sturm_chain(sf)
-    return _chain_count(chain, -B, B)
-
-
-def count_real_roots_with_multiplicity(f: Poly) -> int:
-    if f.is_zero:
-        raise ZeroPolynomialError("root count of zero polynomial")
-    return sum(m * count_distinct_real_roots(g) for g, m in squarefree_decomposition(f))
+    return _root_summary(f, "root count")[0]
 
 
 def is_real_rooted(f: Poly) -> bool:
     """All complex roots real; constants count as real-rooted."""
-    if f.is_zero:
-        raise ZeroPolynomialError("real-rootedness of zero polynomial")
-    return count_real_roots_with_multiplicity(f) == len(f.coeffs) - 1
+    distinct, gcd_degree = _root_summary(f, "real-rootedness")
+    return distinct == f.degree - gcd_degree
 
 
 def is_simple_rooted(f: Poly) -> bool:
     """All roots real and pairwise distinct."""
-    return is_real_rooted(f) and poly_gcd(f, f.derivative()).degree <= 0
+    distinct, gcd_degree = _root_summary(f, "real-rootedness")
+    return gcd_degree == 0 and distinct == f.degree
 
 
 def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
@@ -151,8 +140,6 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
         hi = Fraction(hi)
     if lo > hi:
         raise PreconditionError("roots_within needs lo <= hi")
-    if not is_real_rooted(f):
-        return False
     deg = len(f.coeffs) - 1
     if deg == 0:
         return True
@@ -162,6 +149,8 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
     B = cauchy_root_bound(sf)
     chain = sturm_chain(sf)
     total = _chain_count(chain, -B, B)
+    if total < sf.degree:
+        return False
     left, right = max(lo, -B), min(hi, B)
     inside = _chain_count(chain, left, right) if left < right else 0
     if lo != NEG_INF and f(lo) == 0:
@@ -170,26 +159,6 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
 
 
 # -- isolation ---------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class RootBox:
-    """Isolating interval for one distinct real root.
-
-    The root lies in the open interval (lo, hi), or equals lo when lo == hi.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int = 1
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def _isolate_squarefree(g: Poly, chain: list[Poly] | None = None) -> list[tuple[Fraction, Fraction]]:
@@ -273,30 +242,6 @@ def _count_in_open(g: Poly, chain: list[Poly], lo: Fraction, hi: Fraction) -> in
     if g(hi) == 0:
         n -= 1
     return n
-
-
-def isolate_roots(f: Poly) -> list[RootBox]:
-    """Disjoint sorted isolating boxes with multiplicities for all roots of f.
-
-    Requires f nonzero and real-rooted; the multiplicities sum to deg f.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("isolation of zero polynomial")
-    if not is_real_rooted(f):
-        raise NotRealRootedError("isolate_roots requires a real-rooted polynomial")
-    entries: list[list] = []
-    mults: list[int] = []
-    for g, m in squarefree_decomposition(f):
-        chain = sturm_chain(g)
-        for box in _isolate_squarefree(g, chain):
-            entries.append([box, g, chain])
-            mults.append(m)
-    _separate_all(entries)
-    boxes = sorted(
-        (RootBox(lo=e[0][0], hi=e[0][1], multiplicity=m) for e, m in zip(entries, mults)),
-        key=lambda b: (b.lo, b.hi),
-    )
-    return boxes
 
 
 # -- interlacing and dominance ------------------------------------------------

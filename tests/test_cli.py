@@ -249,6 +249,39 @@ def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
     assert code == 2 and "POLYAFREQ_MAX_ENUM" in err
 
 
+_P = '{"coeffs":["1","1"]}'
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    # argv is a valid query; argv + extra adds input that the entry does not read
+    (("check", "unimodal", _P), ("--terms", "1,0,1"), "not both"),
+    (("check", "pf-minors", "--terms", "1,2,1"), ("--poly", _P), "not both"),
+    (("check", "multiplier-n", "--gamma-shift", "1", "--n", "3"), ("--poly", _P), "exactly 0 polynomial"),
+    (("check", "real-rooted", _P), ("--lo", "0", "--hi", "1"), "does not read --lo, --hi"),
+    (("check", "pf", "--poly", _P), ("--terms", "1,2"), "does not read --terms"),
+    (("check", "simple", "--poly", _P), ("--all-ones",), "does not read --all-ones"),
+    (("check", "interval", "--poly", _P, "--lo", "0", "--hi", "1"), ("--n", "0"), "does not read --n"),
+    (("gen", "eulerian", "--n", "3"), ("--t", "1"), "does not read --t"),
+    (("op", "e", _P), ("--offset", "0"), "does not read --offset"),
+    (("op", "e", _P), ("--factorial-inverse",), "does not read --factorial-inverse"),
+    (("op", "circ", _P, _P, "--alpha", "1"), ("--beta", "1"), "does not read --beta"),
+])
+def test_unread_input_is_a_usage_error(capsys, argv, extra, message):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code in (0, 1), argv
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2 and out == "" and "Traceback" not in err and message in err, err
+    # a positional polynomial ahead of the flags is read like --poly
+    if extra[0] == "--poly":
+        code, out, err = run_cli(capsys, *argv[:2], extra[1], *argv[2:])
+        assert code == 2 and out == "" and message in err, err
+
+
+def test_multisect_offset_defaults_to_zero(capsys):
+    code, out, _ = run_cli(capsys, "op", "multisect", '{"coeffs":["1","4","6","4","1"]}', "--step", "2")
+    assert code == 0 and json.loads(out) == {"coeffs": ["1", "6", "1"]}
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "thm-4-2", "--max-n", "-1"),
     ("verify", "cor-6-10", "--max-n", "-2"),

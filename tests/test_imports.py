@@ -1,8 +1,10 @@
-"""Every name that a module of the package imports is used in that module.
+"""Static checks on the package source, by `ast`.
 
-A static check on the source, by `ast`: an import binds a name, and the
-module must read that name somewhere.  `__init__.py` is left out, since it
-imports names only to re-export them.
+Every name that a module imports is used in that module: an import binds a
+name, and the module must read that name somewhere.  Every public top-level
+function and class is read by package code other than its own definition,
+so a helper that no suite or command reaches cannot stay.  `__init__.py` is
+left out of both, since it imports names only to re-export them.
 """
 
 import ast
@@ -37,3 +39,40 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _read_names(node) -> set[str]:
+    """Names that node reads, bare or as an attribute such as `roots.name`."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def unread_definitions(sources: list[str]) -> list[str]:
+    """Public top-level functions and classes that no other statement reads."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            names = _read_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add(node.name)
+                names.discard(node.name)
+            read |= names
+    return sorted(defined - read)
+
+
+def test_checker_finds_unread_definitions():
+    sources = [
+        "def used(): pass\ndef unused(): return unused()\nclass Box: pass\ndef _private(): pass\n",
+        "import m\nused()\nm.Box\n",
+    ]
+    assert unread_definitions(sources) == ["unused"]
+
+
+def test_every_public_definition_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unread_definitions(sources) == []

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyafreq import roots
+import root_oracle
+from polyafreq import polynomial, roots
 from polyafreq.combinatorics import b_euler_q
 from polyafreq.config import RunConfig
 from polyafreq.errors import NotRealRootedError, PreconditionError, ZeroPolynomialError
@@ -18,11 +19,9 @@ from polyafreq.roots import (
     interlace_relation,
     is_real_rooted,
     is_simple_rooted,
-    isolate_roots,
     negative_witness,
     root_dominance,
     roots_within,
-    sturm_count,
 )
 from polyafreq.suites import run_suite
 
@@ -41,28 +40,13 @@ small_roots = st.lists(
 )
 
 
-def test_sturm_count_basic():
-    assert sturm_count(Poly([-1, 0, 1]), -2, 0) == 1
-    assert sturm_count(Poly([1, 1]) ** 2, -2, 0) == 1  # distinct roots
-    # roots of 1+6x+6x^2 are (-3 +- sqrt(3))/6, both in (-1, 0]
-    assert sturm_count(Poly([1, 6, 6]), -1, 0) == 2
-    with pytest.raises(ZeroPolynomialError):
-        sturm_count(ZERO, 0, 1)
-    with pytest.raises(PreconditionError):
-        sturm_count(Poly([0, 1]), 1, 1)
-
-
-def test_sturm_count_half_open_endpoints():
-    f = Poly([0, 1]) * Poly([-1, 1])  # roots 0, 1
-    assert sturm_count(f, 0, 1) == 1
-    assert sturm_count(f, -1, 0) == 1
-    assert sturm_count(f, -1, 1) == 2
-    assert sturm_count(f, Fraction(1, 2), 2) == 1
-
-
 def test_is_real_rooted():
     assert not is_real_rooted(Poly([1, 0, 1]))
     assert is_real_rooted(Poly([1, 2, 1]))
+    assert is_real_rooted(Poly([1, 1]) ** 2 * Poly([0, 1]))
+    assert not is_simple_rooted(Poly([1, 1]) ** 2 * Poly([0, 1]))
+    assert is_simple_rooted(Poly([-2, 0, 1]))
+    assert not is_real_rooted(Poly([-2, 0, 1]) * Poly([1, 1, 1]) ** 2)
     assert not is_simple_rooted(Poly([1, 2, 1]))
     assert is_real_rooted(Poly([0, 1, 4, 1]))
     assert is_simple_rooted(Poly([0, 1, 4, 1]))
@@ -80,46 +64,22 @@ def test_roots_within():
     assert not roots_within(Poly([1, 0, 1]), NEG_INF, POS_INF)
     assert roots_within(Poly([1, 2, 1]), -1, -1)
     assert not roots_within(Poly([2, 3, 1]), -1, -1)
-
-
-def test_isolate_roots_multiplicities():
-    f = Poly([1, 1]) ** 2 * Poly([0, 1])
-    boxes = isolate_roots(f)
-    assert [b.multiplicity for b in boxes] == [2, 1]
-    assert sum(b.multiplicity for b in boxes) == f.degree
-    assert boxes[0].lo <= -1 <= boxes[0].hi
-    assert boxes[1].lo <= 0 <= boxes[1].hi
-    for a, b in zip(boxes, boxes[1:]):
-        assert a.hi <= b.lo or (a.is_point and not b.is_point and a.lo <= b.lo)
-
-
-def test_isolate_irrational():
-    boxes = isolate_roots(Poly([-2, 0, 1]))
-    assert len(boxes) == 2
-    f = Poly([-2, 0, 1])
-    for b in boxes:
-        assert not b.is_point
-        assert f(b.lo) * f(b.hi) < 0
-    # the boxes bracket -sqrt(2) and sqrt(2)
-    assert boxes[0].hi <= 0 <= boxes[1].lo
-    assert boxes[0].hi ** 2 < 2 < boxes[0].lo ** 2
-    assert boxes[1].lo ** 2 < 2 < boxes[1].hi ** 2
-
-
-def test_isolate_lemma_318_instance():
-    f = Poly([1, -6, 6])
-    boxes = isolate_roots(f)
-    assert len(boxes) == 2
-    # roots (3 +- sqrt(3))/6, both inside (0, 1)
-    assert all(not b.is_point and f(b.lo) * f(b.hi) < 0 for b in boxes)
-    assert all(0 <= b.lo and b.hi <= 1 for b in boxes)
+    assert not roots_within(Poly([1, 0, 1]), 0, 0)
+    assert roots_within(Poly([1, 1]) ** 2 * Poly([0, 1]), -1, 0)
+    assert not roots_within(Poly([1, 1]) ** 2 * Poly([0, 1]), Fraction(-1, 2), 0)
+    # closed endpoints: x(x - 1) has its roots at both ends of [0, 1]
+    f = Poly([0, 1]) * Poly([-1, 1])
     assert roots_within(f, 0, 1)
-    assert sturm_count(f, 0, Fraction(1, 2)) == 1 and sturm_count(f, Fraction(1, 2), 1) == 1
-
-
-def test_isolate_requires_real_rooted():
-    with pytest.raises(NotRealRootedError):
-        isolate_roots(Poly([1, 0, 1]))
+    assert not roots_within(f, -1, 0) and not roots_within(f, Fraction(1, 2), 2)
+    # roots (3 +- sqrt(3))/6 of 1 - 6x + 6x^2, one on each side of 1/2
+    f = Poly([1, -6, 6])
+    assert roots_within(f, 0, 1)
+    assert not roots_within(f, 0, Fraction(1, 2)) and not roots_within(f, Fraction(1, 2), 1)
+    # +-sqrt(2) lies between 1.41 and 1.42
+    f = Poly([-2, 0, 1])
+    assert roots_within(f, Fraction(-142, 100), Fraction(142, 100))
+    assert not roots_within(f, Fraction(-141, 100), Fraction(142, 100))
+    assert not roots_within(f, 0, POS_INF)
 
 
 def test_interlace_trivial_cases():
@@ -400,9 +360,93 @@ def test_nonneg_check_agrees_with_sampling(coeffs):
     assert check_nonneg_on_reals(p) == (negative_witness(p) is None)
 
 
-
-
 def test_count_distinct():
     assert count_distinct_real_roots(Poly([1, 2, 1])) == 1
     assert count_distinct_real_roots(Poly([1, 0, 1])) == 0
     assert count_distinct_real_roots(from_roots([0, 1, 2, 3])) == 4
+    assert count_distinct_real_roots(Poly([1, 1]) ** 2 * Poly([0, 1])) == 2
+    assert count_distinct_real_roots(Poly([-2, 0, 1]) ** 3 * Poly([1, 0, 1])) == 2
+    assert count_distinct_real_roots(Poly([5])) == 0
+    with pytest.raises(ZeroPolynomialError):
+        count_distinct_real_roots(ZERO)
+
+
+# -- the Yun route, kept as the oracle of the one-chain route ------------------
+
+# x^2 + 1 and x^2 + x + 1 have no real root
+_NONREAL = (Poly([1, 0, 1]), Poly([1, 1, 1]))
+_polys = st.builds(
+    _product,
+    st.lists(
+        st.tuples(st.one_of(_linear, st.sampled_from(_QUADRATICS + _NONREAL)), st.integers(1, 3)),
+        max_size=4,
+    ),
+    _leads,
+)
+_endpoints = st.one_of(
+    st.sampled_from((NEG_INF, POS_INF)), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+)
+
+
+def test_one_chain_route_matches_yun_route():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_polys, _endpoints, _endpoints)
+    def check(f, a, b):
+        lo, hi = sorted((a, b))
+        real, simple = is_real_rooted(f), is_simple_rooted(f)
+        assert real == root_oracle.is_real_rooted(f)
+        assert simple == root_oracle.is_simple_rooted(f)
+        assert count_distinct_real_roots(f) == root_oracle.count_distinct_real_roots(f)
+        within = None
+        if lo != POS_INF and hi != NEG_INF:
+            within = roots_within(f, lo, hi)
+            assert within == root_oracle.roots_within(f, lo, hi)
+        seen.add((f.degree > 0, real, simple, within))
+
+    check()
+    for key in ((False, True, True, True), (True, False, False, False),
+                (True, True, False, True), (True, True, False, False),
+                (True, True, True, True), (True, True, True, False)):
+        assert key in seen, key
+
+
+def _no_yun(*args, **kwargs):
+    raise AssertionError("real-rootedness ran the Yun route")
+
+
+def test_real_rootedness_reads_one_chain():
+    cases = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_polys)
+    def collect(f):
+        cases.append((f, root_oracle.is_real_rooted(f), root_oracle.is_simple_rooted(f),
+                      root_oracle.count_distinct_real_roots(f)))
+
+    collect()
+    b = b_euler_q(20, 1)
+    cases.append((b, True, True, b.degree))
+    chains = []
+    real_chain = roots.sturm_chain
+
+    def counted_chain(f):
+        chains.append(f)
+        return real_chain(f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("squarefree_decomposition", "squarefree_part", "poly_gcd"):
+            mp.setattr(roots, name, _no_yun)
+            mp.setattr(polynomial, name, _no_yun)
+        mp.setattr(roots, "sturm_chain", counted_chain)
+        for f, real, simple, distinct in cases:
+            for fn, expected in ((is_real_rooted, real), (is_simple_rooted, simple),
+                                 (count_distinct_real_roots, distinct)):
+                chains.clear()
+                assert fn(f) == expected
+                assert chains == [f]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "is_real_rooted", _no_yun)
+        for f, real, _, _ in cases:
+            assert roots_within(f, NEG_INF, POS_INF) == real

@@ -472,7 +472,14 @@ def _add_multiplier_flags(parser) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        # a polynomial after a flag is left over: `polys` was consumed, empty,
+        # together with the entry name
+        if hasattr(args, "polys"):
+            args.polys += [token for token in rest if not token.startswith("-")]
+            rest = [token for token in rest if token.startswith("-")]
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

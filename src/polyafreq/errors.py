@@ -21,9 +21,5 @@ class PreconditionError(PolyafreqError, ValueError):
     """An operation precondition (degree, range, sign, ...) was violated."""
 
 
-class InternalCheckError(PolyafreqError, RuntimeError):
-    """Two independent computation routes disagreed; indicates a defect."""
-
-
 class ResourceLimitError(PolyafreqError, ValueError):
     """An enumeration guard refused a request that would be too large."""

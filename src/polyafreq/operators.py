@@ -3,7 +3,9 @@
 A symbol F(x,z) = sum_k Q_k(x) z^k acts on polynomials as
 phi_F(f) = sum_k Q_k(x) f^(k)(x).  The hypothesis checker decides, exactly
 for z-degree <= 2 and by sampling otherwise, whether the operator's
-rootedness-preservation conditions hold.
+rootedness-preservation conditions hold.  For z-degree 2, condition (i) is
+the sign of the z-discriminant on the reals: one `negative_witness` call
+returns a point where it is negative, or None when it is nonnegative.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import (
 from .polynomial import ONE, Poly, X, ZERO, monomial
 from .roots import (
     InterlaceRelation,
-    check_nonneg_on_reals,
     interlace_relation,
     is_real_rooted,
     negative_witness,
@@ -102,9 +103,9 @@ def _condition_one(F: BivarOp) -> tuple[str, list]:
         return "proved", witnesses
     if F.degree_z == 2:
         disc = F.q(1) * F.q(1) - F.q(0) * F.q(2) * 4
-        if disc.is_zero or check_nonneg_on_reals(disc):
+        xi = None if disc.is_zero else negative_witness(disc)
+        if xi is None:
             return "proved", witnesses
-        xi = negative_witness(disc)
         witnesses.append(("negative z-discriminant at xi", xi))
         return "refuted", witnesses
     for xi in _SAMPLE_GRID:

@@ -27,8 +27,8 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .polynomial import NEG_INF, Poly
-from .roots import roots_within
+from .polynomial import Poly
+from .roots import is_real_rooted
 
 #: Most minors one `minors_nonneg` call evaluates: the admissible minors of
 #: every order plus its table of all 2 x 2 minors of the window.
@@ -290,7 +290,8 @@ def is_pf_finite(f: Poly) -> bool:
         return True
     if any(c < 0 for c in f.coeffs):
         return False
-    return roots_within(f, NEG_INF, 0)
+    # nonnegative coefficients leave no positive root
+    return is_real_rooted(f)
 
 
 def is_log_concave(s) -> bool:

@@ -356,34 +356,6 @@ def squarefree_part(f: Poly) -> Poly:
     return monic(f.exact_divide(poly_gcd(f, f.derivative())))
 
 
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun decomposition: pairs (g, m) with f = lc * prod g^m.
-
-    The returned g are monic, square-free, pairwise coprime, and listed with
-    strictly increasing multiplicity m.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("square-free decomposition of zero")
-    if len(f.nums) == 1:
-        return []
-    fm = monic(f)
-    d = poly_gcd(fm, fm.derivative())
-    if d.degree == 0:
-        return [(fm, 1)]
-    out: list[tuple[Poly, int]] = []
-    b = fm.exact_divide(d)
-    z = fm.derivative().exact_divide(d) - b.derivative()
-    m = 1
-    while b.degree > 0:
-        g = poly_gcd(b, z)
-        if g.degree > 0:
-            out.append((g, m))
-        b = b.exact_divide(g)
-        z = z.exact_divide(g) - b.derivative()
-        m += 1
-    return out
-
-
 def root_multiplicity(f: Poly, x0: RationalLike) -> int:
     """Multiplicity of the rational point x0 as a root of f."""
     if f.is_zero:

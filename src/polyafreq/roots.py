@@ -5,11 +5,14 @@ f, f', -rem, ... ends at gcd(f, f'), so it counts the distinct real roots of
 f at any two points that are not roots, and f is real-rooted exactly when
 that count equals deg f - deg gcd(f, f').  Interlacing is decided from a
 Cauchy index, which the signed remainder sequence of the two coprime parts
-gives from leading signs and degrees alone, with no evaluation.  Only root
-dominance and the sample points of `sample_points_between_roots` isolate
-roots, by interval bisection in the half-open convention (lo, hi], which
-makes counts additive under splitting; closed-interval questions test
-endpoints by exact evaluation.
+gives from leading signs and degrees alone, with no evaluation.
+
+The one bisection in the package is `sample_points_between_roots`: it splits
+(-B, B] in the half-open convention (lo, hi], which makes counts additive
+under splitting, and returns one sorted point in each root-free interval.
+Root dominance compares Descartes counts of f and g at those points of fg,
+and the sign of p on the reals is its sign at those points of p.  Closed
+interval questions test endpoints by exact evaluation.
 
 Sturm chains are built in Python `int` by a primitive pseudo-remainder
 sequence, and their members are evaluated at rational points by integer
@@ -21,12 +24,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .errors import (
-    InternalCheckError,
-    NotRealRootedError,
-    PreconditionError,
-    ZeroPolynomialError,
-)
+from .errors import NotRealRootedError, PreconditionError, ZeroPolynomialError
 from .polynomial import (
     ExtendedRational,
     NEG_INF,
@@ -34,13 +32,10 @@ from .polynomial import (
     Poly,
     poly_gcd,
     root_multiplicity,
-    squarefree_decomposition,
     squarefree_part,
     _primitive,
     _primitive_remainder,
 )
-
-_REFINE_CAP = 100_000
 
 
 # -- Sturm chains ------------------------------------------------------------
@@ -106,10 +101,6 @@ def _root_summary(f: Poly, what: str) -> tuple[int, int]:
     return _chain_count(chain, -B, B), chain[-1].degree
 
 
-def count_distinct_real_roots(f: Poly) -> int:
-    return _root_summary(f, "root count")[0]
-
-
 def is_real_rooted(f: Poly) -> bool:
     """All complex roots real; constants count as real-rooted."""
     distinct, gcd_degree = _root_summary(f, "real-rootedness")
@@ -158,92 +149,6 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
     return inside == total
 
 
-# -- isolation ---------------------------------------------------------------
-
-
-def _isolate_squarefree(g: Poly, chain: list[Poly] | None = None) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint sorted (lo, hi) pairs isolating the real roots of square-free g.
-
-    Interval endpoints are never roots of g; a rational root is returned as a
-    degenerate pair (r, r).
-    """
-    if len(g.coeffs) <= 2:
-        if len(g.coeffs) == 2:
-            r = -g.coeffs[0] / g.coeffs[1]
-            return [(r, r)]
-        return []
-    if chain is None:
-        chain = sturm_chain(g)
-    B = cauchy_root_bound(g)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-B, B, _chain_count(chain, -B, B))]
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            if g(hi) == 0:
-                out.append((hi, hi))
-            else:
-                out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        left = _chain_count(chain, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, cnt - left))
-    out.sort()
-    return out
-
-
-def _halve(g: Poly, chain: list[Poly], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """One bisection step on an isolating interval for g."""
-    if lo == hi:
-        return lo, hi
-    mid = (lo + hi) / 2
-    if g(mid) == 0:
-        return mid, mid
-    if _chain_count(chain, lo, mid) == 1:
-        return lo, mid
-    return mid, hi
-
-
-def _boxes_disjoint(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
-    alo, ahi = a
-    blo, bhi = b
-    if alo == ahi and blo == bhi:
-        return alo != blo
-    if alo == ahi:
-        return not blo < alo < bhi
-    if blo == bhi:
-        return not alo < blo < ahi
-    return ahi <= blo or bhi <= alo
-
-
-def _separate_all(entries: list[list]) -> None:
-    """Refine (box, poly, chain) entries in place until boxes are pairwise disjoint."""
-    for _ in range(_REFINE_CAP):
-        dirty = False
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if not _boxes_disjoint(entries[i][0], entries[j][0]):
-                    for e in (entries[i], entries[j]):
-                        e[0] = _halve(e[1], e[2], *e[0])
-                    dirty = True
-        if not dirty:
-            return
-    raise InternalCheckError("root box separation failed to converge")
-
-
-def _count_in_open(g: Poly, chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots of g strictly inside (lo, hi)."""
-    if lo == hi:
-        return 0
-    n = _chain_count(chain, lo, hi)
-    if g(hi) == 0:
-        n -= 1
-    return n
-
-
 # -- interlacing and dominance ------------------------------------------------
 
 
@@ -254,51 +159,6 @@ class InterlaceRelation(enum.Enum):
     ALTERNATES_LEFT_STRICT = "alternates_left_strict"
     EQUAL_DEGREE_NONE = "equal_degree_none"
     NONE = "none"
-
-
-def _expanded_positions(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
-    """Merged root order of f and g as integer positions.
-
-    Returns (alphas, betas, coprime): the sorted positions, with multiplicity,
-    of the roots of f and of g inside the merged sequence of distinct roots;
-    a common root of f and g occupies one shared position.
-    """
-    sf, sg = squarefree_part(f), squarefree_part(g)
-    c = poly_gcd(sf, sg)
-    u = sf.exact_divide(c) if c.degree > 0 else sf
-    v = sg.exact_divide(c) if c.degree > 0 else sg
-    decomp_f = [(h, m, sturm_chain(h)) for h, m in squarefree_decomposition(f)]
-    decomp_g = [(h, m, sturm_chain(h)) for h, m in squarefree_decomposition(g)]
-
-    entries: list[list] = []
-    tags: list[str] = []
-    for p, tag in ((u, "f"), (v, "g"), (c, "fg")):
-        if p.degree > 0:
-            chain = sturm_chain(p)
-            for box in _isolate_squarefree(p, chain):
-                entries.append([box, p, chain])
-                tags.append(tag)
-    _separate_all(entries)
-    merged = sorted(zip(entries, tags), key=lambda t: t[0][0])
-
-    def mult_in(decomp, box) -> int:
-        lo, hi = box
-        for h, m, chain in decomp:
-            if lo == hi:
-                if h(lo) == 0:
-                    return m
-            elif _count_in_open(h, chain, lo, hi):
-                return m
-        raise InternalCheckError("isolated root not found in its own factorization")
-
-    alphas: list[int] = []
-    betas: list[int] = []
-    for pos, (entry, tag) in enumerate(merged):
-        if "f" in tag:
-            alphas.extend([pos] * mult_in(decomp_f, entry[0]))
-        if "g" in tag:
-            betas.extend([pos] * mult_in(decomp_g, entry[0]))
-    return alphas, betas, c.degree <= 0
 
 
 def _cauchy_index(u: list[int], v: list[int]) -> int:
@@ -382,10 +242,50 @@ def alternates(f: Poly, g: Poly, strict: bool = False) -> bool:
     return len(v) - len(u) <= 1 and abs(_cauchy_index(u, v)) == len(v) - 1
 
 
+
+
+# -- root dominance and global sign, from one set of sample points ------------
+
+
+def sample_points_between_roots(p: Poly) -> list[Fraction]:
+    """One rational point in each maximal root-free interval of p, sorted.
+
+    Bisection on the Sturm chain of the square-free part splits (-B, B] until
+    each piece holds at most one root; a split point that is a root moves
+    towards the right end of its piece, so no point is ever a root and the
+    counts V(lo) - V(hi) are exact.  The points are -B and the right end of
+    every piece that holds a root.
+    """
+    if p.is_zero:
+        raise ZeroPolynomialError("sampling of zero polynomial")
+    sf = squarefree_part(p)
+    chain = sturm_chain(sf)
+    B = cauchy_root_bound(sf)
+    points = [-B]
+    stack = [(-B, _variations(chain, -B), B, _variations(chain, B))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            points.append(hi)
+        if v_lo - v_hi <= 1:
+            continue
+        mid = (lo + hi) / 2
+        while sf(mid) == 0:
+            mid = (mid + hi) / 2
+        v_mid = _variations(chain, mid)
+        stack.append((mid, v_mid, hi, v_hi))
+        stack.append((lo, v_lo, mid, v_mid))
+    return points
+
+
 def root_dominance(f: Poly, g: Poly) -> bool:
     """True iff the i-th smallest roots satisfy alpha_i <= beta_i for all i.
 
-    Both inputs must be standard, real-rooted and of equal degree.
+    Both inputs must be standard, real-rooted and of equal degree.  That
+    holds exactly when f has at most as many roots above t as g at every t,
+    and both counts are constant between the roots of fg.  The roots of a
+    real-rooted f above t are counted exactly by Descartes' rule on
+    f(x + t), whose coefficients are f(t), f'(t), ..., f^(n)(t) up to k!.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("root dominance needs nonzero polynomials")
@@ -395,57 +295,12 @@ def root_dominance(f: Poly, g: Poly) -> bool:
         raise PreconditionError("root dominance needs positive leading coefficients")
     if not is_real_rooted(f) or not is_real_rooted(g):
         raise NotRealRootedError("root dominance needs real-rooted polynomials")
-    alphas, betas, _ = _expanded_positions(f, g)
-    return all(a <= b for a, b in zip(alphas, betas))
-
-
-# -- global sign questions -----------------------------------------------------
-
-
-def check_nonneg_on_reals(p: Poly) -> bool:
-    """True iff p(x) >= 0 for every real x."""
-    if p.is_zero:
-        raise ZeroPolynomialError("sign check of zero polynomial")
-    deg = len(p.coeffs) - 1
-    if deg == 0:
-        return p.coeffs[0] > 0
-    if deg % 2 == 1 or p.leading < 0:
-        return False
+    f_derivs = [f.derivative(k) for k in range(f.degree + 1)]
+    g_derivs = [g.derivative(k) for k in range(g.degree + 1)]
     return all(
-        count_distinct_real_roots(g) == 0
-        for g, m in squarefree_decomposition(p)
-        if m % 2 == 1
+        _variations(f_derivs, t) <= _variations(g_derivs, t)
+        for t in sample_points_between_roots(f * g)
     )
-
-
-def sample_points_between_roots(p: Poly) -> list[Fraction]:
-    """Rational sample points hitting every maximal root-free interval of p."""
-    if p.is_zero:
-        raise ZeroPolynomialError("sampling of zero polynomial")
-    if len(p.coeffs) == 1:
-        return [Fraction(0)]
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-    boxes = _isolate_squarefree(sf, chain)
-    if not boxes:
-        return [Fraction(0)]
-    B = cauchy_root_bound(sf)
-    points = [-B, B]
-    for k in range(len(boxes) - 1):
-        left, right = boxes[k], boxes[k + 1]
-        for _ in range(_REFINE_CAP):
-            if left[1] < right[0]:
-                points.append((left[1] + right[0]) / 2)
-                break
-            if left[1] == right[0] and left[0] != left[1] and right[0] != right[1]:
-                points.append(left[1])
-                break
-            left = _halve(sf, chain, *left)
-            right = _halve(sf, chain, *right)
-        else:
-            raise InternalCheckError("sample point search failed to converge")
-        boxes[k + 1] = right
-    return points
 
 
 def negative_witness(p: Poly) -> Fraction | None:
@@ -455,3 +310,9 @@ def negative_witness(p: Poly) -> Fraction | None:
             return x
     return None
 
+
+def check_nonneg_on_reals(p: Poly) -> bool:
+    """True iff p(x) >= 0 for every real x."""
+    if p.is_zero:
+        raise ZeroPolynomialError("sign check of zero polynomial")
+    return negative_witness(p) is None

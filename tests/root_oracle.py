@@ -1,25 +1,63 @@
-"""The Yun-plus-evaluation route to real-rootedness, kept as an oracle.
+"""Retired root routes of `polyafreq.roots`, kept as oracles.
 
-`polyafreq.roots` answers every real-rootedness question from the one Sturm
-chain of f.  The route here is the one it replaced: the Yun square-free
+The Yun-plus-evaluation route to real-rootedness: the Yun square-free
 decomposition of f, one Sturm chain per square-free factor evaluated at the
 Cauchy bound, the multiplicities summed, and a separate gcd(f, f') for
 simple roots.  `roots_within` decides real-rootedness first and then counts
-on the chain of the square-free part.
+on the chain of the square-free part.  `polyafreq.roots` answers all of these
+from the one Sturm chain of f.
+
+The pairwise box-separation isolator: the roots of u = f/c, v = g/c and
+c = gcd(f, g) are isolated in boxes, the boxes halved pairwise until they
+are disjoint, and each box matched to its multiplicity in the Yun
+decompositions of f and g.  `root_dominance` compared the merged positions,
+and `check_nonneg_on_reals` counted the real roots of the factors of odd
+multiplicity.  `polyafreq.roots` answers both from the sorted points of one
+bisection.
 """
 
 from fractions import Fraction
 
-from polyafreq.errors import ZeroPolynomialError
+from polyafreq.errors import NotRealRootedError, PreconditionError, ZeroPolynomialError
 from polyafreq.polynomial import (
     NEG_INF,
     POS_INF,
+    monic,
     poly_gcd,
     root_multiplicity,
-    squarefree_decomposition,
     squarefree_part,
 )
 from polyafreq.roots import _chain_count, cauchy_root_bound, sturm_chain
+
+_REFINE_CAP = 100_000
+
+
+def squarefree_decomposition(f):
+    """Yun decomposition: pairs (g, m) with f = lc * prod g^m.
+
+    The returned g are monic, square-free, pairwise coprime, and listed with
+    strictly increasing multiplicity m.
+    """
+    if f.is_zero:
+        raise ZeroPolynomialError("square-free decomposition of zero")
+    if f.degree == 0:
+        return []
+    fm = monic(f)
+    d = poly_gcd(fm, fm.derivative())
+    if d.degree == 0:
+        return [(fm, 1)]
+    out = []
+    b = fm.exact_divide(d)
+    z = fm.derivative().exact_divide(d) - b.derivative()
+    m = 1
+    while b.degree > 0:
+        g = poly_gcd(b, z)
+        if g.degree > 0:
+            out.append((g, m))
+        b = b.exact_divide(g)
+        z = z.exact_divide(g) - b.derivative()
+        m += 1
+    return out
 
 
 def count_distinct_real_roots(f):
@@ -67,3 +105,158 @@ def roots_within(f, lo, hi):
     if lo != NEG_INF and f(lo) == 0:
         inside += 1
     return inside == total
+
+
+# -- the pairwise box-separation isolator ------------------------------------------
+
+
+def _isolate_squarefree(g, chain):
+    """Disjoint sorted (lo, hi) pairs isolating the real roots of square-free g.
+
+    Interval endpoints are never roots of g; a rational root is returned as a
+    degenerate pair (r, r).
+    """
+    if g.degree == 0:
+        return []
+    if g.degree == 1:
+        r = -g.coeffs[0] / g.coeffs[1]
+        return [(r, r)]
+    B = cauchy_root_bound(g)
+    out = []
+    stack = [(-B, B, _chain_count(chain, -B, B))]
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append((hi, hi) if g(hi) == 0 else (lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        left = _chain_count(chain, lo, mid)
+        stack.append((lo, mid, left))
+        stack.append((mid, hi, cnt - left))
+    return sorted(out)
+
+
+def _halve(g, chain, lo, hi):
+    """One bisection step on an isolating interval for g."""
+    if lo == hi:
+        return lo, hi
+    mid = (lo + hi) / 2
+    if g(mid) == 0:
+        return mid, mid
+    if _chain_count(chain, lo, mid) == 1:
+        return lo, mid
+    return mid, hi
+
+
+def _boxes_disjoint(a, b):
+    alo, ahi = a
+    blo, bhi = b
+    if alo == ahi and blo == bhi:
+        return alo != blo
+    if alo == ahi:
+        return not blo < alo < bhi
+    if blo == bhi:
+        return not alo < blo < ahi
+    return ahi <= blo or bhi <= alo
+
+
+def _separate_all(entries):
+    """Refine (box, poly, chain) entries in place until boxes are pairwise disjoint."""
+    for _ in range(_REFINE_CAP):
+        dirty = False
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                if not _boxes_disjoint(entries[i][0], entries[j][0]):
+                    for e in (entries[i], entries[j]):
+                        e[0] = _halve(e[1], e[2], *e[0])
+                    dirty = True
+        if not dirty:
+            return
+    raise AssertionError("root box separation failed to converge")
+
+
+def _count_in_open(g, chain, lo, hi):
+    """Distinct roots of g strictly inside (lo, hi)."""
+    if lo == hi:
+        return 0
+    n = _chain_count(chain, lo, hi)
+    if g(hi) == 0:
+        n -= 1
+    return n
+
+
+def _expanded_positions(f, g):
+    """Merged root order of f and g as integer positions.
+
+    Returns (alphas, betas, coprime): the sorted positions, with multiplicity,
+    of the roots of f and of g inside the merged sequence of distinct roots;
+    a common root of f and g occupies one shared position.
+    """
+    sf, sg = squarefree_part(f), squarefree_part(g)
+    c = poly_gcd(sf, sg)
+    u = sf.exact_divide(c) if c.degree > 0 else sf
+    v = sg.exact_divide(c) if c.degree > 0 else sg
+    decomp_f = [(h, m, sturm_chain(h)) for h, m in squarefree_decomposition(f)]
+    decomp_g = [(h, m, sturm_chain(h)) for h, m in squarefree_decomposition(g)]
+
+    entries = []
+    tags = []
+    for p, tag in ((u, "f"), (v, "g"), (c, "fg")):
+        if p.degree > 0:
+            chain = sturm_chain(p)
+            for box in _isolate_squarefree(p, chain):
+                entries.append([box, p, chain])
+                tags.append(tag)
+    _separate_all(entries)
+    merged = sorted(zip(entries, tags), key=lambda t: t[0][0])
+
+    def mult_in(decomp, box):
+        lo, hi = box
+        for h, m, chain in decomp:
+            if lo == hi:
+                if h(lo) == 0:
+                    return m
+            elif _count_in_open(h, chain, lo, hi):
+                return m
+        raise AssertionError("isolated root not found in its own factorization")
+
+    alphas = []
+    betas = []
+    for pos, (entry, tag) in enumerate(merged):
+        if "f" in tag:
+            alphas.extend([pos] * mult_in(decomp_f, entry[0]))
+        if "g" in tag:
+            betas.extend([pos] * mult_in(decomp_g, entry[0]))
+    return alphas, betas, c.degree <= 0
+
+
+def root_dominance(f, g):
+    """alpha_i <= beta_i for the i-th smallest roots, from merged positions."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomialError("root dominance needs nonzero polynomials")
+    if f.degree != g.degree:
+        raise PreconditionError("root dominance needs equal degrees")
+    if not (f.is_standard and g.is_standard):
+        raise PreconditionError("root dominance needs positive leading coefficients")
+    if not is_real_rooted(f) or not is_real_rooted(g):
+        raise NotRealRootedError("root dominance needs real-rooted polynomials")
+    alphas, betas, _ = _expanded_positions(f, g)
+    return all(a <= b for a, b in zip(alphas, betas))
+
+
+def check_nonneg_on_reals(p):
+    """p >= 0 on the reals: even degree, positive leading coefficient and no
+    real root of odd multiplicity."""
+    if p.is_zero:
+        raise ZeroPolynomialError("sign check of zero polynomial")
+    if p.degree == 0:
+        return p.coeffs[0] > 0
+    if p.degree % 2 == 1 or p.leading < 0:
+        return False
+    return all(
+        count_distinct_real_roots(g) == 0
+        for g, m in squarefree_decomposition(p)
+        if m % 2 == 1
+    )

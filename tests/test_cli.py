@@ -282,6 +282,36 @@ def test_multisect_offset_defaults_to_zero(capsys):
     assert code == 0 and json.loads(out) == {"coeffs": ["1", "6", "1"]}
 
 
+_Q = '{"coeffs":["0","-1","1"]}'  # x^2 - x, roots 0 and 1
+
+
+@pytest.mark.parametrize("argv, moved", [
+    # the same query with the polynomials first, then after or between flags
+    (("op", "multisect", _Q, "--step", "2"), ("op", "multisect", "--step", "2", _Q)),
+    (("check", "interval", _Q, "--lo", "0", "--hi", "1"),
+     ("check", "interval", "--lo", "0", "--hi", "1", _Q)),
+    (("op", "dot", _P, _Q, "--alpha", "0", "--beta", "1"),
+     ("op", "dot", _P, "--alpha", "0", _Q, "--beta", "1")),
+    (("op", "dot", _P, _Q, "--alpha", "0", "--beta", "1"),
+     ("op", "dot", "--alpha", "0", _P, "--beta", "1", _Q)),
+])
+def test_polynomial_after_a_flag(capsys, argv, moved):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert run_cli(capsys, *moved) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("op", "multisect", "--step", "2", _Q, "--bogus"),
+    ("op", "multisect", "--step", "2", _Q, "-1/2"),
+    ("gen", "eulerian", "--n", "3", _Q),
+    ("verify", "chain-6", _Q),
+])
+def test_other_leftovers_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "thm-4-2", "--max-n", "-1"),
     ("verify", "cor-6-10", "--max-n", "-2"),

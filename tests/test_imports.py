@@ -1,10 +1,11 @@
 """Static checks on the package source, by `ast`.
 
 Every name that a module imports is used in that module: an import binds a
-name, and the module must read that name somewhere.  Every public top-level
-function and class is read by package code other than its own definition,
-so a helper that no suite or command reaches cannot stay.  `__init__.py` is
-left out of both, since it imports names only to re-export them.
+name, and the module must read that name somewhere.  Every top-level
+function, class and module constant, private or public, is read by package
+code other than its own definition, so a helper or a setting that no suite
+or command reaches cannot stay.  `__init__.py` is left out of both, since it
+imports names only to re-export them.
 """
 
 import ast
@@ -52,25 +53,37 @@ def _read_names(node) -> set[str]:
     return names
 
 
+def _defined_names(node) -> list[str]:
+    """Names that a top-level statement defines: a function, a class or constants."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def unread_definitions(sources: list[str]) -> list[str]:
-    """Public top-level functions and classes that no other statement reads."""
+    """Top-level functions, classes and constants that no other statement reads."""
     defined, read = set(), set()
     for source in sources:
         for node in ast.parse(source).body:
             names = _read_names(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.add(node.name)
-                names.discard(node.name)
+            for name in _defined_names(node):
+                defined.add(name)
+                names.discard(name)
             read |= names
     return sorted(defined - read)
 
 
 def test_checker_finds_unread_definitions():
     sources = [
-        "def used(): pass\ndef unused(): return unused()\nclass Box: pass\ndef _private(): pass\n",
-        "import m\nused()\nm.Box\n",
+        "def used(): pass\ndef unused(): return unused()\nclass Box: pass\n"
+        "def _private(): pass\ndef _helper(): pass\n_CAP = 10\nLIMIT: int = 2\nN = N0 = 1\n",
+        "import m\nused()\nm.Box\n_helper()\nN0\n",
     ]
-    assert unread_definitions(sources) == ["unused"]
+    assert unread_definitions(sources) == ["LIMIT", "N", "_CAP", "_private", "unused"]
 
 
 def test_every_public_definition_is_read():

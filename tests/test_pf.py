@@ -18,7 +18,8 @@ from polyafreq.pf import (
     minors_nonneg,
     pf_window_report,
 )
-from polyafreq.polynomial import Poly, ZERO
+from polyafreq.polynomial import NEG_INF, Poly, ZERO
+from polyafreq.roots import roots_within
 
 
 def from_roots(roots, lead=1):
@@ -110,6 +111,25 @@ def test_is_pf_finite():
     assert is_pf_finite(ZERO)
     assert is_pf_finite(Poly([3]))
     assert not is_pf_finite(Poly([0, -1]))
+
+
+_nonneg_coeffs = st.lists(st.fractions(min_value=0, max_value=6, max_denominator=3), max_size=7)
+_near_nonpositive_roots = st.lists(st.fractions(min_value=-3, max_value=1, max_denominator=3), max_size=5)
+
+
+def test_pf_finite_matches_roots_within_route():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(_nonneg_coeffs.map(Poly), _near_nonpositive_roots.map(from_roots)))
+    def check(f):
+        nonneg = all(c >= 0 for c in f.coeffs)
+        expected = f.is_zero or (nonneg and roots_within(f, NEG_INF, 0))
+        assert is_pf_finite(f) == expected
+        seen.add((nonneg, expected))
+
+    check()
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_pf_implies_tp_window():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poly_oracle import content, primitive_part
+from root_oracle import squarefree_decomposition
 from polyafreq.errors import ExactDivisionError, ZeroPolynomialError
 from polyafreq.polynomial import (
     NEG_INF,
@@ -15,7 +16,6 @@ from polyafreq.polynomial import (
     monomial,
     poly_gcd,
     root_multiplicity,
-    squarefree_decomposition,
     squarefree_part,
     unitize_with_degree,
 )

@@ -15,7 +15,6 @@ from polyafreq.roots import (
     InterlaceRelation,
     alternates,
     check_nonneg_on_reals,
-    count_distinct_real_roots,
     interlace_relation,
     is_real_rooted,
     is_simple_rooted,
@@ -181,7 +180,7 @@ def _classify(alphas: list[int], betas: list[int], coprime: bool) -> IR:
 
 def isolation_relations(f, g):
     """The relations of (f, g) and of (g, f) by isolating and merging roots."""
-    alphas, betas, coprime = roots._expanded_positions(f, g)
+    alphas, betas, coprime = root_oracle._expanded_positions(f, g)
     return _classify(alphas, betas, coprime), _classify(betas, alphas, coprime)
 
 
@@ -272,8 +271,7 @@ def test_interlacing_isolates_no_root():
 
     collect()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(roots, "_isolate_squarefree", _no_isolation)
-        mp.setattr(roots, "_separate_all", _no_isolation)
+        mp.setattr(roots, "sample_points_between_roots", _no_isolation)
         for (f, g), relation, either in pairs:
             assert interlace_relation(f, g) == relation
             assert alternates(f, g) == either
@@ -360,15 +358,19 @@ def test_nonneg_check_agrees_with_sampling(coeffs):
     assert check_nonneg_on_reals(p) == (negative_witness(p) is None)
 
 
+def distinct_real_roots(f):
+    return roots._root_summary(f, "root count")[0]
+
+
 def test_count_distinct():
-    assert count_distinct_real_roots(Poly([1, 2, 1])) == 1
-    assert count_distinct_real_roots(Poly([1, 0, 1])) == 0
-    assert count_distinct_real_roots(from_roots([0, 1, 2, 3])) == 4
-    assert count_distinct_real_roots(Poly([1, 1]) ** 2 * Poly([0, 1])) == 2
-    assert count_distinct_real_roots(Poly([-2, 0, 1]) ** 3 * Poly([1, 0, 1])) == 2
-    assert count_distinct_real_roots(Poly([5])) == 0
+    assert distinct_real_roots(Poly([1, 2, 1])) == 1
+    assert distinct_real_roots(Poly([1, 0, 1])) == 0
+    assert distinct_real_roots(from_roots([0, 1, 2, 3])) == 4
+    assert distinct_real_roots(Poly([1, 1]) ** 2 * Poly([0, 1])) == 2
+    assert distinct_real_roots(Poly([-2, 0, 1]) ** 3 * Poly([1, 0, 1])) == 2
+    assert distinct_real_roots(Poly([5])) == 0
     with pytest.raises(ZeroPolynomialError):
-        count_distinct_real_roots(ZERO)
+        distinct_real_roots(ZERO)
 
 
 # -- the Yun route, kept as the oracle of the one-chain route ------------------
@@ -398,7 +400,7 @@ def test_one_chain_route_matches_yun_route():
         real, simple = is_real_rooted(f), is_simple_rooted(f)
         assert real == root_oracle.is_real_rooted(f)
         assert simple == root_oracle.is_simple_rooted(f)
-        assert count_distinct_real_roots(f) == root_oracle.count_distinct_real_roots(f)
+        assert distinct_real_roots(f) == root_oracle.count_distinct_real_roots(f)
         within = None
         if lo != POS_INF and hi != NEG_INF:
             within = roots_within(f, lo, hi)
@@ -436,13 +438,13 @@ def test_real_rootedness_reads_one_chain():
         return real_chain(f)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("squarefree_decomposition", "squarefree_part", "poly_gcd"):
+        for name in ("squarefree_part", "poly_gcd"):
             mp.setattr(roots, name, _no_yun)
             mp.setattr(polynomial, name, _no_yun)
         mp.setattr(roots, "sturm_chain", counted_chain)
         for f, real, simple, distinct in cases:
             for fn, expected in ((is_real_rooted, real), (is_simple_rooted, simple),
-                                 (count_distinct_real_roots, distinct)):
+                                 (distinct_real_roots, distinct)):
                 chains.clear()
                 assert fn(f) == expected
                 assert chains == [f]
@@ -450,3 +452,94 @@ def test_real_rootedness_reads_one_chain():
         mp.setattr(roots, "is_real_rooted", _no_yun)
         for f, real, _, _ in cases:
             assert roots_within(f, NEG_INF, POS_INF) == real
+
+
+# -- the one bisection, against the isolation route --------------------------------
+
+# 0 is the first split point of (-B, B], and -1/2 a later one for some B
+_split_roots = st.sampled_from((Fraction(0), Fraction(-1, 2))).map(lambda r: Poly([-r, 1]))
+_real_linear = st.one_of(_split_roots, _linear)
+_real_factor = st.one_of(_real_linear, st.sampled_from(_QUADRATICS))
+_positive = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
+
+
+def _same_degree(h):
+    """Real-rooted factors of the degree of h."""
+    if h.degree == 1:
+        return _real_linear
+    return st.one_of(st.sampled_from(_QUADRATICS), st.builds(Poly.__mul__, _real_linear, _real_linear))
+
+
+@st.composite
+def dominance_pairs(draw):
+    """Standard real-rooted (f, g) of equal degree, with repeated, shared and
+    irrational roots.  A "shift" moves every root of f right by s >= 0, so f
+    dominates g; a "replace" swaps each factor of f for one of its degree."""
+    factors = draw(st.lists(st.tuples(_real_factor, st.integers(1, 2)), max_size=3))
+    f = _product(factors, draw(_positive))
+    if draw(st.booleans()):
+        s = draw(st.fractions(min_value=0, max_value=2, max_denominator=4))
+        g = f.affine_compose(1, -s).scale(draw(_positive))
+    else:
+        g = _product([(draw(_same_degree(h)), m) for h, m in factors], draw(_positive))
+    shared = _product(draw(st.lists(st.tuples(_real_linear, st.integers(1, 2)), max_size=1)))
+    f, g = f * shared, g * shared
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+def test_root_dominance_matches_isolation_route():
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dominance_pairs())
+    def check(pair):
+        f, g = pair
+        verdict = root_dominance(f, g)
+        assert verdict == root_oracle.root_dominance(f, g)
+        seen[verdict] += 1
+
+    check()
+    assert seen[True] >= 50 and seen[False] >= 50, seen
+
+
+_sign_polys = st.builds(
+    _product,
+    st.lists(
+        st.tuples(st.one_of(_real_linear, st.sampled_from(_QUADRATICS + _NONREAL)), st.integers(1, 3)),
+        max_size=4,
+    ),
+    _leads,
+)
+
+
+def test_sign_check_matches_yun_route():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_sign_polys)
+    def check(p):
+        nonneg = root_oracle.check_nonneg_on_reals(p)
+        witness = negative_witness(p)
+        assert check_nonneg_on_reals(p) == nonneg == (witness is None)
+        if witness is not None:
+            assert p(witness) < 0
+        seen.add((p.degree > 0, nonneg))
+
+    check()
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_sample_points_separate_the_roots():
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_sign_polys)
+    def check(p):
+        points = roots.sample_points_between_roots(p)
+        assert points == sorted(set(points))
+        assert all(p(t) != 0 for t in points)
+        # with k distinct roots, k + 1 points and one root between neighbours
+        # leave exactly one point below, between and above the roots
+        assert len(points) == root_oracle.count_distinct_real_roots(p) + 1
+        chain = roots.sturm_chain(polynomial.squarefree_part(p))
+        assert all(roots._chain_count(chain, a, b) == 1 for a, b in zip(points, points[1:]))
+
+    check()

@@ -1,14 +1,16 @@
 """Combinatorial polynomial families and their enumeration oracles.
 
-Every family has a closed-form or recursive generator; where an oracle by
-brute-force enumeration exists (descent counts over the symmetric group,
-signed permutations, stack sorting), equality of the two routes is a test,
-not an assumption of the generators.
+Every family has a closed-form or recursive generator.  Over the symmetric
+group (descent and excedance counts, stack sorting) a guarded brute-force
+enumeration is kept beside it as an oracle, and equality of the two routes
+is a test, not an assumption of the generators.  Type-B descent statistics
+are counted by descent sets in O(n^2) terms (`signed_descent_poly`), not by
+listing the 2^n n! signed permutations; that route never calls the
+W-transform, so it still checks the W route of the type-B families.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +18,7 @@ from fractions import Fraction
 from .config import EnumGuards
 from .errors import PreconditionError, ResourceLimitError
 from .polynomial import Poly, ZERO, binom, monomial, unitize_with_degree
-from .transforms import w_transform
+from .transforms import e_transform, w_transform
 
 X = Poly([0, 1])
 XP1 = Poly([1, 1])
@@ -106,12 +108,17 @@ def eulerian_t_poly(n: int, t) -> Poly:
 
 
 def stack_sort(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """One pass of the recursive stack sort s(L n R) = s(L) s(R) n."""
-    if len(perm) <= 1:
-        return tuple(perm)
-    top = max(perm)
-    pivot = perm.index(top)
-    return stack_sort(perm[:pivot]) + stack_sort(perm[pivot + 1 :]) + (top,)
+    """One pass of stack sorting, s(L n R) = s(L) s(R) n: each entry first
+    pops every smaller entry off the top of the stack, then is pushed; the
+    stack is emptied at the end."""
+    out = []
+    stack = []
+    for v in perm:
+        while stack and stack[-1] < v:
+            out.append(stack.pop())
+        stack.append(v)
+    out.extend(reversed(stack))
+    return tuple(out)
 
 
 def is_t_stack_sortable(perm: tuple[int, ...], t: int) -> bool:
@@ -201,105 +208,47 @@ def e_q_poly(n: int, q) -> Poly:
     return e
 
 
-# -- signed permutations -----------------------------------------------------------
+# -- type-B descent statistics ---------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class SignedPerm:
-    """Window of a signed permutation: |values| is a permutation of 1..n."""
+def signed_descent_poly(n: int, negation_weights) -> Poly:
+    """sum over the signed permutations w of 1..n of x^{des_B w} times the
+    weight of the set of letters that w negates, where negation_weights[j]
+    = e_j is the total weight of the j-letter sets (missing entries are 0).
 
-    window: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.window)
-        if sorted(abs(v) for v in self.window) != list(range(1, n + 1)) or 0 in self.window:
-            raise PreconditionError("window must be a signed permutation of 1..n")
-
-    @property
-    def negatives(self) -> int:
-        return sum(1 for v in self.window if v < 0)
-
-    @property
-    def type_b_descents(self) -> int:
-        """Descents of (0, w_1, ..., w_n)."""
-        prev = 0
-        count = 0
-        for v in self.window:
-            if prev > v:
-                count += 1
-            prev = v
-        return count
-
-    @property
-    def negation_pattern(self) -> tuple[int, ...]:
-        """Indicator, per letter 1..n, of whether that letter appears negated."""
-        flags = [0] * len(self.window)
-        for v in self.window:
-            if v < 0:
-                flags[-v - 1] = 1
-        return tuple(flags)
-
-
-def signed_permutations(n: int):
-    for base in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPerm(tuple(s * v for s, v in zip(signs, base)))
-
-
-@dataclasses.dataclass(frozen=True)
-class StatTable:
-    """Per-element statistics (descents, negatives, negation pattern) of the
-    signed permutations of 1..n."""
-
-    n: int
-    rows: tuple[tuple[int, int, tuple[int, ...]], ...]
-
-    def descent_poly(self, q) -> Poly:
-        q = Fraction(q)
-        coeffs = [Fraction(0)] * (self.n + 1)
-        for d, neg, _ in self.rows:
-            coeffs[d] += q ** neg
-        return Poly(coeffs)
-
-    def restricted_descent_poly(self, allowed_negative_counts) -> Poly:
-        allowed = set(allowed_negative_counts)
-        coeffs = [Fraction(0)] * (self.n + 1)
-        for d, neg, _ in self.rows:
-            if neg in allowed:
-                coeffs[d] += 1
-        return Poly(coeffs)
-
-    def weighted_sum(self, qs) -> Poly:
-        """sum over the group of x^{descents} prod q_i^{pattern_i}."""
-        qs = [Fraction(v) for v in qs]
-        if len(qs) != self.n:
-            raise PreconditionError("need one weight per position")
-        coeffs = [Fraction(0)] * (self.n + 1)
-        for d, _, pattern in self.rows:
-            w = Fraction(1)
-            for flag, q in zip(pattern, qs):
-                if flag:
-                    w *= q
-            coeffs[d] += w
-        return Poly(coeffs)
-
-
-def signed_perm_stats(n: int, guards: EnumGuards | None = None) -> StatTable:
-    g = _guards(guards)
-    if n > g.bn_max:
-        raise ResourceLimitError(f"signed enumeration of size {n} exceeds guard {g.bn_max}")
-    rows = tuple(
-        (sp.type_b_descents, sp.negatives, sp.negation_pattern)
-        for sp in signed_permutations(n)
-    )
-    return StatTable(n=n, rows=rows)
+    Counted by descent sets (Stanley, EC1, 1.4), never by enumeration.  The
+    w whose descents (those of 0, w_1, ..., w_n) lie in S increase on each
+    block b_1, ..., b_k that S cuts, and the first block, which follows 0, is
+    positive: by weight there are sum_j e_j C(n-j, b_1) (n-b_1)!/(b_2!...b_k!)
+    of them.  Summed over the S with first block b and r further blocks the
+    multinomials give r! S(n-b, r), and
+        sum_w x^{des_B w} wt(w) = sum_b E_b sum_r r! S(n-b, r) x^r (1-x)^{n-r}
+    with E_b = sum_j e_j C(n-j, b).
+    """
+    if n < 0:
+        raise PreconditionError("signed_descent_poly needs n >= 0")
+    e = [Fraction(v) for v in negation_weights]
+    if len(e) > n + 1:
+        raise PreconditionError(f"need at most {n + 1} negation weights")
+    coeffs = [Fraction(0)] * (n + 1)
+    surjections = [1]  # r! S(m, r) for r = 0..m, here m = 0
+    for m in range(n + 1):  # the first block holds b = n - m letters
+        first_block = sum(ej * math.comb(n - j, n - m) for j, ej in enumerate(e))
+        if first_block:
+            for r, count in enumerate(surjections):
+                coeffs[r] += first_block * count
+        surjections = [0] + [
+            r * (surjections[r - 1] + (surjections[r] if r <= m else 0)) for r in range(1, m + 2)
+        ]
+    return unitize_with_degree(Poly(coeffs), n, sign=-1)
 
 
 # -- type-B Eulerian analogs ---------------------------------------------------------
 
 
 def b_euler_multi(n: int, qs) -> Poly:
-    """W-transform of prod_i ((1+q_i) x + 1)."""
+    """W-transform of prod_i ((1+q_i) x + 1), normalized by n + 1 even where
+    a weight q_i = -1 lowers the degree of the product."""
     if n < 0:
         raise PreconditionError("b_euler_multi needs n >= 0")
     qs = [Fraction(v) for v in qs]
@@ -308,7 +257,7 @@ def b_euler_multi(n: int, qs) -> Poly:
     f = Poly([1])
     for q in qs:
         f = f * Poly([1, 1 + q])
-    return w_transform(f)
+    return unitize_with_degree(e_transform(f), n, sign=-1)
 
 
 def b_euler_q(n: int, q) -> Poly:

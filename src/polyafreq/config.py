@@ -15,9 +15,11 @@ MAX_ENUM_ENV = "POLYAFREQ_MAX_ENUM"
 class EnumGuards:
     """Size limits for brute-force enumeration oracles.
 
-    sn_max bounds symmetric-group enumerations (n! cases), bn_max signed
-    ones (2^n n! cases).  The MAX_ENUM_ENV variable, a positive integer,
-    overrides both.
+    sn_max bounds symmetric-group enumerations (n! cases).  No code
+    enumerates signed permutations any more: bn_max only caps the n of the
+    signed-oracle cases that the `cor-6-10` and `oracle-coherence` suites
+    generate, so their default case lists stay as they were.  The
+    MAX_ENUM_ENV variable, a positive integer, overrides both.
     """
 
     sn_max: int = 9

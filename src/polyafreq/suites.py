@@ -10,6 +10,7 @@ worker pool fan out cases without shared state.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import time
 import zlib
@@ -31,7 +32,7 @@ from .combinatorics import (
     p_dn_poly,
     q_eulerian_oracle,
     q_eulerian_poly,
-    signed_perm_stats,
+    signed_descent_poly,
     surjection_poly,
     t_stack_poly,
     w2_poly,
@@ -62,6 +63,7 @@ from .pf import (
 )
 from .polynomial import (
     NEG_INF,
+    ONE,
     Poly,
     ZERO,
     binom,
@@ -459,10 +461,9 @@ def _eval_subsets(params: dict):
         p = p_bn_subset(n, set(params["subset"]))
         ok = not p.is_zero and is_simple_rooted(p)
         return ok, None if ok else _repro_check("simple", p)
-    table = signed_perm_stats(n)
     for mask in range(2 ** (n + 1)):
         subset = {s for s in range(n + 1) if mask >> s & 1}
-        expected = table.restricted_descent_poly(subset)
+        expected = signed_descent_poly(n, [math.comb(n, j) if j in subset else 0 for j in range(n + 1)])
         if p_bn_subset(n, subset) != expected:
             return False, {"subset": sorted(subset)}
     return True, None
@@ -485,7 +486,8 @@ def _gen_multivariate(cfg: RunConfig) -> list[dict]:
 def _eval_multivariate(params: dict):
     n = params["n"]
     qs = [rational_from_str(t) for t in params["qs"]]
-    ok = b_euler_multi(n, qs) == signed_perm_stats(n).weighted_sum(qs)
+    elementary = math.prod((Poly([1, q]) for q in qs), start=ONE).coeffs
+    ok = b_euler_multi(n, qs) == signed_descent_poly(n, elementary)
     return ok, None
 
 
@@ -797,8 +799,10 @@ def _eval_oracles(params: dict):
         )
         return ok, None
     if kind == "b-marginal":
-        table = signed_perm_stats(n)
-        ok = all(table.descent_poly(q) == b_euler_q(n, q) for q in (0, 1, 2))
+        ok = all(
+            signed_descent_poly(n, [math.comb(n, j) * q**j for j in range(n + 1)]) == b_euler_q(n, q)
+            for q in (0, 1, 2)
+        )
         return ok, None
     if kind == "pdn-palindrome":
         p = p_dn_poly(n)

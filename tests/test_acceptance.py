@@ -16,13 +16,14 @@ import time
 from fractions import Fraction
 
 from polyafreq.cli import main
-from polyafreq.combinatorics import fz_h_poly, signed_perm_stats, weyl_combination
+from polyafreq.combinatorics import fz_h_poly, weyl_combination
 from polyafreq.config import RunConfig
 from polyafreq.jsonio import poly_from_json
 from polyafreq.polynomial import Poly
 from polyafreq.suites import run_suite
 
 from boundary_cases import boundary_ids
+from combinatorics_oracle import signed_perm_stats
 
 XP1 = Poly([1, 1])
 

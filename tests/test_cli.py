@@ -164,6 +164,23 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_multivariate_identity_past_the_enumeration_range(capsys):
+    # thm-6-5 counts signed descents by descent sets, so no signed
+    # enumeration (2^10 10! elements at n = 10) bounds its size
+    code, out, _ = run_cli(capsys, "verify", "thm-6-5", "--max-n", "10")
+    payload = json.loads(out)
+    assert code == 0 and payload["exit_code"] == 0
+    assert len(payload["cases"]) == 30
+    assert all(c["verdict"] == "pass" for c in payload["cases"])
+
+
+def test_gen_b_euler_at_weight_minus_one(capsys):
+    code, out, _ = run_cli(capsys, "gen", "b_euler", "--n", "3", "--q", "-1")
+    assert code == 0 and json.loads(out) == {"coeffs": ["1", "-3", "3", "-1"]}
+    code, out, _ = run_cli(capsys, "gen", "b_euler_multi", "--n", "2", "--qs=-1,-1")
+    assert code == 0 and json.loads(out) == {"coeffs": ["1", "-2", "1"]}
+
+
 def test_verify_deterministic_reports(capsys):
     code, out1, _ = run_cli(capsys, "verify", "thm-6-5", "--max-n", "3", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "verify", "thm-6-5", "--max-n", "3", "--seed", "7")
@@ -239,7 +256,7 @@ def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
     monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "abc")
     for argv in (
         ("verify", "oracle-coherence"),
-        ("verify", "thm-6-5", "--max-n", "1"),  # only its evaluator reads the guard
+        ("verify", "thm-6-5", "--max-n", "1"),  # none of its cases reads the guard
         ("gen", "t_stack", "--n", "3", "--t", "1"),
     ):
         code, _, err = run_cli(capsys, *argv)

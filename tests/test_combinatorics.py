@@ -1,11 +1,14 @@
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyafreq.config import EnumGuards
 from polyafreq.errors import PreconditionError, ResourceLimitError
 from polyafreq.combinatorics import (
-    SignedPerm,
     b_euler_multi,
     b_euler_q,
     cycle_count,
@@ -24,7 +27,7 @@ from polyafreq.combinatorics import (
     p_dn_poly,
     q_eulerian_oracle,
     q_eulerian_poly,
-    signed_perm_stats,
+    signed_descent_poly,
     stack_sort,
     surjection_poly,
     t_stack_poly,
@@ -33,6 +36,7 @@ from polyafreq.combinatorics import (
 )
 from polyafreq.operators import hadamard_product
 from polyafreq.polynomial import (
+    ONE,
     Poly,
     ZERO,
     binom,
@@ -41,6 +45,9 @@ from polyafreq.polynomial import (
 )
 from polyafreq.roots import is_real_rooted, is_simple_rooted
 from polyafreq.transforms import e_transform
+
+import combinatorics_oracle as oracle
+from combinatorics_oracle import SignedPerm, signed_perm_stats
 
 XP1 = Poly([1, 1])
 
@@ -132,6 +139,31 @@ def test_w2_matches_stack_sort_oracle(n):
     assert w2_poly(n) == t_stack_poly(n, 2)
 
 
+def test_one_stack_loop_matches_recursive_sort_on_s7():
+    for perm in itertools.permutations(range(1, 8)):
+        assert stack_sort(perm) == oracle.stack_sort(perm)
+
+
+def _t_stack_oracle(n, t):
+    counts = [0] * n
+    target = tuple(range(1, n + 1))
+    for perm in itertools.permutations(target):
+        p = perm
+        for _ in range(t):
+            p = oracle.stack_sort(p)
+        if p == target:
+            counts[descents(perm)] += 1
+    return Poly(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_t_stack_poly_matches_recursive_oracle(n):
+    # t = 0 included: only the identity is sorted there, and a sortedness
+    # test that compared a tuple with a list would count nothing
+    for t in range(n):
+        assert t_stack_poly(n, t) == _t_stack_oracle(n, t), t
+
+
 def test_q_eulerian():
     q = Fraction(2, 5)
     assert q_eulerian_poly(0, q) == Poly([1])
@@ -220,6 +252,60 @@ def test_p_bn_subset():
             assert p_bn_subset(n, subset) == table.restricted_descent_poly(subset)
     with pytest.raises(PreconditionError):
         p_bn_subset(2, {3})
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_table(n):
+    return signed_perm_stats(n)
+
+
+def _elementary(qs):
+    """e_j(qs), the total weight of negating j letters when letter i weighs q_i."""
+    return math.prod((Poly([1, q]) for q in qs), start=ONE).coeffs
+
+
+_weights = st.one_of(st.just(Fraction(-1)), st.fractions(-4, 4, max_denominator=5))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(_weights, min_size=n, max_size=n)))
+def test_signed_descent_kernel_matches_enumeration(qs):
+    n = len(qs)
+    assert signed_descent_poly(n, _elementary(qs)) == _signed_table(n).weighted_sum(qs)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_signed_descent_kernel_marginals_and_subsets(n):
+    table = _signed_table(n)
+    for q in (0, 1, 2):
+        e = [math.comb(n, j) * q**j for j in range(n + 1)]
+        assert signed_descent_poly(n, e) == table.descent_poly(q), q
+    if n <= 5:
+        for mask in range(2 ** (n + 1)):
+            subset = {s for s in range(n + 1) if mask >> s & 1}
+            e = [math.comb(n, j) if j in subset else 0 for j in range(n + 1)]
+            assert signed_descent_poly(n, e) == table.restricted_descent_poly(subset), subset
+
+
+def test_signed_descent_kernel_arguments():
+    assert signed_descent_poly(3, []) == ZERO
+    assert signed_descent_poly(2, [1]) == Poly([1, 1])  # the unsigned S_2, by x^{des_B}
+    with pytest.raises(PreconditionError):
+        signed_descent_poly(2, [1, 2, 1, 0])
+    with pytest.raises(PreconditionError):
+        signed_descent_poly(-1, [])
+
+
+def test_b_euler_at_weight_minus_one():
+    # q_i = -1 lowers the degree of prod_i ((1+q_i) x + 1); the signed sum is
+    # still the numerator over (1-x)^{n+1}
+    assert b_euler_q(3, -1) == Poly([1, -1]) ** 3
+    assert b_euler_multi(2, [-1, -1]) == Poly([1, -1]) ** 2
+    for n in range(1, 6):
+        for qs in ([-1] * n, [-1] + [Fraction(1, 2)] * (n - 1), [Fraction(k, 2) - 1 for k in range(n)]):
+            expected = _signed_table(n).weighted_sum(qs)
+            assert b_euler_multi(n, qs) == expected, qs
+            assert signed_descent_poly(n, _elementary(qs)) == expected, qs
 
 
 def test_fz_h_frozen():

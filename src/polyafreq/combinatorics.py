@@ -122,10 +122,13 @@ def stack_sort(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_t_stack_sortable(perm: tuple[int, ...], t: int) -> bool:
-    p = tuple(perm)
+    # a sorted p stays sorted, and n - 1 passes sort any p of length n
+    p, target = tuple(perm), tuple(sorted(perm))
     for _ in range(t):
+        if p == target:
+            break
         p = stack_sort(p)
-    return p == tuple(sorted(perm))
+    return p == target
 
 
 def t_stack_poly(n: int, t: int, guards: EnumGuards | None = None) -> Poly:

@@ -7,7 +7,7 @@ import os
 
 from .errors import PreconditionError
 
-#: Environment variable overriding both enumeration guards at once.
+#: Environment variable overriding the enumeration guard.
 MAX_ENUM_ENV = "POLYAFREQ_MAX_ENUM"
 
 
@@ -15,15 +15,12 @@ MAX_ENUM_ENV = "POLYAFREQ_MAX_ENUM"
 class EnumGuards:
     """Size limits for brute-force enumeration oracles.
 
-    sn_max bounds symmetric-group enumerations (n! cases).  No code
-    enumerates signed permutations any more: bn_max only caps the n of the
-    signed-oracle cases that the `cor-6-10` and `oracle-coherence` suites
-    generate, so their default case lists stay as they were.  The
-    MAX_ENUM_ENV variable, a positive integer, overrides both.
+    sn_max bounds symmetric-group enumerations (n! cases); no code
+    enumerates signed permutations.  The MAX_ENUM_ENV variable, a positive
+    integer, overrides it.
     """
 
     sn_max: int = 9
-    bn_max: int = 8
 
     @classmethod
     def from_env(cls) -> "EnumGuards":
@@ -36,7 +33,7 @@ class EnumGuards:
             bound = 0
         if bound < 1:
             raise PreconditionError(f"{MAX_ENUM_ENV} must be a positive integer, got {raw!r}")
-        return cls(sn_max=bound, bn_max=bound)
+        return cls(sn_max=bound)
 
 
 @dataclasses.dataclass(frozen=True)

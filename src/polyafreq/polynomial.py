@@ -8,9 +8,10 @@ polynomial is never zero.  The zero polynomial has no numerators and degree
 gives the same coefficients as `fractions.Fraction` values.
 
 Ring operations, derivatives, division and evaluation run in Python `int`
-and divide by one gcd per result; `poly_gcd` runs a primitive
-pseudo-remainder sequence on the numerators.  They return the same values
-that `Fraction` arithmetic gives.
+and divide by one gcd per result.  They return the same values that
+`Fraction` arithmetic gives.  `_remainder_sequence`, the one remainder loop,
+runs a signed primitive pseudo-remainder sequence on integer numerators;
+`poly_gcd` reads its last member and `roots` reads all of it.
 """
 
 from __future__ import annotations
@@ -310,10 +311,8 @@ def monic(f: Poly) -> Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(f, 0) = monic f."""
-    a, b = _primitive(f.nums), _primitive(g.nums)
-    while b:
-        a, b = b, _primitive_remainder(a, b)
-    return monic(Poly._from_ints(a))
+    seq = _remainder_sequence(_primitive(f.nums), _primitive(g.nums))
+    return monic(Poly._from_ints(seq[-1]))
 
 
 def _primitive(nums) -> list[int]:
@@ -345,6 +344,16 @@ def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
         while r and not r[-1]:
             r.pop()
     return _primitive(r)
+
+
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """The signed primitive remainder sequence a, b, -rem(a, b), ..., or [a]
+    when b is empty; each member is a positive multiple of the signed one."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        b = [-c for c in _primitive_remainder(seq[-2], b)]
+    return seq
 
 
 def squarefree_part(f: Poly) -> Poly:

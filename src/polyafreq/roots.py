@@ -1,22 +1,22 @@
 """Exact real-root analysis via Sturm sequences.
 
-Real-rootedness reads one Sturm chain, that of f itself: the chain
-f, f', -rem, ... ends at gcd(f, f'), so it counts the distinct real roots of
-f at any two points that are not roots, and f is real-rooted exactly when
-that count equals deg f - deg gcd(f, f').  Interlacing is decided from a
+Every root question on f reads one Sturm chain, that of f itself: the chain
+f, f', -rem, ... ends at gcd(f, f'), and dividing every member by it leaves
+a Sturm chain of the square-free part of f (Basu, Pollack and Roy, ch. 2).
+f is real-rooted exactly when that chain counts deg f - deg gcd(f, f')
+distinct real roots; `roots_within` counts on it between its endpoints, and
+the one bisection, `_sample_points`, splits (-B, B] on it in the half-open
+convention (lo, hi] and returns one sorted point in each root-free interval.
+Root dominance builds the one chain of fg, real-rooted exactly when f and g
+are, and compares Descartes counts of f and g at its points; the sign of p
+on the reals is its sign at the points of p.  Interlacing is decided from a
 Cauchy index, which the signed remainder sequence of the two coprime parts
 gives from leading signs and degrees alone, with no evaluation.
 
-The one bisection in the package is `sample_points_between_roots`: it splits
-(-B, B] in the half-open convention (lo, hi], which makes counts additive
-under splitting, and returns one sorted point in each root-free interval.
-Root dominance compares Descartes counts of f and g at those points of fg,
-and the sign of p on the reals is its sign at those points of p.  Closed
-interval questions test endpoints by exact evaluation.
-
-Sturm chains are built in Python `int` by a primitive pseudo-remainder
-sequence, and their members are evaluated at rational points by integer
-Horner (`Poly.__call__`); only the returned values are `Fraction`.
+Chains and Cauchy indices are read off the one remainder loop of the
+package, `polynomial._remainder_sequence`, in Python `int`; members are
+evaluated at rational points by integer Horner (`Poly.__call__`), and only
+the returned values are `Fraction`.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .polynomial import (
     Poly,
     poly_gcd,
     root_multiplicity,
-    squarefree_part,
     _primitive,
-    _primitive_remainder,
+    _remainder_sequence,
 )
 
 
@@ -48,16 +47,8 @@ def sturm_chain(f: Poly) -> list[Poly]:
     positive rational to integer coefficients with gcd 1.
     """
     p = _primitive(f.nums)
-    chain = [p]
     d = [i * c for i, c in enumerate(p)][1:]
-    if d:
-        chain.append(_primitive(d))
-        while True:
-            r = _primitive_remainder(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append([-c for c in r])
-    return [Poly._from_ints(q) for q in chain]
+    return [Poly._from_ints(q) for q in _remainder_sequence(p, _primitive(d))]
 
 
 def _sign_changes(signs: list[bool]) -> int:
@@ -87,29 +78,35 @@ def cauchy_root_bound(f: Poly) -> Fraction:
     return 1 + max(abs(c) for c in f.coeffs[:-1]) / lead
 
 
-def _root_summary(f: Poly, what: str) -> tuple[int, int]:
-    """(distinct real roots of f, deg gcd(f, f')) from the Sturm chain of f.
+def _squarefree_chain(f: Poly, what: str) -> tuple[list[Poly], Fraction, int, int]:
+    """(chain, B, distinct real roots of f, deg gcd(f, f')) from one chain of f.
 
-    The chain ends at gcd(f, f') up to scale, and dividing every member by
-    it leaves a Sturm chain of the square-free part of f with the same sign
-    variations at any point that is not a root, such as the Cauchy bound +-B.
+    The Sturm chain of f ends at gcd(f, f') up to scale; dividing every
+    member by it leaves a Sturm chain of the square-free part of f, whose
+    first member has the roots and the Cauchy bound B of that part.  The
+    chain counts roots in (lo, hi] at any two points, roots or not.
     """
     if f.is_zero:
         raise ZeroPolynomialError(f"{what} of zero polynomial")
     chain = sturm_chain(f)
-    B = cauchy_root_bound(f)
-    return _chain_count(chain, -B, B), chain[-1].degree
+    gcd = chain[-1]
+    if gcd.degree > 0:
+        chain = [p.exact_divide(gcd) for p in chain]
+        B = cauchy_root_bound(chain[0])
+    else:
+        B = cauchy_root_bound(f)
+    return chain, B, _chain_count(chain, -B, B), gcd.degree
 
 
 def is_real_rooted(f: Poly) -> bool:
     """All complex roots real; constants count as real-rooted."""
-    distinct, gcd_degree = _root_summary(f, "real-rootedness")
+    _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
     return distinct == f.degree - gcd_degree
 
 
 def is_simple_rooted(f: Poly) -> bool:
     """All roots real and pairwise distinct."""
-    distinct, gcd_degree = _root_summary(f, "real-rootedness")
+    _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
     return gcd_degree == 0 and distinct == f.degree
 
 
@@ -136,11 +133,8 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
         return True
     if lo == hi:
         return root_multiplicity(f, lo) == deg
-    sf = squarefree_part(f)
-    B = cauchy_root_bound(sf)
-    chain = sturm_chain(sf)
-    total = _chain_count(chain, -B, B)
-    if total < sf.degree:
+    chain, B, total, gcd_degree = _squarefree_chain(f, "roots_within")
+    if total < deg - gcd_degree:
         return False
     left, right = max(lo, -B), min(hi, B)
     inside = _chain_count(chain, left, right) if left < right else 0
@@ -169,12 +163,7 @@ def _cauchy_index(u: list[int], v: list[int]) -> int:
     positive multiple of the one in the theorem, so the signs at +-inf come
     from the leading coefficients and degrees alone.
     """
-    seq = [v, u]
-    while True:
-        r = _primitive_remainder(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append([-c for c in r])
+    seq = _remainder_sequence(v, u)
     at_pos = [p[-1] > 0 for p in seq]
     # the sign at -inf flips for odd degree, i.e. for an even coefficient count
     at_neg = [s == (len(p) % 2 == 1) for s, p in zip(at_pos, seq)]
@@ -247,20 +236,13 @@ def alternates(f: Poly, g: Poly, strict: bool = False) -> bool:
 # -- root dominance and global sign, from one set of sample points ------------
 
 
-def sample_points_between_roots(p: Poly) -> list[Fraction]:
-    """One rational point in each maximal root-free interval of p, sorted.
+def _sample_points(chain: list[Poly], B: Fraction) -> list[Fraction]:
+    """One sorted point in each root-free interval of a square-free chain.
 
-    Bisection on the Sturm chain of the square-free part splits (-B, B] until
-    each piece holds at most one root; a split point that is a root moves
-    towards the right end of its piece, so no point is ever a root and the
-    counts V(lo) - V(hi) are exact.  The points are -B and the right end of
-    every piece that holds a root.
+    Bisection splits (-B, B] until each piece holds at most one root; a
+    split point that is a root moves towards the right end of its piece.
+    The points are -B and the right end of every piece that holds a root.
     """
-    if p.is_zero:
-        raise ZeroPolynomialError("sampling of zero polynomial")
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-    B = cauchy_root_bound(sf)
     points = [-B]
     stack = [(-B, _variations(chain, -B), B, _variations(chain, B))]
     while stack:
@@ -270,12 +252,18 @@ def sample_points_between_roots(p: Poly) -> list[Fraction]:
         if v_lo - v_hi <= 1:
             continue
         mid = (lo + hi) / 2
-        while sf(mid) == 0:
+        while chain[0](mid) == 0:
             mid = (mid + hi) / 2
         v_mid = _variations(chain, mid)
         stack.append((mid, v_mid, hi, v_hi))
         stack.append((lo, v_lo, mid, v_mid))
     return points
+
+
+def sample_points_between_roots(p: Poly) -> list[Fraction]:
+    """One rational point in each maximal root-free interval of p, sorted."""
+    chain, B, _, _ = _squarefree_chain(p, "sampling")
+    return _sample_points(chain, B)
 
 
 def root_dominance(f: Poly, g: Poly) -> bool:
@@ -286,6 +274,8 @@ def root_dominance(f: Poly, g: Poly) -> bool:
     and both counts are constant between the roots of fg.  The roots of a
     real-rooted f above t are counted exactly by Descartes' rule on
     f(x + t), whose coefficients are f(t), f'(t), ..., f^(n)(t) up to k!.
+    One square-free chain of fg, real-rooted exactly when f and g are, both
+    checks the inputs and gives the sample points.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("root dominance needs nonzero polynomials")
@@ -293,13 +283,14 @@ def root_dominance(f: Poly, g: Poly) -> bool:
         raise PreconditionError("root dominance needs equal degrees")
     if not (f.is_standard and g.is_standard):
         raise PreconditionError("root dominance needs positive leading coefficients")
-    if not is_real_rooted(f) or not is_real_rooted(g):
+    chain, B, distinct, gcd_degree = _squarefree_chain(f * g, "root dominance")
+    if distinct != 2 * f.degree - gcd_degree:
         raise NotRealRootedError("root dominance needs real-rooted polynomials")
     f_derivs = [f.derivative(k) for k in range(f.degree + 1)]
     g_derivs = [g.derivative(k) for k in range(g.degree + 1)]
     return all(
         _variations(f_derivs, t) <= _variations(g_derivs, t)
-        for t in sample_points_between_roots(f * g)
+        for t in _sample_points(chain, B)
     )
 
 

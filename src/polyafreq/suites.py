@@ -442,16 +442,12 @@ def _eval_chain(params: dict):
 
 def _gen_subsets(cfg: RunConfig) -> list[dict]:
     top = cfg.max_n or 6
-    guards = EnumGuards.from_env()
     params = []
     for n in range(1, top + 1):
         for mask in range(1, 2 ** (n + 1)):
             subset = [s for s in range(n + 1) if mask >> s & 1]
             params.append({"kind": "rooted", "n": n, "subset": subset})
-    params += [
-        {"kind": "oracle", "n": n}
-        for n in range(1, min(5, top, guards.bn_max) + 1)
-    ]
+    params += [{"kind": "oracle", "n": n} for n in range(1, min(5, top) + 1)]
     return params
 
 
@@ -760,7 +756,7 @@ def _gen_oracles(cfg: RunConfig) -> list[dict]:
     rng = _suite_rng("oracle-coherence", cfg.seed)
     guards = EnumGuards.from_env()
     top = min(cfg.max_n or 8, guards.sn_max)
-    bn_top = min(cfg.max_n or 8, guards.bn_max, 6)
+    bn_top = min(cfg.max_n or 8, 6)
     params = [{"kind": "eulerian", "n": n} for n in range(1, top + 1)]
     params += [{"kind": "surjection-identities", "n": n} for n in range(1, 13)]
     params += [

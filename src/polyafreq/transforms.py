@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import PreconditionError, ZeroPolynomialError
 from .polynomial import (
-    NEG_INF,
-    POS_INF,
     Poly,
     ZERO,
     binom,
@@ -23,7 +21,7 @@ from .polynomial import (
     root_multiplicity,
     unitize_with_degree,
 )
-from .roots import roots_within
+from .roots import is_real_rooted
 
 
 def to_binomial_basis(f: Poly) -> list[Fraction]:
@@ -144,9 +142,13 @@ def apply_multiplier(seq: MultiplierSeq, f: Poly) -> Poly:
 
 def is_multiplier_n_sequence(seq: MultiplierSeq, n: int) -> bool:
     """Algebraic degree-n test: the image of (x+1)^n is real-rooted with all
-    roots of one sign (an identically zero image passes vacuously)."""
+    roots of one sign (an identically zero image passes vacuously).  Descartes'
+    rule, exact on real-rooted polynomials, reads the sign from the coefficients
+    of image(x) or image(-x), which must never change sign."""
     image = apply_multiplier(seq, Poly([1, 1]) ** n)
     if image.is_zero:
         return True
-    return roots_within(image, NEG_INF, 0) or roots_within(image, 0, POS_INF)
+    signs = {c > 0 for c in image.nums if c}
+    flipped = {(c > 0) != (k % 2 == 1) for k, c in enumerate(image.nums) if c}
+    return (len(signs) == 1 or len(flipped) == 1) and is_real_rooted(image)
 

@@ -14,6 +14,13 @@ decompositions of f and g.  `root_dominance` compared the merged positions,
 and `check_nonneg_on_reals` counted the real roots of the factors of odd
 multiplicity.  `polyafreq.roots` answers both from the sorted points of one
 bisection.
+
+The square-free sampling route: `squarefree_part`, then the Sturm chain and
+Cauchy bound of that part, then the bisection.  `polyafreq.roots` reads the
+same points off the chain of f divided by its last member.  The
+two-interval multiplier test: the image of (x+1)^n has all roots in
+(-inf, 0] or all in [0, +inf).  `polyafreq.transforms` asks one chain and
+reads the sign of the roots from the coefficients.
 """
 
 from fractions import Fraction
@@ -22,12 +29,14 @@ from polyafreq.errors import NotRealRootedError, PreconditionError, ZeroPolynomi
 from polyafreq.polynomial import (
     NEG_INF,
     POS_INF,
+    Poly,
     monic,
     poly_gcd,
     root_multiplicity,
     squarefree_part,
 )
-from polyafreq.roots import _chain_count, cauchy_root_bound, sturm_chain
+from polyafreq.roots import _chain_count, _variations, cauchy_root_bound, sturm_chain
+from polyafreq.transforms import apply_multiplier
 
 _REFINE_CAP = 100_000
 
@@ -105,6 +114,39 @@ def roots_within(f, lo, hi):
     if lo != NEG_INF and f(lo) == 0:
         inside += 1
     return inside == total
+
+
+def is_multiplier_n_sequence(seq, n):
+    """The image of (x+1)^n is zero, or has all roots <= 0 or all >= 0."""
+    image = apply_multiplier(seq, Poly([1, 1]) ** n)
+    if image.is_zero:
+        return True
+    return roots_within(image, NEG_INF, 0) or roots_within(image, 0, POS_INF)
+
+
+def sample_points_between_roots(p):
+    """One point in each root-free interval, by bisection on the chain of
+    the square-free part."""
+    if p.is_zero:
+        raise ZeroPolynomialError("sampling of zero polynomial")
+    sf = squarefree_part(p)
+    chain = sturm_chain(sf)
+    B = cauchy_root_bound(sf)
+    points = [-B]
+    stack = [(-B, _variations(chain, -B), B, _variations(chain, B))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            points.append(hi)
+        if v_lo - v_hi <= 1:
+            continue
+        mid = (lo + hi) / 2
+        while sf(mid) == 0:
+            mid = (mid + hi) / 2
+        v_mid = _variations(chain, mid)
+        stack.append((mid, v_mid, hi, v_hi))
+        stack.append((lo, v_lo, mid, v_mid))
+    return points
 
 
 # -- the pairwise box-separation isolator ------------------------------------------

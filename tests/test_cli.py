@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from polyafreq import combinatorics
 from polyafreq.cli import main
 
 
@@ -206,6 +207,22 @@ def test_verify_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "suite,case,n,params,verdict"
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+def test_t_stack_with_huge_t_stops_once_sorted(capsys, monkeypatch):
+    # the 6 permutations of [3] need at most 2 passes each; a loop that ran
+    # all t passes would fail here instead of running for hours
+    calls = []
+    real_sort = combinatorics.stack_sort
+
+    def counted_sort(perm):
+        calls.append(perm)
+        assert len(calls) <= 12
+        return real_sort(perm)
+
+    monkeypatch.setattr(combinatorics, "stack_sort", counted_sort)
+    code, out, _ = run_cli(capsys, "gen", "t_stack", "--n", "3", "--t", "1000000000000")
+    assert code == 0 and out.strip() == '{"coeffs":["1","4","1"]}'
 
 
 def test_enum_guard_env(capsys, monkeypatch):

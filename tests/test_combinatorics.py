@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyafreq import combinatorics
 from polyafreq.config import EnumGuards
 from polyafreq.errors import PreconditionError, ResourceLimitError
 from polyafreq.combinatorics import (
@@ -77,7 +78,7 @@ def test_eulerian_matches_oracle(n):
 
 def test_oracle_guard():
     with pytest.raises(ResourceLimitError):
-        eulerian_oracle(4, guards=EnumGuards(sn_max=3, bn_max=3))
+        eulerian_oracle(4, guards=EnumGuards(sn_max=3))
 
 
 def test_surjection_family():
@@ -125,6 +126,26 @@ def test_stack_sort():
     assert is_t_stack_sortable((2, 3, 1), 2)
     assert not is_t_stack_sortable((2, 3, 1), 1)
     assert stack_sort(()) == ()
+
+
+def test_t_stack_sortable_stops_once_sorted(monkeypatch):
+    passes = []
+    real_sort = combinatorics.stack_sort
+
+    def counted_sort(perm):
+        passes.append(perm)
+        return real_sort(perm)
+
+    monkeypatch.setattr(combinatorics, "stack_sort", counted_sort)
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(1, n + 1)):
+            passes.clear()
+            assert is_t_stack_sortable(perm, 10**18)
+            # a sorted permutation costs no pass, and n - 1 passes sort any
+            assert len(passes) <= n - 1
+            assert (len(passes) == 0) == (perm == tuple(sorted(perm)))
+    passes.clear()
+    assert not is_t_stack_sortable((2, 3, 1), 1) and len(passes) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 8))

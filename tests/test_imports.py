@@ -5,7 +5,8 @@ name, and the module must read that name somewhere.  Every top-level
 function, class and module constant, private or public, is read by package
 code other than its own definition, so a helper or a setting that no suite
 or command reaches cannot stay.  `__init__.py` is left out of both, since it
-imports names only to re-export them.
+imports names only to re-export them.  One function runs the remainder loop:
+only `_remainder_sequence` calls `_primitive_remainder`.
 """
 
 import ast
@@ -89,3 +90,25 @@ def test_checker_finds_unread_definitions():
 def test_every_public_definition_is_read():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert unread_definitions(sources) == []
+
+
+def callers_of(sources: list[str], name: str) -> list[str]:
+    """Functions, nested ones included, whose bodies call name."""
+    out = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (sub.func for sub in ast.walk(node) if isinstance(sub, ast.Call))
+                if any(getattr(f, "id", getattr(f, "attr", None)) == name for f in calls):
+                    out.append(node.name)
+    return sorted(out)
+
+
+def test_checker_finds_callers():
+    source = "def a():\n    x.f(1)\ndef b():\n    return f\ndef c():\n    def d():\n        f()\n"
+    assert callers_of([source], "f") == ["a", "c", "d"]
+
+
+def test_one_remainder_loop():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert callers_of(sources, "_primitive_remainder") == ["_remainder_sequence"]

@@ -359,7 +359,7 @@ def test_nonneg_check_agrees_with_sampling(coeffs):
 
 
 def distinct_real_roots(f):
-    return roots._root_summary(f, "root count")[0]
+    return roots._squarefree_chain(f, "root count")[2]
 
 
 def test_count_distinct():
@@ -415,7 +415,15 @@ def test_one_chain_route_matches_yun_route():
 
 
 def _no_yun(*args, **kwargs):
-    raise AssertionError("real-rootedness ran the Yun route")
+    raise AssertionError("a root question ran the Yun route")
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the NotRealRootedError it raised."""
+    try:
+        return fn(*args)
+    except NotRealRootedError:
+        return NotRealRootedError
 
 
 def test_real_rootedness_reads_one_chain():
@@ -430,6 +438,14 @@ def test_real_rootedness_reads_one_chain():
     collect()
     b = b_euler_q(20, 1)
     cases.append((b, True, True, b.degree))
+    # each f against itself and against x^deg f, with the oracle's verdicts
+    pairs = []
+    for f, _, _, _ in cases:
+        f = f if f.is_standard else -f
+        for g in (f, monomial(f.degree)):
+            pairs.append((f, g, _outcome(root_oracle.root_dominance, f, g)))
+    points = [root_oracle.sample_points_between_roots(f) for f, _, _, _ in cases]
+    within = [f.degree > 0 and root_oracle.roots_within(f, -1, 0) for f, _, _, _ in cases]
     chains = []
     real_chain = roots.sturm_chain
 
@@ -437,17 +453,27 @@ def test_real_rootedness_reads_one_chain():
         chains.append(f)
         return real_chain(f)
 
+    def reads(fn, *args):
+        """fn(*args) and the polynomials whose Sturm chains it built."""
+        chains.clear()
+        return _outcome(fn, *args), list(chains)
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "poly_gcd", _no_yun)
         for name in ("squarefree_part", "poly_gcd"):
-            mp.setattr(roots, name, _no_yun)
             mp.setattr(polynomial, name, _no_yun)
         mp.setattr(roots, "sturm_chain", counted_chain)
-        for f, real, simple, distinct in cases:
+        for (f, real, simple, distinct), sample, inside in zip(cases, points, within):
             for fn, expected in ((is_real_rooted, real), (is_simple_rooted, simple),
                                  (distinct_real_roots, distinct)):
-                chains.clear()
-                assert fn(f) == expected
-                assert chains == [f]
+                assert reads(fn, f) == (expected, [f])
+            assert reads(roots.sample_points_between_roots, f) == (sample, [f])
+            if f.degree > 0:
+                assert reads(roots_within, f, NEG_INF, POS_INF) == (real, [f])
+                assert reads(roots_within, f, -1, 0) == (inside, [f])
+        for f, g, expected in pairs:
+            assert reads(root_dominance, f, g) == (expected, [f * g])
+    assert {expected for _, _, expected in pairs} == {True, False, NotRealRootedError}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "is_real_rooted", _no_yun)
         for f, real, _, _ in cases:
@@ -527,6 +553,20 @@ def test_sign_check_matches_yun_route():
 
     check()
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_sample_points_match_squarefree_route():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_sign_polys)
+    def check(p):
+        points = roots.sample_points_between_roots(p)
+        assert points == root_oracle.sample_points_between_roots(p)
+        seen.add(roots.sturm_chain(p)[-1].degree > 0)
+
+    check()
+    assert seen == {False, True}
 
 
 def test_sample_points_separate_the_roots():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import root_oracle
 from polyafreq.config import RunConfig
 from polyafreq.errors import ZeroPolynomialError
 from polyafreq.jsonio import poly_from_dict
@@ -235,6 +236,51 @@ def test_multiplier_n_sequence_laguerre_shift():
             assert is_multiplier_n_sequence(MultiplierSeq.gamma_shift(q), n)
         for q in (Fraction(-1, 2), Fraction(-n + 1), Fraction(-2 * n + 1, 2)):
             assert not is_multiplier_n_sequence(MultiplierSeq.gamma_shift(q), n)
+
+
+# linear factors with a root at 0 or of either sign, quadratics with roots of
+# one sign or of both, and non-real quadratics
+_image_factors = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(lambda r: Poly([-r, 1])),
+    st.sampled_from((Poly([0, 1]), Poly([-2, 0, 1]), Poly([1, 6, 6]), Poly([1, -4, 2]),
+                     Poly([1, 0, 1]), Poly([1, 1, 1]))),
+)
+
+
+@st.composite
+def multiplier_images(draw):
+    """(seq, n, h): an explicit sequence whose image of (x+1)^n is h."""
+    factors = draw(st.lists(st.tuples(_image_factors, st.integers(1, 2)), max_size=3))
+    h = Poly([draw(st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool))])
+    for p, m in factors:
+        h = h * p ** m
+    n = h.degree + draw(st.integers(0, 2))
+    seq = MultiplierSeq.explicit([h.coeff(k) / binom(n, k) for k in range(n + 1)])
+    return seq, n, h
+
+
+def test_multiplier_n_sequence_matches_two_interval_route():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(multiplier_images())
+    def check(drawn):
+        seq, n, h = drawn
+        assert apply_multiplier(seq, Poly([1, 1]) ** n) == h
+        verdict = is_multiplier_n_sequence(seq, n)
+        assert verdict == root_oracle.is_multiplier_n_sequence(seq, n)
+        seen.add(verdict)
+        if h.degree == 0:
+            seen.add("constant")
+        if h.coeff(0) == 0:
+            seen.add("root at 0")
+        if not is_real_rooted(h):
+            seen.add("non-real")
+        elif not (roots_within(h, NEG_INF, 0) or roots_within(h, 0, POS_INF)):
+            seen.add("both signs")
+
+    check()
+    assert seen == {True, False, "constant", "root at 0", "non-real", "both signs"}
 
 
 def test_binom_negative_is_n_sequence():

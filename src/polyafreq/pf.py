@@ -16,6 +16,16 @@ nonzero minor down by c_0 <= r_0 gives an equal minor that comes no later
 in lexicographic order.  So the lexicographically first negative minor has
 c_0 = 0, and `minors_nonneg` evaluates only the admissible minors
 {c_0 = 0, c_i <= r_i <= c_i + deg}, in the order of an exhaustive check.
+
+The window is persymmetric as well, M = J M^T J with J the reversal
+(Karlin, Total Positivity, 1968).  The twin of an admissible minor (R, C)
+with t = max R has rows t - c for c in reversed C and columns t - r for r
+in reversed R: its entries are those of (R, C) transposed and reversed, so
+it has the same value, and the band conditions carry over, so it is
+admissible, with the same t and the minor itself as its twin.  Of a pair
+of twins only the one that comes first in lexicographic order is
+evaluated: were the other the first negative minor, its earlier twin would
+be a negative minor before it.
 """
 
 from __future__ import annotations
@@ -50,32 +60,6 @@ class MinorReport:
     witness: tuple[tuple[int, ...], tuple[int, ...], Fraction] | None = None
 
 
-def bareiss_determinant(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi, mk = m[i], m[k]
-            lead = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - lead * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 def _admissible_count(size: int, deg: int, order: int) -> int:
     """Number of admissible minors of orders 1..order >= 1, for deg < size.
 
@@ -105,24 +89,33 @@ def _admissible_count(size: int, deg: int, order: int) -> int:
     return total
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
 def _pair(a: int, b: int, n: int) -> int:
     """Index of the pair a < b in itertools.combinations(range(n), 2)."""
     return a * (2 * n - a - 1) // 2 + b - a - 1
 
 
 def _row_parts(rows: tuple[int, ...], n: int):
-    """The det2 rows the order-k loop of `minors_nonneg` reads for these rows."""
+    """What the order-k loop of `minors_nonneg` reads for these rows: det2 rows
+    for k <= 4, and the first row and the key of the others for k >= 5."""
     if len(rows) == 2:
         return _pair(*rows, n)
     if len(rows) == 3:
         return _pair(rows[1], rows[2], n)
     if len(rows) == 4:
         return _pair(rows[0], rows[1], n), _pair(rows[2], rows[3], n)
-    return None
+    return rows[0], _mask(rows[1:]) << n
 
 
 def _col_parts(cols: tuple[int, ...], n: int):
-    """The det2 columns the order-k loop of `minors_nonneg` reads for these columns."""
+    """What the order-k loop of `minors_nonneg` reads for these columns: det2
+    columns for k <= 4, and for k >= 5 one (c_j, shift, mask, sign) per term
+    of the expansion along the first row.  shift moves the sub-minor down to
+    first column 0 (c_1 for j = 0, else 0), and mask is that of C minus c_j
+    so shifted."""
     if len(cols) == 2:
         return _pair(*cols, n)
     if len(cols) == 3:
@@ -140,36 +133,72 @@ def _col_parts(cols: tuple[int, ...], n: int):
             _pair(c1, c3, n), _pair(c0, c2, n),
             _pair(c2, c3, n), _pair(c0, c1, n),
         )
-    return None
+    mask = _mask(cols)
+    shifts = (cols[1],) + (0,) * (len(cols) - 1)
+    return tuple(
+        (c, s, (mask ^ 1 << c) >> s, -1 if j % 2 else 1)
+        for j, (c, s) in enumerate(zip(cols, shifts))
+    )
 
 
 @functools.lru_cache(maxsize=128)
 def _plan(size: int, deg: int, k: int):
-    """The admissible k x k minors of a size x size window of bandwidth deg.
+    """The admissible k x k minors of a size x size window of bandwidth deg
+    that come no later than their twins.
 
-    Returns (columns, parts, entries).  columns lists each admissible column
-    set once, and parts its `_col_parts`.  entries holds (rows,
-    `_row_parts(rows)`, ids) for the row sets in lexicographic order, where
-    ids index the row set's admissible column sets in lexicographic order.
-    Every row set with r_0 <= deg has one, and the column sets are generated
-    column by column, c_i running from max(c_{i-1} + 1, r_i - deg) to r_i,
-    so the cost grows with the plan and not with C(size - 1, k - 1).
+    Returns (columns, parts, keys, entries).  columns lists each planned
+    column set once and parts its `_col_parts`.  entries holds (rows,
+    `_row_parts(rows)`, row keys, ids) for the row sets in lexicographic
+    order, where ids index the row set's planned column sets in
+    lexicographic order.  For k >= 4 a minor (R, C) is keyed
+    mask(R) << size | mask(C) and its twin mask(t - c) << size | mask(t - r),
+    t = max R; keys holds (mask(C), mask(size - 1 - c) << size) per column
+    set and the row keys are (mask(R) << size, size - 1 - t, mask(t - r)),
+    so that the twin's key is one shift and two ors away.  Row sets are
+    extended one row at a time, each column c_i running from
+    max(c_{i-1} + 1, r_i - deg) to at most r_i, so the cost grows with the
+    plan and not with C(size - 1, k - 1).
     """
     index: dict[tuple[int, ...], int] = {}
     entries = []
-    for rows in itertools.combinations(range(size), k):
-        if rows[0] > deg:
-            break
-        partial = [(0,)]
-        for r in rows[1:]:
-            partial = [
+
+    def extend(rows, partial):
+        """Plan the row sets that start with rows, whose column sets so far
+        are partial, in lexicographic order."""
+        i = len(rows)
+        if i == k:
+            # the twin's rows t - c_{k-1}, t - c_{k-2}, ... come no earlier
+            # than rows exactly when C reversed is at most mirror; when they
+            # equal rows the minor is its own twin
+            t = rows[-1]
+            mirror = tuple(t - r for r in rows)
+            ids = tuple(
+                index.setdefault(cols, len(index)) for cols in partial if cols[::-1] <= mirror
+            )
+            if ids:
+                keys = (_mask(rows) << size, size - 1 - t, _mask(mirror)) if k >= 4 else None
+                entries.append((rows, _row_parts(rows, size), keys, ids))
+            return
+        for r in range(rows[-1] + 1, size - k + i + 1):
+            # a planned minor has c_{k-1} <= t - r_0 (the twin test above), so
+            # c_i <= t - r_0 - (k - 1 - i), with t = r on the last row and
+            # t <= size - 1 before it
+            cap = min(r, (r if i == k - 1 else size - 1) - rows[0] - (k - 1 - i))
+            grown = [
                 cols + (c,)
                 for cols in partial
-                for c in range(max(cols[-1] + 1, r - deg), r + 1)
+                for c in range(max(cols[-1] + 1, r - deg), cap + 1)
             ]
-        ids = tuple(index.setdefault(cols, len(index)) for cols in partial)
-        entries.append((rows, _row_parts(rows, size), ids))
-    return list(index), [_col_parts(cols, size) for cols in index], entries
+            if grown:
+                extend(rows + (r,), grown)
+
+    for r0 in range(min(deg, size - k) + 1):
+        extend((r0,), [(0,)])
+    columns = list(index)
+    keys = [
+        (_mask(cols), _mask(size - 1 - c for c in cols) << size) for cols in columns
+    ] if k >= 4 else None
+    return columns, [_col_parts(cols, size) for cols in columns], keys, entries
 
 
 def minors_nonneg(terms, size: int, order: int) -> MinorReport:
@@ -177,16 +206,22 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
     M[i][j] = a_{i-j} of a sequence (a `Poly` or an iterable of rationals,
     zero-padded) for nonnegativity.
 
-    Only the admissible minors {c_0 = 0, c_i <= r_i <= c_i + deg} are
-    evaluated: by the band and shift argument of the module docstring every
-    other minor is 0 or equals an admissible one that comes earlier.  They
-    are enumerated lexicographically in (k, rows, cols) from compiled plans
-    (`_plan`, cached per (size, deg, k)), so the first negative one found is
-    the lexicographically first negative minor of the whole window.
+    Only the admissible minors {c_0 = 0, c_i <= r_i <= c_i + deg} that come
+    no later than their persymmetric twins are evaluated: by the band, shift
+    and twin arguments of the module docstring every other minor is 0 or
+    equals one of them that comes earlier.  They are enumerated
+    lexicographically in (k, rows, cols) from compiled plans (`_plan`,
+    cached per (size, deg, k)), so the first negative one found is the
+    lexicographically first negative minor of the whole window.
     Denominators are cleared first (a positive scaling, so minor signs are
     unchanged); 2 x 2 minors come from one table, orders 3 and 4 from
-    Laplace expansions over it and higher orders from Bareiss elimination.
-    More than MAX_MINORS evaluations raise PreconditionError before any.
+    Laplace expansions over it.  An order k >= 5 minor is expanded along its
+    first row, det = sum_j (-1)^j a_{r_0 - c_j} D(R - r_0, C - c_j): each
+    sub-minor, shifted down to first column 0, is admissible or 0, and its
+    value is read from a table of the order k - 1 values, keyed by row and
+    column bitmasks, that the order k - 1 loop fills under each minor's key
+    and its twin's.  More than MAX_MINORS evaluations raise
+    PreconditionError before any.
     """
     if order > size:
         raise PreconditionError("minor order exceeds matrix dimension")
@@ -221,8 +256,8 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
         for r0, r1 in pairs
     ]
 
-    columns, parts, entries = _plan(size, deg, 2)
-    for rows, ri, ids in entries:
+    columns, parts, _, entries = _plan(size, deg, 2)
+    for rows, ri, _, ids in entries:
         row = det2[ri]
         for ci in ids:
             d = row[parts[ci]]
@@ -231,8 +266,8 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
 
     # k = 3: expansion along the first row of each minor
     if order >= 3:
-        columns, parts, entries = _plan(size, deg, 3)
-        for rows, bi, ids in entries:
+        columns, parts, _, entries = _plan(size, deg, 3)
+        for rows, bi, _, ids in entries:
             top = m[rows[0]]
             bottom = det2[bi]
             for ci in ids:
@@ -241,10 +276,13 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
                 if d < 0:
                     return report(rows, columns[ci], d, 3)
 
-    # k = 4: Laplace along the first two rows, six products of cached 2x2s
+    # k = 4: Laplace along the first two rows, six products of cached 2x2s;
+    # the values are kept, keyed as in `_plan`, when order 5 reads them
+    values: dict[int, int] = {}
     if order >= 4:
-        columns, parts, entries = _plan(size, deg, 4)
-        for rows, (ti, bi), ids in entries:
+        keep = order >= 5
+        columns, parts, keys, entries = _plan(size, deg, 4)
+        for rows, (ti, bi), (row_key, shift, twin_cols), ids in entries:
             top = det2[ti]
             bottom = det2[bi]
             for ci in ids:
@@ -255,16 +293,29 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
                 )
                 if d < 0:
                     return report(rows, columns[ci], d, 4)
+                if keep:
+                    col_key, twin_rows = keys[ci]
+                    values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
 
-    # k >= 5: generic fraction-free elimination
+    # k >= 5: expansion along the first row over the order k - 1 values
     for k in range(5, order + 1):
-        columns, _, entries = _plan(size, deg, k)
-        for rows, _, ids in entries:
+        get = values.get
+        values = {}
+        keep = k < order
+        columns, parts, keys, entries = _plan(size, deg, k)
+        for rows, (r0, sub_key), (row_key, shift, twin_cols), ids in entries:
+            top = m[r0]
             for ci in ids:
-                cols = columns[ci]
-                d = bareiss_determinant([[m[i][j] for j in cols] for i in rows])
+                d = 0
+                for c, s, col_key, sign in parts[ci]:
+                    if c > r0:
+                        break
+                    d += sign * top[c] * get(sub_key >> s | col_key, 0)
                 if d < 0:
-                    return report(rows, cols, d, k)
+                    return report(rows, columns[ci], d, k)
+                if keep:
+                    col_key, twin_rows = keys[ci]
+                    values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
 
     return MinorReport(nonnegative=True)
 

@@ -13,10 +13,37 @@ import math
 from fractions import Fraction
 
 from polyafreq.errors import PreconditionError
-from polyafreq.pf import MinorReport, bareiss_determinant
+from polyafreq.pf import MinorReport
 from polyafreq.polynomial import Poly
 
 Matrix = list[list[Fraction]]
+
+
+def bareiss_determinant(rows: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mi, mk = m[i], m[k]
+            lead = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pivot - lead * mk[j]) // prev
+            mi[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
 
 # index layout of the six 2+2 column splits in a Laplace expansion along the
 # first two rows of a 4x4 minor: (top pair, bottom pair, sign)
@@ -28,6 +55,14 @@ _SPLITS4 = (
     ((1, 3), (0, 2), -1),
     ((2, 3), (0, 1), 1),
 )
+
+
+def persymmetric_twin(rows: tuple[int, ...], cols: tuple[int, ...]):
+    """The twin of an admissible Toeplitz minor (R, C): with t = max R, the
+    minor on rows t - c for c in reversed C and columns t - r for r in
+    reversed R, the transposed and reversed submatrix."""
+    t = rows[-1]
+    return tuple(t - c for c in reversed(cols)), tuple(t - r for r in reversed(rows))
 
 
 def toeplitz_window(s, size: int) -> Matrix:

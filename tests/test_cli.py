@@ -97,6 +97,17 @@ def test_check_pf_minors_witness(capsys):
     assert code == 0
 
 
+def test_check_pf_minors_at_the_guard_boundary(capsys):
+    """331,981 admissible minors plus the 4,356-entry 2 x 2 table: just under
+    MAX_MINORS, and every order up to 12 is evaluated."""
+    code, out, _ = run_cli(
+        capsys, "check", "pf-minors", "--terms", "1,3,3,1", "--window", "12", "--order", "12"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] is True and payload["window"] == 12
+
+
 def test_check_sequence_kinds(capsys):
     code, out, _ = run_cli(capsys, "check", "log-concave", "--terms", "1,4,1")
     assert code == 0
@@ -384,7 +395,6 @@ def test_pf_minors_guard(capsys, monkeypatch):
         raise AssertionError("a minor was evaluated")
 
     monkeypatch.setattr(pf, "_plan", evaluated)
-    monkeypatch.setattr(pf, "bareiss_determinant", evaluated)
     code, out, err = run_cli(
         capsys, "check", "pf-minors", "--terms", ",".join(["1"] * 30), "--window", "30", "--order", "15"
     )

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minor_oracle import exhaustive_minors, toeplitz_window
+from minor_oracle import bareiss_determinant, exhaustive_minors, persymmetric_twin, toeplitz_window
 from polyafreq.combinatorics import eulerian_poly, multisect, w2_poly
 from polyafreq import pf
 from polyafreq.errors import PreconditionError
 from polyafreq.pf import (
-    bareiss_determinant,
     is_log_concave,
     is_pf_finite,
     is_unimodal,
@@ -191,8 +190,9 @@ def toeplitz_queries(draw):
     PF sequences with zero padding on either side, the same times a factor
     with complex roots or with one term perturbed (so that low orders pass
     and a later one fails), and free rational sequences with negative and
-    zero terms.  Orders reach 6, so the Bareiss path runs; windows are
-    shorter and longer than the sequence."""
+    zero terms.  Orders reach 6, so first-row expansions run over order-4
+    values and over their own; windows are shorter and longer than the
+    sequence."""
     kind = draw(st.sampled_from(("complex", "perturbed", "pf", "free")))
     if kind == "free":
         terms = draw(st.lists(
@@ -247,16 +247,19 @@ def test_minors_match_exhaustive_route_on_fixed_windows():
 
 def test_first_negative_minor_at_each_order():
     """(x^2 + bx + c)(1 + x)^m with b^2 < 4c has nonnegative terms but is not
-    PF; these windows first fail at orders 2 to 6, as the exhaustive route
-    finds them."""
+    PF; these windows first fail at orders 2 to 8, as the exhaustive route
+    finds them.  From order 7 on the witness is a first-row expansion over
+    values that were themselves expanded so."""
     for terms, size, k in (
         ((2, 1, 1), 5, 2),
         ((1, 1, 1), 5, 3),
         ((2, 2, 1), 5, 4),
         ((1, 3, 4, 3, 1), 7, 5),
         ((1, 4, 7, 7, 4, 1), 8, 6),
+        ((5, 9, 5, 1), 9, 7),
+        ((14, 7, 1), 9, 8),
     ):
-        order = min(6, size)
+        order = min(8, size)
         report = minors_nonneg(terms, size, order)
         assert report == exhaustive_minors(toeplitz_window(terms, size), order)
         rows, cols, value = report.witness
@@ -264,6 +267,10 @@ def test_first_negative_minor_at_each_order():
 
 
 def test_admissible_count_matches_plans():
+    """Every admissible minor is planned or is the twin of a planned minor
+    that comes earlier, so the planned minors and their twins are exactly
+    the admissible ones that `_admissible_count` counts."""
+
     def brute(size, deg, order):
         return sum(
             1
@@ -276,11 +283,52 @@ def test_admissible_count_matches_plans():
     for size, deg, order in ((1, 0, 1), (5, 2, 3), (6, 0, 6), (7, 3, 4), (8, 7, 5), (6, 1, 2)):
         count = pf._admissible_count(size, deg, order)
         assert count == brute(size, deg, order)
-        planned = sum(len(ids) for k in range(2, order + 1) for _, _, ids in pf._plan(size, deg, k)[2])
-        assert count == deg + 1 + planned
+        covered = deg + 1
+        for k in range(2, order + 1):
+            columns, _, _, entries = pf._plan(size, deg, k)
+            planned = {(rows, columns[ci]) for rows, _, _, ids in entries for ci in ids}
+            assert all(persymmetric_twin(*minor) >= minor for minor in planned)
+            covered += len(planned | {persymmetric_twin(*minor) for minor in planned})
+        assert count == covered
     # check pf-minors --terms 1,3,3,1 --window 12 --order 12 still answers
     assert pf._admissible_count(12, 3, 12) == 331_981
     assert 331_981 + math.comb(12, 2) ** 2 <= pf.MAX_MINORS
+
+
+@st.composite
+def admissible_minors(draw):
+    """(terms, size, rows, cols): an admissible minor of the window of terms."""
+    size = draw(st.integers(1, 9))
+    deg = draw(st.integers(0, size - 1))
+    k = draw(st.integers(1, size))
+    rows = sorted(draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k, unique=True)))
+    rows[0] = min(rows[0], deg)
+    rows = tuple(sorted(set(rows)))
+    cols = [0]
+    for r in rows[1:]:
+        cols.append(draw(st.integers(max(cols[-1] + 1, r - deg), r)))
+    terms = draw(st.lists(st.integers(-9, 9), min_size=deg + 1, max_size=deg + 1))
+    return terms, size, rows, tuple(cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(admissible_minors())
+def test_twin_is_an_involution_onto_equal_admissible_minors(query):
+    terms, size, rows, cols = query
+    deg = len(terms) - 1
+
+    def admissible(rows, cols):
+        return cols[0] == 0 and all(c <= r <= c + deg for r, c in zip(rows, cols))
+
+    def value(rows, cols):
+        m = toeplitz_window(terms, size)
+        return bareiss_determinant([[int(m[i][j]) for j in cols] for i in rows])
+
+    assert admissible(rows, cols)
+    twin = persymmetric_twin(rows, cols)
+    assert admissible(*twin) and max(twin[0]) == max(rows)
+    assert persymmetric_twin(*twin) == (rows, cols)
+    assert value(*twin) == value(rows, cols)
 
 
 def test_minor_guard_counts_the_2x2_table(monkeypatch):

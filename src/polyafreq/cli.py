@@ -1,11 +1,12 @@
 """Command-line front end: gen / check / transform / op / verify.
 
-The verbs gen, check and op (alias transform) each read one table, built
-when `build_parser` runs: `_families`, `_checks` and `_operations` map a name
-to its callable, the number of polynomial arguments it takes and the flags it
-needs.  The parser's choices are the table keys, and one handler per verb
-dispatches through the table, so a new family, check or operation is one
-entry.
+The verbs gen, check and op (alias transform) each read one table:
+`_families`, `_checks` and `_operations` map a name to its callable, the
+number of polynomial arguments it takes and the flags it needs.  The parser's
+choices are the table keys, and one handler per verb builds its table when it
+dispatches, so a new family, check or operation is one entry, and a rebinding
+of a module attribute such as `is_real_rooted` reaches the next call.
+`main` builds the parser once per process, on its first call, and reuses it.
 
 Polynomials travel as JSON objects {"coeffs": ["p/q", ...]} (inline or as a
 file path); rationals on the command line are "p/q" strings.  Note that a
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -407,10 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    families, checks, operations = _families(), _checks(), _operations()
-
     gen = sub.add_parser("gen", help="generate a polynomial family member")
-    gen.add_argument("family", choices=list(families))
+    gen.add_argument("family", choices=list(_families()))
     gen.add_argument("--n", type=int)
     gen.add_argument("--t", type=_rational)
     gen.add_argument("--q", type=_rational)
@@ -418,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--set", type=_int_set)
     gen.add_argument("--type", choices=["A", "B", "D"])
     gen.set_defaults(
-        func=lambda args: _cmd_poly(args, f"gen {args.family}", families[args.family])
+        func=lambda args: _cmd_poly(args, f"gen {args.family}", _families()[args.family])
     )
 
     check = sub.add_parser("check", help="decide a property, exit 0/1 by verdict")
-    check.add_argument("kind", choices=list(checks))
+    check.add_argument("kind", choices=list(_checks()))
     check.add_argument("polys", nargs="*", help="polynomial JSON or file path")
     check.add_argument("--poly", help="inline polynomial JSON")
     check.add_argument("--lo", type=_endpoint)
@@ -433,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=int)
     _add_multiplier_flags(check)
     check.set_defaults(
-        func=lambda args: _cmd_check(args, f"check {args.kind}", checks[args.kind])
+        func=lambda args: _cmd_check(args, f"check {args.kind}", _checks()[args.kind])
     )
 
     operate = sub.add_parser("op", aliases=["transform"],
                              help="apply a transform or bilinear product")
-    operate.add_argument("name", choices=list(operations))
+    operate.add_argument("name", choices=list(_operations()))
     operate.add_argument("polys", nargs="*", help="polynomial JSON or file path")
     operate.add_argument("--step", type=int)
     operate.add_argument("--offset", type=int)
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     operate.add_argument("--beta", type=_rational)
     _add_multiplier_flags(operate)
     operate.set_defaults(
-        func=lambda args: _cmd_poly(args, f"op {args.name}", operations[args.name])
+        func=lambda args: _cmd_poly(args, f"op {args.name}", _operations()[args.name])
     )
 
     verify = sub.add_parser("verify", help="run a named verification suite")
@@ -469,8 +469,12 @@ def _add_multiplier_flags(parser) -> None:
     parser.add_argument("--all-ones", action="store_true", dest="all_ones")
 
 
+#: The parser `main` reuses: argparse set-up costs more than a small query.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args, rest = parser.parse_known_args(argv)
         # a polynomial after a flag is left over: `polys` was consumed, empty,

@@ -40,8 +40,9 @@ from .errors import PreconditionError
 from .polynomial import Poly
 from .roots import is_real_rooted
 
-#: Most minors one `minors_nonneg` call evaluates: the admissible minors of
-#: every order plus its table of all 2 x 2 minors of the window.
+#: Most minors one `minors_nonneg` call accepts, counted as the admissible
+#: minors of every order, twins included, plus its table of all 2 x 2 minors
+#: of the window.  About half of the admissible minors are evaluated.
 MAX_MINORS = 1_000_000
 
 
@@ -220,8 +221,8 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
     sub-minor, shifted down to first column 0, is admissible or 0, and its
     value is read from a table of the order k - 1 values, keyed by row and
     column bitmasks, that the order k - 1 loop fills under each minor's key
-    and its twin's.  More than MAX_MINORS evaluations raise
-    PreconditionError before any.
+    and its twin's.  More than MAX_MINORS admissible minors and 2 x 2 table
+    entries raise PreconditionError before any minor is evaluated.
     """
     if order > size:
         raise PreconditionError("minor order exceeds matrix dimension")
@@ -233,8 +234,8 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
     table = math.comb(size, 2) ** 2 if order >= 2 else 0
     if table > MAX_MINORS or table + _admissible_count(size, deg, order) > MAX_MINORS:
         raise PreconditionError(
-            f"minors up to order {order} of a window of size {size} and bandwidth {deg} "
-            f"need more than {MAX_MINORS} evaluations"
+            f"a window of size {size} and bandwidth {deg} has more than {MAX_MINORS} "
+            f"admissible minors of order up to {order} and 2 x 2 table entries"
         )
     lcm = math.lcm(*(x.denominator for x in a))
     a = [int(x * lcm) for x in a[: deg + 1]]

@@ -721,7 +721,7 @@ def _gen_pf_coherence(cfg: RunConfig) -> list[dict]:
         params.append({"kind": "window", "i": i, "poly": poly_to_dict(f)})
     params.append({"kind": "counterexample"})
     for i in range(20):
-        d = rng.randint(2, top)
+        d = rng.randint(min(2, top), top)
         f = _from_roots([-Fraction(rng.randint(0, 8), 2) for _ in range(d)])
         params.append({"kind": "multisect", "i": i, "poly": poly_to_dict(f), "step": rng.randint(2, 3)})
     return params

@@ -1,14 +1,18 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from polyafreq import combinatorics
+import cli_oracle
+from polyafreq import cli, combinatorics
 from polyafreq.cli import main
+from polyafreq.polynomial import Poly
+from polyafreq.suites import SUITE_NAMES
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
+def run_cli(capsys, *argv, entry=main):
+    code = entry(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -400,3 +404,113 @@ def test_pf_minors_guard(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert "Traceback" not in err and "more than" in err
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_at_small_max_n_exits_with_a_verdict(capsys, suite):
+    for k in ("1", "2", "3"):
+        code, out, err = run_cli(capsys, "verify", suite, "--max-n", k)
+        assert code in (0, 1) and out and "Traceback" not in err, (suite, k)
+
+
+# -- the parser `main` builds once and reuses ----------------------------------------
+
+_R = '{"coeffs":["2","3","1"]}'  # (1 + x)(2 + x)
+
+#: Usage errors, help, polynomials after flags, and in each verb a good
+#: query after a failed one.
+_SEQUENCE = (
+    ("--help",),
+    (),
+    ("bogus",),
+    ("gen", "--help"),
+    ("gen", "nope", "--n", "3"),
+    ("gen", "eulerian"),
+    ("gen", "eulerian", "--n", "x"),
+    ("gen", "eulerian", "--n", "3", _Q),
+    ("gen", "eulerian", "--n", "4"),
+    ("gen", "t_stack", "--n", "3", "--t", "1/2"),
+    ("gen", "eulerian_t", "--n", "4", "--t=-1"),
+    ("check", "--help"),
+    ("check", "real-rooted"),
+    ("check", "real-rooted", _R, "--bogus"),
+    ("check", "real-rooted", '{"coeffs":[]}'),
+    ("check", "real-rooted", _R),
+    ("check", "interval", "--lo", "0", "--hi", "1", _Q),
+    ("check", "pf", "--poly", '{"coeffs":["1","1","1"]}'),
+    ("check", "pf-minors", "--terms", "1,3,3,1", "--order", "0"),
+    ("check", "pf-minors", "--terms", "1,1,0,1", "--window", "4", "--order", "2"),
+    ("check", "unimodal", _P, "--terms", "1,0,1"),
+    ("check", "unimodal", "--terms", "1,0,1"),
+    ("op", "--help"),
+    ("op", "multisect", "--step", "2", _Q, "--bogus"),
+    ("op", "multisect", "--step", "2", _Q),
+    ("op", "dot", "--alpha", "0", _P, "--beta", "1", _Q),
+    ("op", "e", _P, "--offset", "0"),
+    ("op", "e", _P),
+    ("transform", "--help"),
+    ("transform", "w", '{"coeffs":[]}'),
+    ("transform", "w", _R),
+    ("verify", "--help"),
+    ("verify", "nope"),
+    ("verify", "chain-6", "--max-n", "0"),
+    ("verify", "chain-6", _Q),
+    ("verify", "thm-6-5", "--max-n", "2", "--csv"),  # a JSON report times itself
+    ("verify", "cor-6-10", "--max-n", "2", "--csv"),
+)
+
+
+def test_reused_parser_matches_a_parser_per_call(capsys):
+    """Each argv runs through the route that built a parser per call, then
+    through `main`; exit code, stdout and stderr agree call by call."""
+    codes = set()
+    for argv in _SEQUENCE:
+        expected = run_cli(capsys, *argv, entry=cli_oracle.main)
+        assert run_cli(capsys, *argv) == expected, argv
+        codes.add(expected[0])
+    assert codes == {0, 1, 2}
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    run_cli(capsys, "gen", "eulerian", "--n", "3")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (
+        ("gen", "eulerian", "--n", "3"),
+        ("check", "real-rooted", _R),
+        ("op", "e", _P),
+        ("verify", "thm-6-5", "--max-n", "2"),
+        ("gen", "--help"),
+        ("gen", "nope"),
+    ):
+        run_cli(capsys, *argv)
+    assert built == []
+    cli.build_parser()
+    assert built  # the count sees a parser being built
+
+
+def test_dispatch_reads_rebound_entries(capsys, monkeypatch):
+    """Rebinding a module attribute after the parser is built, as the
+    benchmark tracer does, reaches the next query."""
+    assert run_cli(capsys, "check", "real-rooted", _R)[0] == 0
+    assert run_cli(capsys, "op", "reflect", _P)[0] == 0
+    seen = []
+
+    def refuse(f):
+        seen.append(f)
+        return False
+
+    monkeypatch.setattr(cli, "is_real_rooted", refuse)
+    code, out, _ = run_cli(capsys, "check", "real-rooted", _R)
+    assert code == 1 and json.loads(out)["verdict"] is False and len(seen) == 1
+    monkeypatch.setattr(cli, "e_transform", lambda f: Poly([7]))
+    assert run_cli(capsys, "op", "e", _P) == (0, '{"coeffs":["7"]}\n', "")
+    operations = cli._operations
+    monkeypatch.setattr(cli, "_operations", lambda: {**operations(), "reflect": (lambda f: Poly([5]), 1, ())})
+    assert run_cli(capsys, "op", "reflect", _P) == (0, '{"coeffs":["5"]}\n', "")

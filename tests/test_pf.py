@@ -189,11 +189,21 @@ def toeplitz_queries(draw):
     """(terms, size, order) over the sequences a window check meets and more:
     PF sequences with zero padding on either side, the same times a factor
     with complex roots or with one term perturbed (so that low orders pass
-    and a later one fails), and free rational sequences with negative and
-    zero terms.  Orders reach 6, so first-row expansions run over order-4
-    values and over their own; windows are shorter and longer than the
-    sequence."""
-    kind = draw(st.sampled_from(("complex", "perturbed", "pf", "free")))
+    and a later one fails), free rational sequences with negative and zero
+    terms, and late-failing windows whose first negative minor has order 5
+    or more.  Orders reach 6, or 8 for the late-failing ones, so first-row
+    expansions run over order-4 values and over their own, and a witness is
+    read from sub-minors stored under their twins' keys; windows are shorter
+    and longer than the sequence."""
+    kind = draw(st.sampled_from(("complex", "perturbed", "pf", "free", "late")))
+    if kind == "late":
+        # (x^2 + bx + c)(1 + x)^m with b^2 < 4c, as in
+        # `test_first_negative_minor_at_each_order`
+        b = draw(st.integers(1, 5))
+        c = draw(st.integers(b * b // 4 + 1, b * b // 4 + 3))
+        terms = (Poly([c, b, 1]) * Poly([1, 1]) ** draw(st.integers(1, 3))).coeffs
+        order = draw(st.sampled_from((8, 7, 6, 5)))
+        return terms, draw(st.integers(order, 8)), order
     if kind == "free":
         terms = draw(st.lists(
             st.one_of(st.just(Fraction(0)), st.fractions(-3, 6, max_denominator=4)),

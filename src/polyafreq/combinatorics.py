@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .config import EnumGuards
 from .errors import PreconditionError, ResourceLimitError
-from .polynomial import Poly, ZERO, binom, monomial, unitize_with_degree
+from .polynomial import Poly, ZERO, unitize_with_degree
 from .transforms import e_transform, w_transform
 
 X = Poly([0, 1])
@@ -165,10 +165,11 @@ def w2_poly(n: int) -> Poly:
 
 
 def narayana_poly(n: int) -> Poly:
-    """Descent polynomial of the 1-stack-sortable permutations of [n]."""
+    """Descent polynomial of the 1-stack-sortable permutations of [n], which is
+    the cluster h-polynomial of type A_{n-1}."""
     if n < 1:
         raise PreconditionError("narayana_poly needs n >= 1")
-    return Poly(binom(n, k) * binom(n, k + 1) / n for k in range(n))
+    return fz_h_poly("A", n - 1)
 
 
 # -- q-analogs --------------------------------------------------------------------
@@ -275,10 +276,9 @@ def p_bn_subset(n: int, subset) -> Poly:
         raise PreconditionError("subset must be contained in {0, ..., n}")
     if not subset:
         return ZERO
-    f = ZERO
-    for s in sorted(subset):
-        f = f + (monomial(s) * XP1 ** (n - s)).scale(binom(n, s))
-    return w_transform(f)
+    # sum over s in the subset of C(n, s) x^s (1 + x)^(n - s)
+    weights = [math.comb(n, s) if s in subset else 0 for s in range(n + 1)]
+    return w_transform(unitize_with_degree(Poly._from_ints(weights), n))
 
 
 def p_dn_poly(n: int) -> Poly:
@@ -299,15 +299,15 @@ def fz_h_poly(family: str, n: int) -> Poly:
         if n < 0:
             raise PreconditionError("family A needs n >= 0")
         m = n + 1
-        return Poly(binom(m, k) * binom(m, k + 1) / m for k in range(m))
+        return Poly._from_ints([math.comb(m, k) * math.comb(m, k + 1) for k in range(m)], m)
     if family == "B":
         if n < 0:
             raise PreconditionError("family B needs n >= 0")
-        return Poly(binom(n, k) ** 2 for k in range(n + 1))
+        return Poly._from_ints([math.comb(n, k) ** 2 for k in range(n + 1)])
     if family == "D":
         if n < 2:
             raise PreconditionError("family D needs n >= 2")
-        return fz_h_poly("B", n) - (X * fz_h_poly("A", n - 2)).scale(n)
+        return weyl_combination(n, 1, -1)
     raise PreconditionError(f"unknown family {family!r}")
 
 
@@ -328,4 +328,4 @@ def multisect(f: Poly, step: int, offset: int) -> Poly:
         raise PreconditionError("multisect needs step >= 1")
     if not 0 <= offset < step:
         raise PreconditionError("multisect needs 0 <= offset < step")
-    return Poly(f.coeffs[offset::step])
+    return Poly._from_ints(list(f.nums[offset::step]), f.den)

@@ -126,7 +126,7 @@ def _condition_two(F: BivarOp) -> tuple[bool, list]:
         return False, [("Q_0 or Q_1 not real-rooted", None)]
     if rel not in _STRICT_PAIR:
         return False, [("Q_0 vs Q_1 relation", rel.value)]
-    if q0.degree > 0 and (q0.leading > 0) != (q1.leading > 0):
+    if q0.degree > 0 and q0.is_standard != q1.is_standard:
         return False, [("leading signs differ", None)]
     return True, []
 
@@ -138,7 +138,7 @@ def _condition_three(F: BivarOp, d: int) -> tuple[bool, list]:
         image = apply_phi(F, monomial(k))
         if image.is_zero or image.degree != deg_q0 + k:
             return False, [("degree drop at monomial", k)]
-        s = image.leading > 0
+        s = image.is_standard
         if sign is None:
             sign = s
         elif s != sign:
@@ -208,14 +208,14 @@ def polya_line_check(f: Poly, b: Poly, s, t, u) -> bool:
 
 def schur_product(f: Poly, g: Poly) -> Poly:
     """sum_k k! a_k b_k x^k, truncated at the smaller degree."""
-    return Poly(
-        math.factorial(k) * a * b for k, (a, b) in enumerate(zip(f.coeffs, g.coeffs))
+    return Poly._from_ints(
+        [math.factorial(k) * a * b for k, (a, b) in enumerate(zip(f.nums, g.nums))], f.den * g.den
     )
 
 
 def hadamard_product(f: Poly, g: Poly) -> Poly:
     """Coefficientwise product sum_k a_k b_k x^k."""
-    return Poly(a * b for a, b in zip(f.coeffs, g.coeffs))
+    return Poly._from_ints([a * b for a, b in zip(f.nums, g.nums)], f.den * g.den)
 
 
 def _derivative_sum(f: Poly, g: Poly, c, w: Poly) -> Poly:

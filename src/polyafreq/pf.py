@@ -340,7 +340,7 @@ def is_pf_finite(f: Poly) -> bool:
     polynomial with only real nonpositive roots.  The zero sequence is PF."""
     if f.is_zero:
         return True
-    if any(c < 0 for c in f.coeffs):
+    if any(c < 0 for c in f.nums):
         return False
     # nonnegative coefficients leave no positive root
     return is_real_rooted(f)

@@ -4,14 +4,18 @@ A `Poly` stores integer numerators over one positive denominator: index i
 of `nums` holds the numerator of the coefficient of x^i, the denominator
 `den` is shared, gcd(den, *nums) is 1 and the last numerator of a nonzero
 polynomial is never zero.  The zero polynomial has no numerators and degree
-``NEG_INF``, the float -inf, which compares below every number.  `coeffs`
-gives the same coefficients as `fractions.Fraction` values.
+``NEG_INF``, the float -inf, which compares below every number.
 
-Ring operations, derivatives, division and evaluation run in Python `int`
-and divide by one gcd per result.  They return the same values that
+`nums` and `den` are the one representation the kernels compute in.  Ring
+operations, derivatives, division, evaluation, `monic` and the
+(1 + sign*x)^d substitution run in Python `int` and divide by one gcd per
+result, through `Poly._from_ints`; they return the same values that
 `Fraction` arithmetic gives.  `_remainder_sequence`, the one remainder loop,
 runs a signed primitive pseudo-remainder sequence on integer numerators;
-`poly_gcd` reads its last member and `roots` reads all of it.
+`poly_gcd` reads its last member and `roots` reads all of it.  `Fraction`
+remains where a value is a rational: the views `coeffs`, `coeff` and
+`leading`, the value of an evaluation, `__str__`, and rational parameters
+such as those of `scale`, `monomial` and `binom`.
 """
 
 from __future__ import annotations
@@ -306,7 +310,7 @@ def monomial(k: int, c: RationalLike = 1) -> Poly:
 def monic(f: Poly) -> Poly:
     if f.is_zero:
         return ZERO
-    return f.scale(1 / f.leading)
+    return Poly._from_ints(list(f.nums), f.nums[-1])
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -395,14 +399,6 @@ def binom(alpha: RationalLike, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
-def binomial_poly(k: int) -> Poly:
-    """The polynomial C(x, k) = x(x-1)...(x-k+1)/k!."""
-    p = ONE
-    for i in range(k):
-        p = p * Poly([-i, 1])
-    return p.scale(Fraction(1, math.factorial(k)))
-
-
 # -- Moebius-style substitutions ---------------------------------------------
 
 
@@ -412,16 +408,13 @@ def unitize_with_degree(f: Poly, d: int, sign: int = 1) -> Poly:
     sign = +1 sends [-1,0]-rooted polynomials to nonpositive-rooted ones;
     sign = -1 is its inverse at the same d.
     """
-    if f.is_zero:
-        return ZERO
     if d < len(f.nums) - 1:
         raise ValueError("unitize degree below deg f")
-    shift = Poly([1, sign])
-    powers = [ONE]
-    for _ in range(d):
-        powers.append(powers[-1] * shift)
-    acc = ZERO
-    for j, c in enumerate(f.coeffs):
+    out = [0] * (d + 1)
+    for j, c in enumerate(f.nums):
         if c:
-            acc = acc + monomial(j, c) * powers[d - j]
-    return acc
+            # c * C(d - j, i) * sign^i, term by term from the previous one
+            for i in range(d - j + 1):
+                out[i + j] += c
+                c = c * (d - j - i) * sign // (i + 1)
+    return Poly._from_ints(out, f.den)

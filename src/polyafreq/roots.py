@@ -72,10 +72,10 @@ def cauchy_root_bound(f: Poly) -> Fraction:
     """B with every real root of f strictly inside (-B, B)."""
     if f.is_zero:
         raise ZeroPolynomialError("root bound of zero polynomial")
-    if len(f.coeffs) == 1:
+    if len(f.nums) == 1:
         return Fraction(1)
-    lead = abs(f.coeffs[-1])
-    return 1 + max(abs(c) for c in f.coeffs[:-1]) / lead
+    lead = abs(f.nums[-1])
+    return Fraction(lead + max(abs(c) for c in f.nums[:-1]), lead)
 
 
 def _squarefree_chain(f: Poly, what: str) -> tuple[list[Poly], Fraction, int, int]:
@@ -128,7 +128,7 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
         hi = Fraction(hi)
     if lo > hi:
         raise PreconditionError("roots_within needs lo <= hi")
-    deg = len(f.coeffs) - 1
+    deg = len(f.nums) - 1
     if deg == 0:
         return True
     if lo == hi:

@@ -39,7 +39,7 @@ from .combinatorics import (
     weyl_combination,
 )
 from .config import EnumGuards, RunConfig
-from .errors import PolyafreqError
+from .errors import PolyafreqError, PreconditionError
 from .jsonio import poly_from_dict, poly_to_dict, poly_to_json, rational_from_str, rational_to_str
 from .operators import (
     BivarOp,
@@ -149,11 +149,15 @@ def _frac(rng: random.Random, lo: int, hi: int, den: int = 1) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def _from_roots(roots, lead=1) -> Poly:
-    p = Poly([lead])
+def _from_roots(roots, lead: int = 1) -> Poly:
+    """lead * prod (x - r): the product of the integer factors b*x - a for
+    r = a/b, over the product of the b."""
+    nums, den = [lead], 1
     for r in roots:
-        p = p * Poly([-Fraction(r), 1])
-    return p
+        a, b = r.numerator, r.denominator
+        nums = [b * p - a * q for p, q in zip([0] + nums, nums + [0])]
+        den *= b
+    return Poly._from_ints(nums, den)
 
 
 def _rand_real_rooted(rng: random.Random, max_deg: int, lo=-6, hi=6, den=3) -> Poly:
@@ -189,11 +193,8 @@ def _gen_identities(cfg: RunConfig) -> list[dict]:
         params.append({"kind": "reflect-commutes", "i": i, "coeffs": coeffs})
     for i in range(25):
         k = rng.randint(0, 5)
-        f = Poly([1])
-        for j in range(1, k + 1):
-            f = f * Poly([j, 1])
-        for _ in range(rng.randint(0, 4)):
-            f = f * Poly([_frac(rng, -6, 6, 2), 1])
+        staircase = [-j for j in range(1, k + 1)]
+        f = _from_roots(staircase + [-_frac(rng, -6, 6, 2) for _ in range(rng.randint(0, 4))])
         params.append({"kind": "w-degree-law", "i": i, "staircase": k, "poly": poly_to_dict(f)})
     return params
 
@@ -236,11 +237,8 @@ def _gen_e_images(cfg: RunConfig) -> list[dict]:
 
 def _eval_e_images(params: dict):
     d = params["d"]
-    f = ZERO
-    for i, a in enumerate(params["weights"]):
-        if a:
-            f = f + (monomial(i) * XP1 ** (d - i)).scale(a)
-    image = e_transform(f)
+    # sum_i a_i x^i (1 + x)^(d - i)
+    image = e_transform(unitize_with_degree(Poly._from_ints(list(params["weights"])), d))
     if not is_simple_rooted(image):
         return False, _repro_check("simple", image)
     if not roots_within(image, -1, 0):
@@ -440,8 +438,15 @@ def _eval_chain(params: dict):
 # -- subset-restricted signed descent polynomials ------------------------------------------
 
 
+#: Most subset cases one `cor-6-10` run generates: --max-n 14 is the largest.
+MAX_SUBSET_CASES = 1 << 16
+
+
 def _gen_subsets(cfg: RunConfig) -> list[dict]:
     top = cfg.max_n or 6
+    count = 2 ** (top + 2) - 4 - top  # the nonempty subsets of {0, ..., n} for n <= top
+    if count > MAX_SUBSET_CASES:
+        raise PreconditionError(f"cor-6-10 --max-n {top} needs {count} cases, more than {MAX_SUBSET_CASES}")
     params = []
     for n in range(1, top + 1):
         for mask in range(1, 2 ** (n + 1)):
@@ -717,7 +722,7 @@ def _gen_pf_coherence(cfg: RunConfig) -> list[dict]:
     params = []
     for i in range(100):
         d = rng.randint(1, top)
-        f = _from_roots([-Fraction(rng.randint(0, 9)) for _ in range(d)], lead=rng.randint(1, 3))
+        f = _from_roots([-rng.randint(0, 9) for _ in range(d)], lead=rng.randint(1, 3))
         params.append({"kind": "window", "i": i, "poly": poly_to_dict(f)})
     params.append({"kind": "counterexample"})
     for i in range(20):
@@ -791,7 +796,6 @@ def _eval_oracles(params: dict):
         ok = (
             t_stack_poly(n, 1) == narayana_poly(n)
             and t_stack_poly(n, n - 1) == eulerian_poly(n).exact_divide(X)
-            and narayana_poly(n) == fz_h_poly("A", n - 1)
         )
         return ok, None
     if kind == "b-marginal":
@@ -834,14 +838,8 @@ def _gen_integer_filled(cfg: RunConfig) -> list[dict]:
 
 
 def _eval_integer_filled(params: dict):
-    f = Poly([1])
-    for k in range(params["lam"], 0):
-        f = f * Poly([-k, 1])
-    for k in range(0, params["top"] + 1):
-        f = f * Poly([-k, 1])
-    for text in params["extras"]:
-        f = f * Poly([-rational_from_str(text), 1])
-    image = e_transform(f)
+    roots = [*range(params["lam"], params["top"] + 1), *map(rational_from_str, params["extras"])]
+    image = e_transform(_from_roots(roots))
     ok = roots_within(image, NEG_INF, 0)
     return ok, None if ok else _repro_check("interval", image, " --lo=-inf --hi 0")
 

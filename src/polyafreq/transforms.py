@@ -1,9 +1,12 @@
 """Basis transforms and coefficientwise multiplier machinery.
 
 The binomial-to-monomial transform E sends C(x,k) to x^k and is computed
-with forward-difference tables.  The companion transform W produces the
-numerator of sum_i f(i) x^i over (1-x)^{deg f + 1} and is obtained from E
-by the substitution x -> x/(1-x) with a (1-x)-power prefactor.
+with a forward-difference table of integer values; its inverse sums integer
+falling factorials.  The companion transform W produces the numerator of
+sum_i f(i) x^i over (1-x)^{deg f + 1} and is obtained from E by the
+substitution x -> x/(1-x) with a (1-x)-power prefactor.  All three compute
+on `Poly`'s integer numerators over its one denominator.  `Fraction`
+remains in the multiplier sequences, whose terms are rational parameters.
 """
 
 from __future__ import annotations
@@ -13,45 +16,40 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .polynomial import (
-    Poly,
-    ZERO,
-    binom,
-    binomial_poly,
-    root_multiplicity,
-    unitize_with_degree,
-)
+from .polynomial import Poly, binom, root_multiplicity, unitize_with_degree
 from .roots import is_real_rooted
 
 
-def to_binomial_basis(f: Poly) -> list[Fraction]:
-    """Coefficients a_k with f = sum a_k C(x,k), via forward differences."""
-    if f.is_zero:
-        return []
-    values = [f(i) for i in range(len(f.coeffs))]
+def e_transform(f: Poly) -> Poly:
+    """Replace C(x,k) by x^k on the binomial expansion of f.
+
+    The coefficient of x^k is the k-th forward difference at 0 of the
+    integer values sum_i nums_i * j^i, j = 0..deg f, over den.
+    """
+    values = []
+    for j in range(len(f.nums)):
+        acc = 0
+        for c in reversed(f.nums):
+            acc = acc * j + c
+        values.append(acc)
     out = []
     while values:
         out.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    return out
-
-
-def from_binomial_basis(coeffs) -> Poly:
-    acc = ZERO
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = acc + binomial_poly(k).scale(c)
-    return acc
-
-
-def e_transform(f: Poly) -> Poly:
-    """Replace C(x,k) by x^k on the binomial expansion of f."""
-    return Poly(to_binomial_basis(f))
+    return Poly._from_ints(out, f.den)
 
 
 def e_inverse(g: Poly) -> Poly:
-    """Exact two-sided inverse of e_transform."""
-    return from_binomial_basis(g.coeffs)
+    """Exact two-sided inverse of e_transform: sum_k g_k C(x,k), summed as
+    nums_k * (d!/k!) * x(x-1)...(x-k+1) over den * d! for d = deg g."""
+    d = max(len(g.nums) - 1, 0)
+    out, falling = [0] * (d + 1), [1]
+    for k, c in enumerate(g.nums):
+        weight = c * (math.factorial(d) // math.factorial(k))
+        for i, a in enumerate(falling):
+            out[i] += weight * a
+        falling = [p - k * q for p, q in zip([0] + falling, falling + [0])]  # times x - k
+    return Poly._from_ints(out, g.den * math.factorial(d))
 
 
 def reflect(f: Poly) -> Poly:
@@ -66,7 +64,7 @@ def w_transform(f: Poly) -> Poly:
     """
     if f.is_zero:
         raise ZeroPolynomialError("W-transform of zero polynomial")
-    return unitize_with_degree(e_transform(f), len(f.coeffs) - 1, sign=-1)
+    return unitize_with_degree(e_transform(f), f.degree, sign=-1)
 
 
 def e_multiplicity_at_minus_one(f: Poly) -> int:

@@ -406,6 +406,13 @@ def test_pf_minors_guard(capsys, monkeypatch):
     assert "Traceback" not in err and "more than" in err
 
 
+def test_cor_6_10_guard(capsys):
+    # about 2^42 subset cases: the guard refuses before building any
+    code, out, err = run_cli(capsys, "verify", "cor-6-10", "--max-n", "40")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "more than" in err
+
+
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_verify_at_small_max_n_exits_with_a_verdict(capsys, suite):
     for k in ("1", "2", "3"):

@@ -39,6 +39,7 @@ from polyafreq.operators import hadamard_product
 from polyafreq.polynomial import (
     ONE,
     Poly,
+    X,
     ZERO,
     binom,
     monomial,
@@ -337,6 +338,20 @@ def test_fz_h_frozen():
         fz_h_poly("D", 1)
     with pytest.raises(PreconditionError):
         fz_h_poly("E", 3)
+
+
+def test_shared_family_formulas_match_their_own_sums():
+    # narayana_poly reads fz_h_poly("A", n - 1), and fz_h_poly("D", n) reads
+    # weyl_combination(n, 1, -1); each once had its own sum, kept here
+    for n in range(1, 40):
+        narayana = Poly(Fraction(math.comb(n, k) * math.comb(n, k + 1), n) for k in range(n))
+        assert narayana_poly(n) == narayana
+    for n in range(2, 40):
+        assert fz_h_poly("D", n) == fz_h_poly("B", n) - (X * fz_h_poly("A", n - 2)).scale(n)
+    with pytest.raises(PreconditionError, match="narayana_poly needs n >= 1"):
+        narayana_poly(0)
+    with pytest.raises(PreconditionError, match="family D needs n >= 2"):
+        fz_h_poly("D", 1)
 
 
 @pytest.mark.parametrize("n", range(0, 13))

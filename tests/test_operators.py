@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_oracle import from_roots
 from polyafreq.config import RunConfig
 from polyafreq.errors import PreconditionError
 from polyafreq.jsonio import poly_from_dict
@@ -44,13 +45,6 @@ sequences = st.sampled_from([
     MultiplierSeq.gamma_shift(-2),  # lambda_2 = 0 drops one term
     MultiplierSeq.binom_negative(2, Fraction(1, 2)),
 ])
-
-
-def from_roots(roots):
-    p = Poly([1])
-    for r in roots:
-        p = p * Poly([-Fraction(r), 1])
-    return p
 
 
 def random_real_rooted(rng, max_deg=6, lo=-6, hi=6, den=3):

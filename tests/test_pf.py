@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_oracle import from_roots
 from minor_oracle import bareiss_determinant, exhaustive_minors, persymmetric_twin, toeplitz_window
 from polyafreq.combinatorics import eulerian_poly, multisect, w2_poly
 from polyafreq import pf
@@ -19,13 +20,6 @@ from polyafreq.pf import (
 )
 from polyafreq.polynomial import NEG_INF, Poly, ZERO
 from polyafreq.roots import roots_within
-
-
-def from_roots(roots, lead=1):
-    p = Poly([lead])
-    for r in roots:
-        p = p * Poly([-Fraction(r), 1])
-    return p
 
 
 def test_toeplitz_window():

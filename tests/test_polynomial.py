@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_oracle import binomial_poly
 from poly_oracle import content, primitive_part
 from root_oracle import squarefree_decomposition
 from polyafreq.errors import ExactDivisionError, ZeroPolynomialError
@@ -12,7 +13,6 @@ from polyafreq.polynomial import (
     Poly,
     ZERO,
     binom,
-    binomial_poly,
     monomial,
     poly_gcd,
     root_multiplicity,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import root_oracle
+from fraction_oracle import from_roots
 from polyafreq import polynomial, roots
 from polyafreq.combinatorics import b_euler_q
 from polyafreq.config import RunConfig
@@ -25,13 +26,6 @@ from polyafreq.roots import (
 from polyafreq.suites import run_suite
 
 IR = InterlaceRelation
-
-
-def from_roots(roots, lead=1):
-    p = Poly([lead])
-    for r in roots:
-        p = p * Poly([-Fraction(r), 1])
-    return p
 
 
 small_roots = st.lists(

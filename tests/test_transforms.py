@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import root_oracle
+from fraction_oracle import binomial_poly, from_roots, to_binomial_basis
 from polyafreq.config import RunConfig
 from polyafreq.errors import ZeroPolynomialError
 from polyafreq.jsonio import poly_from_dict
@@ -14,7 +15,6 @@ from polyafreq.polynomial import (
     Poly,
     ZERO,
     binom,
-    binomial_poly,
     monomial,
     unitize_with_degree,
 )
@@ -33,7 +33,6 @@ from polyafreq.transforms import (
     e_transform,
     is_multiplier_n_sequence,
     reflect,
-    to_binomial_basis,
     w_transform,
 )
 from polyafreq.suites import _gen_identities
@@ -45,13 +44,6 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=5)
 
 def polys(max_degree=10):
     return st.lists(rationals, max_size=max_degree + 1).map(Poly)
-
-
-def from_roots(roots):
-    p = Poly([1])
-    for r in roots:
-        p = p * Poly([-Fraction(r), 1])
-    return p
 
 
 def test_binomial_basis_frozen():

@@ -15,7 +15,8 @@ from .polynomial import Poly
 
 
 def rational_to_str(value: Fraction) -> str:
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

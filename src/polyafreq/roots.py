@@ -11,7 +11,10 @@ Root dominance builds the one chain of fg, real-rooted exactly when f and g
 are, and compares Descartes counts of f and g at its points; the sign of p
 on the reals is its sign at the points of p.  Interlacing is decided from a
 Cauchy index, which the signed remainder sequence of the two coprime parts
-gives from leading signs and degrees alone, with no evaluation.
+gives from leading signs and degrees alone, with no evaluation.  Whenever
+that index succeeds it also certifies that both parts are real-rooted, so
+only their common factor is checked; the full checks on the two inputs,
+one chain each, run only when it fails.
 
 Chains and Cauchy indices are read off the one remainder loop of the
 package, `polynomial._remainder_sequence`, in Python `int`; members are
@@ -60,7 +63,7 @@ def _variations(chain: list[Poly], x0: Fraction) -> int:
     for p in chain:
         v = p(x0)
         if v:
-            signs.append(v > 0)
+            signs.append(v.numerator > 0)
     return _sign_changes(signs)
 
 
@@ -170,20 +173,50 @@ def _cauchy_index(u: list[int], v: list[int]) -> int:
     return _sign_changes(at_neg) - _sign_changes(at_pos)
 
 
-def _coprime_parts(f: Poly, g: Poly) -> tuple[list[int], list[int], bool]:
-    """(u, v, coprime): f and g divided by c = gcd(f, g), as integer lists.
+def _coprime_parts(f: Poly, g: Poly) -> tuple[list[int], list[int], Poly]:
+    """(u, v, c): c = gcd(f, g), and f/c and g/c as integer lists.
 
-    u and v are positive multiples of f/c and g/c; coprime says that c is
-    constant.  Raises unless f and g are nonzero and real-rooted.
+    u and v are positive multiples of f/c and g/c with integer coefficients
+    of gcd 1.  Raises unless f and g are nonzero; real-rootedness is left to
+    `_require_real_rooted`.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("interlace relation needs nonzero polynomials")
-    if not is_real_rooted(f) or not is_real_rooted(g):
-        raise NotRealRootedError("interlace relation needs real-rooted polynomials")
     c = poly_gcd(f, g)
     if c.degree <= 0:
-        return _primitive(f.nums), _primitive(g.nums), True
-    return _primitive(f.exact_divide(c).nums), _primitive(g.exact_divide(c).nums), False
+        return _primitive(f.nums), _primitive(g.nums), c
+    return _primitive(f.exact_divide(c).nums), _primitive(g.exact_divide(c).nums), c
+
+
+def _certifying_index(u: list[int], v: list[int]) -> int | None:
+    """Ind(u/v) when it proves u and v real-rooted, else None.
+
+    With deg v - deg u in {0, 1}, |Ind(u/v)| <= deg v, and equality forces
+    deg v simple real poles whose jumps have one sign, hence a simple root
+    of u in each of the deg v - 1 gaps between them.  That is every root of
+    u when deg u = deg v - 1; at equal degrees the last root of u is real
+    too, since non-real roots come in conjugate pairs.
+    """
+    du, dv = len(u) - 1, len(v) - 1
+    if not du <= dv <= du + 1:
+        return None
+    index = _cauchy_index(u, v)
+    return index if abs(index) == dv else None
+
+
+def _require_real_rooted(f: Poly, g: Poly, c: Poly, certified: bool) -> None:
+    """Raise NotRealRootedError unless f and g are real-rooted.
+
+    When the index has certified u = f/c and v = g/c, f and g are
+    real-rooted exactly when c is, and c of degree <= 1 always is.
+    Otherwise the full checks on f and g decide.
+    """
+    if certified:
+        real = c.degree <= 1 or is_real_rooted(c)
+    else:
+        real = is_real_rooted(f) and is_real_rooted(g)
+    if not real:
+        raise NotRealRootedError("interlace relation needs real-rooted polynomials")
 
 
 def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
@@ -191,46 +224,53 @@ def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
 
     interlaces: deg g = deg f + 1 with beta_1 <= alpha_1 <= beta_2 <= ...;
     alternates_left: equal degrees with alpha_1 <= beta_1 <= alpha_2 <= ...;
-    the strict variants additionally require gcd(f, g) constant.
+    the strict variants additionally require gcd(f, g) constant.  Raises
+    unless f and g are nonzero and real-rooted.
 
     The relation is decided from the Cauchy index of u/v, u = f/c and
     v = g/c for c = gcd(f, g); no root is isolated.  Interlacing says
     0 <= #{beta <= t} - #{alpha <= t} <= 1 at every t, and alternating left
     says 0 <= #{alpha <= t} - #{beta <= t} <= 1; a common factor leaves both
-    counts unchanged, so (f, g) and (u, v) are related alike.
-    |Ind(u/v)| = deg v forces deg v simple real poles whose jumps have one
-    sign, hence a simple root of u in each gap between them.  With equal
-    degrees the sign of the index, times sign(lc u * lc v), says which of
-    u and v has the smallest root; two constants have index 0 = deg u.
+    counts unchanged, so (f, g) and (u, v) are related alike.  The index
+    that relates u and v also certifies them (`_certifying_index`), so only
+    c is then checked for real-rootedness; the full checks on f and g run
+    only when the index fails.  With equal degrees the sign of the index,
+    times sign(lc u * lc v), says which of u and v has the smallest root;
+    two constants have index 0 = deg u.
     """
-    u, v, coprime = _coprime_parts(f, g)
+    u, v, c = _coprime_parts(f, g)
+    index = _certifying_index(u, v)
+    _require_real_rooted(f, g, c, index is not None)
     du, dv = len(u) - 1, len(v) - 1
+    if index is None:
+        return InterlaceRelation.EQUAL_DEGREE_NONE if du == dv else InterlaceRelation.NONE
+    coprime = c.degree <= 0
     if dv == du + 1:
-        if abs(_cauchy_index(u, v)) == dv:
-            return InterlaceRelation.INTERLACES_STRICT if coprime else InterlaceRelation.INTERLACES
-        return InterlaceRelation.NONE
-    if du == dv:
-        sign = 1 if (u[-1] > 0) == (v[-1] > 0) else -1
-        if sign * _cauchy_index(u, v) == du:
-            return InterlaceRelation.ALTERNATES_LEFT_STRICT if coprime else InterlaceRelation.ALTERNATES_LEFT
-        return InterlaceRelation.EQUAL_DEGREE_NONE
-    return InterlaceRelation.NONE
+        return InterlaceRelation.INTERLACES_STRICT if coprime else InterlaceRelation.INTERLACES
+    sign = 1 if (u[-1] > 0) == (v[-1] > 0) else -1
+    if sign * index == du:
+        return InterlaceRelation.ALTERNATES_LEFT_STRICT if coprime else InterlaceRelation.ALTERNATES_LEFT
+    return InterlaceRelation.EQUAL_DEGREE_NONE
 
 
 def alternates(f: Poly, g: Poly, strict: bool = False) -> bool:
-    """True when one of f, g interlaces or alternates left of the other."""
-    u, v, coprime = _coprime_parts(f, g)
-    if strict and not coprime:
-        return False
+    """True when one of f, g interlaces or alternates left of the other.
+
+    Raises unless f and g are nonzero and real-rooted, also when strict is
+    set and gcd(f, g) is not constant.  The answer is the certificate of
+    `_certifying_index` on the lower-degree part over the other, and the
+    full checks on f and g run only when it fails.
+    """
+    u, v, c = _coprime_parts(f, g)
     if len(u) > len(v):
         u, v = v, u
     # With deg v = deg u + 1 only u can interlace v.  With equal degrees
     # Ind(v/u) = -Ind(u/v), since Ind(u/v) + Ind(v/u) is half the change of
     # sign(uv) from -inf to +inf, so one order alternates left exactly when
     # |Ind(u/v)| = deg u.
-    return len(v) - len(u) <= 1 and abs(_cauchy_index(u, v)) == len(v) - 1
-
-
+    certified = _certifying_index(u, v) is not None
+    _require_real_rooted(f, g, c, certified)
+    return certified and not (strict and c.degree > 0)
 
 
 # -- root dominance and global sign, from one set of sample points ------------

@@ -21,6 +21,11 @@ same points off the chain of f divided by its last member.  The
 two-interval multiplier test: the image of (x+1)^n has all roots in
 (-inf, 0] or all in [0, +inf).  `polyafreq.transforms` asks one chain and
 reads the sign of the roots from the coefficients.
+
+The check-first interlacing route: `interlace_relation` and `alternates`
+decide in full that f and g are real-rooted (here by the Yun route above)
+before they read the Cauchy index.  `polyafreq.roots` reads the index first; when it succeeds it has
+certified both coprime parts, and only their common factor is checked.
 """
 
 from fractions import Fraction
@@ -34,8 +39,16 @@ from polyafreq.polynomial import (
     poly_gcd,
     root_multiplicity,
     squarefree_part,
+    _primitive,
 )
-from polyafreq.roots import _chain_count, _variations, cauchy_root_bound, sturm_chain
+from polyafreq.roots import (
+    InterlaceRelation,
+    _cauchy_index,
+    _chain_count,
+    _variations,
+    cauchy_root_bound,
+    sturm_chain,
+)
 from polyafreq.transforms import apply_multiplier
 
 _REFINE_CAP = 100_000
@@ -302,3 +315,42 @@ def check_nonneg_on_reals(p):
         for g, m in squarefree_decomposition(p)
         if m % 2 == 1
     )
+
+
+def _checked_coprime_parts(f, g):
+    """(u, v, coprime) after the full real-rootedness checks on f and g."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomialError("interlace relation needs nonzero polynomials")
+    if not is_real_rooted(f) or not is_real_rooted(g):
+        raise NotRealRootedError("interlace relation needs real-rooted polynomials")
+    c = poly_gcd(f, g)
+    if c.degree <= 0:
+        return _primitive(f.nums), _primitive(g.nums), True
+    return _primitive(f.exact_divide(c).nums), _primitive(g.exact_divide(c).nums), False
+
+
+def interlace_relation(f, g):
+    """The relation of (f, g) from Ind(u/v), after both input checks."""
+    u, v, coprime = _checked_coprime_parts(f, g)
+    du, dv = len(u) - 1, len(v) - 1
+    if dv == du + 1:
+        if abs(_cauchy_index(u, v)) == dv:
+            return InterlaceRelation.INTERLACES_STRICT if coprime else InterlaceRelation.INTERLACES
+        return InterlaceRelation.NONE
+    if du == dv:
+        sign = 1 if (u[-1] > 0) == (v[-1] > 0) else -1
+        if sign * _cauchy_index(u, v) == du:
+            return InterlaceRelation.ALTERNATES_LEFT_STRICT if coprime else InterlaceRelation.ALTERNATES_LEFT
+        return InterlaceRelation.EQUAL_DEGREE_NONE
+    return InterlaceRelation.NONE
+
+
+def alternates(f, g, strict=False):
+    """One of f, g interlaces or alternates left of the other, after both
+    input checks."""
+    u, v, coprime = _checked_coprime_parts(f, g)
+    if strict and not coprime:
+        return False
+    if len(u) > len(v):
+        u, v = v, u
+    return len(v) - len(u) <= 1 and abs(_cauchy_index(u, v)) == len(v) - 1

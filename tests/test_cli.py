@@ -249,6 +249,19 @@ def test_enum_guard_env(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == {"coeffs": ["1", "20", "49", "20", "1"]}
 
 
+def test_check_interlace_refuses_bad_input_in_either_order(capsys):
+    not_real = "usage error: interlace relation needs real-rooted polynomials\n"
+    for f, g, err_expected in (
+        # x(x^2+1) and (x-1)(x^2+1): the index of x/(x-1) passes, x^2+1 is not real-rooted
+        ('["0","1","0","1"]', '["-1","1","-1","1"]', not_real),
+        ('["1","0","1"]', '["0","1"]', not_real),
+        ("[]", '["0","1"]', "usage error: interlace relation needs nonzero polynomials\n"),
+    ):
+        for a, b in ((f, g), (g, f)):
+            code, out, err = run_cli(capsys, "check", "interlace", f'{{"coeffs":{a}}}', f'{{"coeffs":{b}}}')
+            assert (code, out, err) == (2, "", err_expected), (a, b)
+
+
 def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "op", "multiplier-apply", '{"coeffs":["1","1"]}',
                            "--binom-negative", "x,1")

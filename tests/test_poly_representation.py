@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import poly_oracle as oracle
 from polyafreq.errors import ZeroPolynomialError
+from polyafreq.jsonio import rational_to_str
 from polyafreq.polynomial import ONE, ZERO, Poly, monomial
 
 coefficients = st.one_of(
@@ -164,3 +165,14 @@ def test_queries_read_the_numerators(f):
     assert [f.coeff(k) for k in range(-1, len(f.coeffs) + 2)] == [0, *f.coeffs, 0, 0]
     assume(f.degree >= 1)
     assert f**2 == f * f and f**0 == ONE
+
+
+@given(coefficients)
+def test_rational_to_str_reads_int_str_and_fraction_alike(q):
+    # the string of Fraction(value), as every input was rendered before
+    expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    inputs = [q, str(q), f" {q.numerator}/{q.denominator} "]
+    if q.denominator == 1:
+        inputs.append(q.numerator)
+    for value in inputs:
+        assert rational_to_str(value) == expected, value

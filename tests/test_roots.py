@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import root_oracle
 from fraction_oracle import from_roots
 from polyafreq import polynomial, roots
 from polyafreq.combinatorics import b_euler_q
 from polyafreq.config import RunConfig
-from polyafreq.errors import NotRealRootedError, PreconditionError, ZeroPolynomialError
+from polyafreq.errors import (
+    NotRealRootedError,
+    PolyafreqError,
+    PreconditionError,
+    ZeroPolynomialError,
+)
 from polyafreq.polynomial import NEG_INF, POS_INF, Poly, ZERO, monomial
 from polyafreq.roots import (
     InterlaceRelation,
@@ -271,6 +276,140 @@ def test_interlacing_isolates_no_root():
             assert alternates(f, g) == either
         report = run_suite("chain-6", RunConfig(seed=0))
     assert report.cases and all(c.verdict for c in report.cases)
+
+
+# -- the check-first route, kept as the oracle of the index-first route -------
+
+# x^2 + 1 and x^2 + x + 1 have no real root
+_NON_REAL = (Poly([1, 0, 1]), Poly([1, 1, 1]))
+
+
+@st.composite
+def interlacing_inputs(draw):
+    """(f, g), real-rooted or not, with degree gaps up to 2 and shared factors.
+
+    The pairs of `real_rooted_pairs` get, on one side, a non-real quadratic
+    or a second derivative; on both sides, a non-real quadratic or a repeated
+    real root; or one side is replaced by a constant or by zero.
+    """
+    f, g = draw(real_rooted_pairs())
+    kind = draw(st.sampled_from(
+        ("plain", "one-non-real", "shared-non-real", "shared-repeated", "second-derivative",
+         "constant", "zero")
+    ))
+    if kind == "one-non-real":
+        f = f * draw(st.sampled_from(_NON_REAL))
+    elif kind == "shared-non-real":
+        q = draw(st.sampled_from(_NON_REAL))
+        f, g = f * q, g * q
+    elif kind == "shared-repeated":
+        r = draw(_linear) ** draw(st.integers(2, 3))
+        f, g = f * r, g * r
+    elif kind == "second-derivative" and g.degree >= 2:
+        f = g.derivative(2).scale(draw(_leads))
+    elif kind == "constant":
+        f = Poly([draw(_leads)])
+    elif kind == "zero":
+        f = ZERO
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+def _result(fn, *args):
+    """fn(*args), or the type and message of the package error it raised."""
+    try:
+        return fn(*args)
+    except PolyafreqError as exc:
+        return type(exc), str(exc)
+
+
+def _input_kind(f, g, outcome):
+    """Which part of the route the pair (f, g) exercised, for coverage."""
+    if f.is_zero or g.is_zero:
+        return "zero"
+    u, v, c = roots._coprime_parts(f, g)
+    if len(u) > len(v):
+        u, v = v, u
+    certified = roots._certifying_index(u, v) is not None
+    if outcome == (NotRealRootedError, "interlace relation needs real-rooted polynomials"):
+        return "common factor not real-rooted" if certified else "input not real-rooted"
+    if c.degree > 0 and polynomial.poly_gcd(c, c.derivative()).degree > 0:
+        return "repeated common root"
+    return "certified" if certified else "index fails"
+
+
+def test_index_first_route_matches_check_first_route():
+    gaps, kinds, relations = collections.Counter(), collections.Counter(), collections.Counter()
+
+    # x(x^2+1) and (x-1)(x^2+1): the index of x/(x-1) passes, x^2+1 is not real-rooted
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(interlacing_inputs())
+    @example((Poly([0, 1, 0, 1]), Poly([-1, 1, -1, 1])))
+    @example((Poly([1, 0, 1]), Poly([0, 1])))
+    def check(pair):
+        f, g = pair
+        for a, b in ((f, g), (g, f)):
+            relation = _result(root_oracle.interlace_relation, a, b)
+            assert _result(interlace_relation, a, b) == relation
+            for strict in (False, True):
+                assert _result(alternates, a, b, strict) == _result(
+                    root_oracle.alternates, a, b, strict
+                )
+            relations[relation] += 1
+        if not (f.is_zero or g.is_zero):
+            gaps[abs(g.degree - f.degree), min(f.degree, g.degree) == 0] += 1
+        kinds[_input_kind(f, g, _result(root_oracle.interlace_relation, f, g))] += 1
+
+    check()
+    for gap in (0, 1, 2):
+        assert gaps[gap, False] and gaps[gap, True], gaps
+    assert set(kinds) == {
+        "zero", "input not real-rooted", "common factor not real-rooted",
+        "repeated common root", "certified", "index fails",
+    }, kinds
+    assert set(IR) <= set(relations), relations
+    for error in (ZeroPolynomialError, NotRealRootedError):
+        assert any(isinstance(r, tuple) and r[0] is error for r in relations), relations
+
+
+_woven = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=11, unique=True
+)
+
+
+def test_pass_path_builds_no_chain_of_the_inputs():
+    passing = {IR.INTERLACES_STRICT, IR.ALTERNATES_LEFT_STRICT}
+    pairs = [(b_euler_q(20, 0), b_euler_q(20, 1))]
+
+    # distinct sorted roots dealt alternately, the last one to g, weave strictly
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_woven, _leads, _leads)
+    def collect(points, a, b):
+        points, odd = sorted(points), len(points) % 2
+        pairs.append((from_roots(points[odd::2]).scale(a), from_roots(points[1 - odd::2]).scale(b)))
+
+    collect()
+    assert sum(1 for f, g in pairs if f.degree >= 3) >= 10
+    shared = Poly([-2, 0, 1])
+    calls = []
+
+    def spy(fn):
+        def wrapper(p):
+            calls.append(p)
+            return fn(p)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "sturm_chain", spy(roots.sturm_chain))
+        mp.setattr(roots, "is_real_rooted", spy(roots.is_real_rooted))
+        for f, g in pairs:
+            assert interlace_relation(f, g) in passing
+            assert alternates(f, g, strict=True) and alternates(g, f)
+            assert calls == [], (f, g, calls)
+            # a shared real factor of degree 2 is checked, and only it
+            assert interlace_relation(f * shared, g * shared) in {IR.INTERLACES, IR.ALTERNATES_LEFT}
+            assert not alternates(f * shared, g * shared, strict=True)
+            assert set(calls) == {shared}, (f, g, calls)
+            calls.clear()
 
 
 def test_positive_sum_interlacing():

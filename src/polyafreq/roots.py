@@ -1,6 +1,8 @@
 """Exact real-root analysis via Sturm sequences.
 
-Every root question on f reads one Sturm chain, that of f itself: the chain
+Every root question on f reads one Sturm chain: that of f itself, or that
+of its half when `is_real_rooted` or `is_simple_rooted` is asked of a
+palindrome (below).  The chain
 f, f', -rem, ... ends at gcd(f, f'), and dividing every member by it leaves
 a Sturm chain of the square-free part of f (Basu, Pollack and Roy, ch. 2).
 f is real-rooted exactly when that chain counts deg f - deg gcd(f, f')
@@ -15,6 +17,20 @@ gives from leading signs and degrees alone, with no evaluation.  Whenever
 that index succeeds it also certifies that both parts are real-rooted, so
 only their common factor is checked; the full checks on the two inputs,
 one chain each, run only when it fails.
+
+A palindrome is decided at half its degree.  Strip x^k from f; when the
+rest reads the same reversed and has at least 3 coefficients, divide out
+the root -1 at odd degree.  What is left, of degree 2m, is x^m * g(x + 1/x)
+for a g of degree m, read off the coefficients through
+x^j + x^-j = D_j(x + 1/x), D_0 = 2, D_1 = y, D_j = y*D_{j-1} - D_{j-2}.
+Each root y of g gives the two roots of x^2 - yx + 1: non-real when y is,
+real and apart when y is real with |y| > 2, conjugate on the unit circle
+when -2 < y < 2, and the root +-1 with doubled multiplicity when y = +-2,
+since y -+ 2 = (x -+ 1)^2 / x.  So f is real-rooted exactly when g is and
+has no root in (-2, 2), and simple-rooted exactly when k <= 1 and g is
+simple-rooted with no root in [-2, 2]; one chain of g, counted between -2
+and 2, answers both.  Any other input, anti-palindromes included, is read
+on the chain of f.
 
 Chains and Cauchy indices are read off the one remainder loop of the
 package, `polynomial._remainder_sequence`, in Python `int`; members are
@@ -101,16 +117,74 @@ def _squarefree_chain(f: Poly, what: str) -> tuple[list[Poly], Fraction, int, in
     return chain, B, _chain_count(chain, -B, B), gcd.degree
 
 
+_TWO = Fraction(2)
+
+
+def _palindromic_half(f: Poly) -> tuple[Poly, int] | None:
+    """(g, k) with f = x^k * (1 + x)^e * x^m * g(x + 1/x), or None.
+
+    None unless f with x^k stripped is a palindrome p of at least 3
+    coefficients; e is 1 at odd deg p, where p(-1) = 0, and 0 otherwise.
+    g = a_m + sum_{j >= 1} a_{m+j} * D_j for the palindrome a = p / (1 + x)^e
+    of degree 2m, in integers over the denominator of f.
+    """
+    nums = f.nums
+    k = 0
+    while k < len(nums) and not nums[k]:
+        k += 1
+    a = list(nums[k:])
+    if len(a) < 3 or a != a[::-1]:
+        return None
+    if len(a) % 2 == 0:
+        # synthetic division by 1 + x
+        for i in range(1, len(a) - 1):
+            a[i] -= a[i - 1]
+        a.pop()
+    m = len(a) // 2
+    g = [a[m]] + [0] * m
+    d_prev, d = [2], [0, 1]
+    for c in a[m + 1 :]:
+        for i, t in enumerate(d):
+            g[i] += c * t
+        step = [0, *d]
+        for i, t in enumerate(d_prev):
+            step[i] -= t
+        d_prev, d = d, step
+    return Poly._from_ints(g, f.den), k
+
+
 def is_real_rooted(f: Poly) -> bool:
     """All complex roots real; constants count as real-rooted."""
-    _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
-    return distinct == f.degree - gcd_degree
+    half = _palindromic_half(f)
+    if half is None:
+        _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
+        return distinct == f.degree - gcd_degree
+    g, _ = half
+    chain, _, distinct, gcd_degree = _squarefree_chain(g, "real-rootedness")
+    if distinct != g.degree - gcd_degree:
+        return False
+    # no root in the open (-2, 2): the count on (-2, 2] is 0, or 1 at g(2) = 0
+    inside = _chain_count(chain, -_TWO, _TWO)
+    return inside == 0 or (inside == 1 and g(_TWO) == 0)
 
 
 def is_simple_rooted(f: Poly) -> bool:
     """All roots real and pairwise distinct."""
-    _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
-    return gcd_degree == 0 and distinct == f.degree
+    half = _palindromic_half(f)
+    if half is None:
+        _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
+        return gcd_degree == 0 and distinct == f.degree
+    g, k = half
+    if k > 1:
+        return False
+    chain, _, distinct, gcd_degree = _squarefree_chain(g, "real-rootedness")
+    # no root in the closed [-2, 2]
+    return (
+        gcd_degree == 0
+        and distinct == g.degree
+        and _chain_count(chain, -_TWO, _TWO) == 0
+        and g(-_TWO) != 0
+    )
 
 
 def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
@@ -136,14 +210,36 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
         return True
     if lo == hi:
         return root_multiplicity(f, lo) == deg
-    chain, B, total, gcd_degree = _squarefree_chain(f, "roots_within")
-    if total < deg - gcd_degree:
+    return _within(f, _squarefree_chain(f, "roots_within"), lo, hi)
+
+
+def _within(
+    f: Poly,
+    summary: tuple[list[Poly], Fraction, int, int],
+    lo: ExtendedRational,
+    hi: ExtendedRational,
+) -> bool:
+    """`roots_within` for lo < hi, read off `_squarefree_chain(f)`."""
+    chain, B, total, gcd_degree = summary
+    if total < f.degree - gcd_degree:
         return False
     left, right = max(lo, -B), min(hi, B)
     inside = _chain_count(chain, left, right) if left < right else 0
     if lo != NEG_INF and f(lo) == 0:
         inside += 1
     return inside == total
+
+
+def simple_roots_within(
+    f: Poly, lo: ExtendedRational, hi: ExtendedRational
+) -> tuple[bool, bool]:
+    """(is_simple_rooted(f), roots_within(f, lo, hi)) from one chain of f, for lo < hi.
+
+    The chain of f, not the half of a palindrome, answers both questions.
+    """
+    summary = _squarefree_chain(f, "real-rootedness")
+    _, _, distinct, gcd_degree = summary
+    return gcd_degree == 0 and distinct == f.degree, _within(f, summary, lo, hi)
 
 
 # -- interlacing and dominance ------------------------------------------------

@@ -80,6 +80,7 @@ from .roots import (
     is_simple_rooted,
     root_dominance,
     roots_within,
+    simple_roots_within,
 )
 from .transforms import (
     MultiplierSeq,
@@ -235,14 +236,23 @@ def _gen_e_images(cfg: RunConfig) -> list[dict]:
     return out
 
 
+def _e_image_failure(image: Poly) -> dict | None:
+    """The repro of an E-image that is not simple-rooted in [-1, 0], else None."""
+    simple, within = simple_roots_within(image, -1, 0)
+    if not simple:
+        return _repro_check("simple", image)
+    if not within:
+        return _repro_check("interval", image, " --lo=-1 --hi 0")
+    return None
+
+
 def _eval_e_images(params: dict):
     d = params["d"]
     # sum_i a_i x^i (1 + x)^(d - i)
     image = e_transform(unitize_with_degree(Poly._from_ints(list(params["weights"])), d))
-    if not is_simple_rooted(image):
-        return False, _repro_check("simple", image)
-    if not roots_within(image, -1, 0):
-        return False, _repro_check("interval", image, " --lo=-1 --hi 0")
+    failed = _e_image_failure(image)
+    if failed:
+        return False, failed
     low, high = e_transform(XP1 ** d), e_transform(monomial(d))
     if interlace_relation(low, image) not in _ALT:
         return False, {"failed": "lower alternation"}
@@ -286,10 +296,9 @@ def _eval_dominance(params: dict):
         return False, {"failed": "dominance construction"}
     ef, eg = e_transform(f), e_transform(g)
     for image in (ef, eg):
-        if not is_simple_rooted(image):
-            return False, _repro_check("simple", image)
-        if not roots_within(image, -1, 0):
-            return False, _repro_check("interval", image, " --lo=-1 --hi 0")
+        failed = _e_image_failure(image)
+        if failed:
+            return False, failed
     rel = interlace_relation(ef, eg)
     ok = rel in _ALT
     return ok, None if ok else {"relation": rel.value}
@@ -806,7 +815,7 @@ def _eval_oracles(params: dict):
         return ok, None
     if kind == "pdn-palindrome":
         p = p_dn_poly(n)
-        ok = p.coeffs == tuple(reversed(p.coeffs)) and is_real_rooted(p)
+        ok = p.nums == p.nums[::-1] and is_real_rooted(p)
         return ok, None
     # Worpitzky-style series check
     a = eulerian_poly(n)

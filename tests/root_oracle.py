@@ -22,6 +22,13 @@ two-interval multiplier test: the image of (x+1)^n has all roots in
 (-inf, 0] or all in [0, +inf).  `polyafreq.transforms` asks one chain and
 reads the sign of the roots from the coefficients.
 
+The one-chain route to real-rootedness: `is_real_rooted` and
+`is_simple_rooted` read the Sturm chain of f itself, whatever its shape.
+`polyafreq.roots` still does for every input but a palindrome, which it
+decides on the chain of its half g, f = x^k (1 + x)^e x^m g(x + 1/x).
+`palindromic_half` finds g here by peeling x^(m-j) (x^2 + 1)^j off the top
+of the palindrome, not by the D_k recurrence.
+
 The check-first interlacing route: `interlace_relation` and `alternates`
 decide in full that f and g are real-rooted (here by the Yun route above)
 before they read the Cauchy index.  `polyafreq.roots` reads the index first; when it succeeds it has
@@ -36,6 +43,7 @@ from polyafreq.polynomial import (
     POS_INF,
     Poly,
     monic,
+    monomial,
     poly_gcd,
     root_multiplicity,
     squarefree_part,
@@ -45,6 +53,7 @@ from polyafreq.roots import (
     InterlaceRelation,
     _cauchy_index,
     _chain_count,
+    _squarefree_chain,
     _variations,
     cauchy_root_bound,
     sturm_chain,
@@ -104,6 +113,42 @@ def is_real_rooted(f):
 
 def is_simple_rooted(f):
     return is_real_rooted(f) and poly_gcd(f, f.derivative()).degree <= 0
+
+
+def one_chain_is_real_rooted(f):
+    _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
+    return distinct == f.degree - gcd_degree
+
+
+def one_chain_is_simple_rooted(f):
+    _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
+    return gcd_degree == 0 and distinct == f.degree
+
+
+def palindromic_half(f):
+    """(g, k) with f = x^k (1 + x)^e x^m g(x + 1/x), e = deg f - k mod 2.
+
+    None unless f with x^k stripped reads the same reversed and has at least
+    3 coefficients.  x^m g(x + 1/x) = sum_j g_j x^(m-j) (x^2 + 1)^j, so the
+    top remaining coefficient, at x^(m+j), is g_j.
+    """
+    coeffs = list(f.coeffs)
+    k = 0
+    while k < len(coeffs) and coeffs[k] == 0:
+        k += 1
+    rest = coeffs[k:]
+    if len(rest) < 3 or rest != rest[::-1]:
+        return None
+    p = Poly(rest)
+    if p.degree % 2:
+        p = p.exact_divide(Poly([1, 1]))
+    m = p.degree // 2
+    g = [Fraction(0)] * (m + 1)
+    for j in range(m, -1, -1):
+        g[j] = p.coeff(m + j)
+        p = p - (monomial(m - j) * Poly([1, 0, 1]) ** j).scale(g[j])
+    assert p.is_zero
+    return Poly(g), k
 
 
 def roots_within(f, lo, hi):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import root_oracle
 from fraction_oracle import from_roots
 from polyafreq import polynomial, roots
-from polyafreq.combinatorics import b_euler_q
+from polyafreq.combinatorics import b_euler_q, eulerian_poly, fz_h_poly
 from polyafreq.config import RunConfig
 from polyafreq.errors import (
     NotRealRootedError,
@@ -547,6 +547,74 @@ def test_one_chain_route_matches_yun_route():
         assert key in seen, key
 
 
+# -- palindromes at half the degree, against the one chain of f --------------------
+
+_reciprocal = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+_beyond_one = st.builds(
+    lambda r, sign: r * sign,
+    st.fractions(min_value=1, max_value=5, max_denominator=3).filter(lambda r: r != 1),
+    st.sampled_from((1, -1)),
+)
+# x^2 + bx + 1: roots on the unit circle for |b| < 2, a double root +-1 at
+# |b| = 2, and a real pair r, 1/r for |b| > 2
+_middles = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.sampled_from((-2, 2)),
+    st.fractions(min_value=2, max_value=5, max_denominator=3),
+    st.fractions(min_value=-5, max_value=-2, max_denominator=3),
+)
+
+
+def _pair(r):
+    """(x - r)(x - 1/r)."""
+    return Poly([1, -(r + 1 / r), 1])
+
+
+@st.composite
+def palindromes(draw):
+    """Products of palindromic quadratics, (1 + x)^i, (1 - x)^j and x^k, times
+    a rational of either sign; an odd j makes an anti-palindrome.  Half the
+    draws take distinct pairs r, 1/r with |r| > 1, i <= 1, j = 0 and k <= 1,
+    which are simple-rooted."""
+    if draw(st.booleans()):
+        rs = draw(st.lists(_beyond_one, unique=True, min_size=1, max_size=3))
+        factors = [(_pair(r), 1) for r in rs]
+        i, j, k = draw(st.integers(0, 1)), 0, draw(st.integers(0, 1))
+    else:
+        quadratic = st.one_of(_reciprocal.map(_pair), _middles.map(lambda b: Poly([1, b, 1])))
+        factors = draw(st.lists(st.tuples(quadratic, st.integers(1, 2)), max_size=3))
+        i, j, k = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    f = _product(factors, draw(_leads))
+    return f * Poly([1, 1]) ** i * Poly([1, -1]) ** j * monomial(k)
+
+
+def _check_against_one_chain(f):
+    real, simple = is_real_rooted(f), is_simple_rooted(f)
+    assert real == root_oracle.one_chain_is_real_rooted(f), f
+    assert simple == root_oracle.one_chain_is_simple_rooted(f), f
+    return real, simple
+
+
+def test_palindromes_at_half_degree_match_one_chain_of_f():
+    seen = collections.Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(palindromes())
+    def check(f):
+        seen[root_oracle.palindromic_half(f) is not None, *_check_against_one_chain(f)] += 1
+
+    check()
+    # palindromes reach every verdict, and anti-palindromes the full chain
+    for key in ((True, True, True), (True, True, False), (True, False, False), (False, True, True)):
+        assert seen[key] >= 5, seen
+    fixed = [eulerian_poly(n) for n in range(1, 26)]
+    fixed += [b_euler_q(n, 1) for n in range(1, 21)]
+    fixed += [fz_h_poly(family, n) for family in "ABD" for n in range(2, 16)]
+    # all real-rooted; h_D(2) = (1 + x)^2 is the one that is not simple-rooted
+    assert [f for f in fixed if _check_against_one_chain(f) != (True, True)] == [fz_h_poly("D", 2)]
+    assert sum(root_oracle.palindromic_half(f) is not None for f in fixed) >= len(fixed) - 5
+
+
 def _no_yun(*args, **kwargs):
     raise AssertionError("a root question ran the Yun route")
 
@@ -571,6 +639,10 @@ def test_real_rootedness_reads_one_chain():
     collect()
     b = b_euler_q(20, 1)
     cases.append((b, True, True, b.degree))
+    # palindromes at both parities, with and without x^2, real-rooted or not
+    for f in (Poly([0, 0, 1, 3, 3, 1]), Poly([0, 1, 0, 1]), Poly([2, 5, 2]), Poly([1, 1, 1])):
+        cases.append((f, root_oracle.is_real_rooted(f), root_oracle.is_simple_rooted(f),
+                      root_oracle.count_distinct_real_roots(f)))
     # each f against itself and against x^deg f, with the oracle's verdicts
     pairs = []
     for f, _, _, _ in cases:
@@ -597,9 +669,17 @@ def test_real_rootedness_reads_one_chain():
             mp.setattr(polynomial, name, _no_yun)
         mp.setattr(roots, "sturm_chain", counted_chain)
         for (f, real, simple, distinct), sample, inside in zip(cases, points, within):
-            for fn, expected in ((is_real_rooted, real), (is_simple_rooted, simple),
-                                 (distinct_real_roots, distinct)):
-                assert reads(fn, f) == (expected, [f])
+            # a palindrome is decided on the chain of its half g, and is not
+            # simple-rooted, with no chain built, when x^2 divides it
+            half = root_oracle.palindromic_half(f)
+            if half is None:
+                real_reads = simple_reads = [f]
+            else:
+                g, k = half
+                real_reads, simple_reads = [g], [g] if k <= 1 else []
+            assert reads(is_real_rooted, f) == (real, real_reads)
+            assert reads(is_simple_rooted, f) == (simple, simple_reads)
+            assert reads(distinct_real_roots, f) == (distinct, [f])
             assert reads(roots.sample_points_between_roots, f) == (sample, [f])
             if f.degree > 0:
                 assert reads(roots_within, f, NEG_INF, POS_INF) == (real, [f])

@@ -1,10 +1,11 @@
 import ast
+import collections
 import json
 import shlex
 
 import pytest
 
-from polyafreq import cli, suites
+from polyafreq import cli, roots, suites
 from polyafreq.config import RunConfig
 from polyafreq.polynomial import Poly
 from polyafreq.suites import SUITE_NAMES, run_suite
@@ -61,6 +62,34 @@ def test_jobs_equivalence():
     serial = run_suite("thm-6-4", RunConfig(max_n=4, seed=5, jobs=1))
     parallel = run_suite("thm-6-4", RunConfig(max_n=4, seed=5, jobs=2))
     assert [c.to_dict() for c in serial.cases] == [c.to_dict() for c in parallel.cases]
+
+
+def test_each_e_image_reads_one_chain(monkeypatch):
+    """thm-4-2 and thm-4-7 ask "simple-rooted?" and "roots in [-1, 0]?" of
+    each E-image, and build one Sturm chain of it for both."""
+    chains, images = [], []
+    real_chain, real_e = roots.sturm_chain, suites.e_transform
+
+    def counted_chain(f):
+        chains.append(f)
+        return real_chain(f)
+
+    def recorded_e(f):
+        images.append(real_e(f))
+        return images[-1]
+
+    monkeypatch.setattr(roots, "sturm_chain", counted_chain)
+    monkeypatch.setattr(suites, "e_transform", recorded_e)
+    # the images checked come first: the one of thm-4-2, the two of thm-4-7
+    for name, checked in (("thm-4-2", 1), ("thm-4-7", 2)):
+        generate, _ = suites._SUITES[name]
+        for params in generate(RunConfig(seed=0)):
+            chains.clear()
+            images.clear()
+            assert suites.evaluate_case(name, params) == (True, None), params
+            expected = collections.Counter(images[:checked])
+            built = collections.Counter(chains)
+            assert {p: built[p] for p in expected} == expected, params
 
 
 def test_unknown_suite():

@@ -65,7 +65,8 @@ from .operators import (
 from .pf import is_log_concave, is_pf_finite, is_unimodal, minors_nonneg
 from .polynomial import NEG_INF, POS_INF, Poly
 from .roots import (
-    InterlaceRelation,
+    ALTERNATING_RELATIONS,
+    INTERLACING_RELATIONS,
     check_nonneg_on_reals,
     interlace_relation,
     is_real_rooted,
@@ -83,13 +84,6 @@ from .transforms import (
     reflect,
     w_transform,
 )
-
-_GOOD_RELATIONS = {
-    InterlaceRelation.INTERLACES,
-    InterlaceRelation.INTERLACES_STRICT,
-    InterlaceRelation.ALTERNATES_LEFT,
-    InterlaceRelation.ALTERNATES_LEFT_STRICT,
-}
 
 
 class UsageError(Exception):
@@ -296,7 +290,8 @@ def _t_stack(n: int, t: Fraction) -> Poly:
 
 def _interlace(f: Poly, g: Poly):
     relation = interlace_relation(f, g)
-    return relation in _GOOD_RELATIONS, {"relation": relation.value}
+    ok = relation in INTERLACING_RELATIONS | ALTERNATING_RELATIONS
+    return ok, {"relation": relation.value}
 
 
 def _pf_minors(terms, window: int | None, order: int | None):

@@ -24,8 +24,11 @@ X = Poly([0, 1])
 XP1 = Poly([1, 1])
 
 
-def _guards(guards: EnumGuards | None) -> EnumGuards:
-    return guards if guards is not None else EnumGuards.from_env()
+def _require_enumerable(n: int) -> None:
+    """Refuse an S_n enumeration above the POLYAFREQ_MAX_ENUM guard."""
+    bound = EnumGuards.from_env().sn_max
+    if n > bound:
+        raise ResourceLimitError(f"S_{n} enumeration exceeds guard {bound}")
 
 
 # -- permutation statistics -----------------------------------------------------
@@ -84,11 +87,9 @@ def eulerian_poly(n: int) -> Poly:
     return unitize_with_degree(surjection_poly(n), n, sign=-1)
 
 
-def eulerian_oracle(n: int, guards: EnumGuards | None = None) -> Poly:
+def eulerian_oracle(n: int) -> Poly:
     """Descent enumeration over S_n; equals eulerian_poly on the guarded range."""
-    g = _guards(guards)
-    if n > g.sn_max:
-        raise ResourceLimitError(f"S_{n} enumeration exceeds guard {g.sn_max}")
+    _require_enumerable(n)
     if n < 1:
         raise PreconditionError("eulerian_oracle needs n >= 1")
     counts = [0] * (n + 1)
@@ -131,15 +132,13 @@ def is_t_stack_sortable(perm: tuple[int, ...], t: int) -> bool:
     return p == target
 
 
-def t_stack_poly(n: int, t: int, guards: EnumGuards | None = None) -> Poly:
+def t_stack_poly(n: int, t: int) -> Poly:
     """Descent polynomial of the t-stack-sortable permutations in S_n."""
     if n < 1:
         raise PreconditionError("t_stack_poly needs n >= 1")
     if t < 0:
         raise PreconditionError("t_stack_poly needs t >= 0")
-    g = _guards(guards)
-    if n > g.sn_max:
-        raise ResourceLimitError(f"S_{n} enumeration exceeds guard {g.sn_max}")
+    _require_enumerable(n)
     counts = [0] * n
     for perm in itertools.permutations(range(1, n + 1)):
         if is_t_stack_sortable(perm, t):
@@ -187,11 +186,9 @@ def q_eulerian_poly(n: int, q) -> Poly:
     return a
 
 
-def q_eulerian_oracle(n: int, q, guards: EnumGuards | None = None) -> Poly:
+def q_eulerian_oracle(n: int, q) -> Poly:
     """sum over S_n of x^{exc} q^{c}, by enumeration."""
-    g = _guards(guards)
-    if n > g.sn_max:
-        raise ResourceLimitError(f"S_{n} enumeration exceeds guard {g.sn_max}")
+    _require_enumerable(n)
     q = Fraction(q)
     coeffs = [Fraction(0)] * n if n else [Fraction(1)]
     if n == 0:

@@ -1,11 +1,18 @@
 """Differential operators built from bivariate symbols, and bilinear products.
 
 A symbol F(x,z) = sum_k Q_k(x) z^k acts on polynomials as
-phi_F(f) = sum_k Q_k(x) f^(k)(x).  The hypothesis checker decides, exactly
-for z-degree <= 2 and by sampling otherwise, whether the operator's
-rootedness-preservation conditions hold.  For z-degree 2, condition (i) is
-the sign of the z-discriminant on the reals: one `negative_witness` call
-returns a point where it is negative, or None when it is nonnegative.
+phi_F(f) = sum_k Q_k(x) f^(k)(x).  The hypothesis checker decides the
+operator's rootedness-preservation conditions exactly.  Condition (i) asks
+that every slice F(xi, z), xi real, be real-rooted in z.  Let D(xi) be the
+first principal subresultant coefficient sRes_j(F, dF/dz) in z that is not
+identically zero (Basu, Pollack and Roy, ch. 4).  Where D(xi) != 0, Q_d(xi)
+is nonzero (it divides D) and the slice has exactly d - j distinct roots,
+so on each interval between consecutive real zeros of D its roots move
+without meeting and its number of real roots is constant.  At a zero of D
+the slice is a limit of the slices beside it, hence real-rooted when they
+are (Hurwitz's theorem).  So condition (i) holds exactly when the slice is
+real-rooted at one point of each open interval that the real zeros of D
+cut the line into.
 """
 
 from __future__ import annotations
@@ -21,14 +28,12 @@ from .errors import (
 )
 from .polynomial import ONE, Poly, X, ZERO, monomial
 from .roots import (
-    InterlaceRelation,
+    STRICT_RELATIONS,
     interlace_relation,
     is_real_rooted,
-    negative_witness,
+    sample_points_between_roots,
 )
 from .transforms import MultiplierSeq
-
-_STRICT_PAIR = {InterlaceRelation.INTERLACES_STRICT, InterlaceRelation.ALTERNATES_LEFT_STRICT}
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -77,10 +82,10 @@ def hermite_poulain(f: Poly, g: Poly) -> Poly:
 class HypothesisReport:
     """Verdicts for the three operator conditions.
 
-    cond_i is 'proved' or 'refuted' (exact, z-degree <= 2) or 'sampled_only';
-    refutations carry a witness.  cond_ii is the strict interlacing/sign
-    clause on (Q_0, Q_1); cond_iii the degree and leading-sign bookkeeping
-    of the monomial images.
+    cond_i is 'proved' or 'refuted'; a refutation carries the xi of a
+    non-real-rooted z-slice as its witness.  cond_ii is the strict
+    interlacing/sign clause on (Q_0, Q_1); cond_iii the degree and
+    leading-sign bookkeeping of the monomial images.
     """
 
     cond_i: str
@@ -93,27 +98,64 @@ class HypothesisReport:
         return self.cond_i == "proved" and self.cond_ii and self.cond_iii
 
 
-_SAMPLE_GRID = [Fraction(n, 4) for n in range(-32, 33)] + [Fraction(-1024), Fraction(1024)]
+def _subresultant_matrix(qs: tuple[Poly, ...], j: int) -> list[list[Poly]]:
+    """The square block whose determinant is sRes_j(q, dq) in z.
+
+    Rows are q z^(d-2-j), ..., q and then dq z^(d-1-j), ..., dq, for
+    q = sum Q_k z^k and dq = sum k Q_k z^(k-1), with coefficients from the
+    highest power down; the block keeps the leading 2d - 1 - 2j columns.
+    """
+    d = len(qs) - 1
+    q = [qs[k] for k in range(d, -1, -1)]
+    dq = [qs[k] * k for k in range(d, 0, -1)]
+    width = 2 * d - 1 - j
+    rows = [
+        [ZERO] * (width - len(p) - s) + p + [ZERO] * s
+        for p, shifts in ((q, d - 1 - j), (dq, d - j))
+        for s in reversed(range(shifts))
+    ]
+    return [row[: width - j] for row in rows]
+
+
+def _determinant(rows: list[list[Poly]]) -> Poly:
+    """Fraction-free Bareiss elimination over Q[xi]: each update divides
+    exactly by the previous pivot, and a zero pivot swaps in a lower row."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, ONE
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if swap is None:
+                return ZERO
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pivot - lead * top[c]).exact_divide(prev)
+        prev = pivot
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
+
+
+def _first_subresultant(qs: tuple[Poly, ...]) -> Poly:
+    """sRes_j(q, dq) for the first j at which it is not identically zero."""
+    d = len(qs) - 1
+    for j in range(d - 1):
+        sres = _determinant(_subresultant_matrix(qs, j))
+        if not sres.is_zero:
+            return sres
+    # the block of sRes_{d-1} is the single entry d*Q_d, never zero
+    return qs[d] * d
 
 
 def _condition_one(F: BivarOp) -> tuple[str, list]:
     """Real-rootedness of F(xi, z) for every real xi."""
-    witnesses: list[tuple[str, object]] = []
     if F.degree_z <= 1:
-        return "proved", witnesses
-    if F.degree_z == 2:
-        disc = F.q(1) * F.q(1) - F.q(0) * F.q(2) * 4
-        xi = None if disc.is_zero else negative_witness(disc)
-        if xi is None:
-            return "proved", witnesses
-        witnesses.append(("negative z-discriminant at xi", xi))
-        return "refuted", witnesses
-    for xi in _SAMPLE_GRID:
-        slice_z = Poly([q(xi) for q in F.q_list])
-        if not slice_z.is_zero and not is_real_rooted(slice_z):
-            witnesses.append(("non-real-rooted z-slice at xi", xi))
-            return "refuted", witnesses
-    return "sampled_only", witnesses
+        return "proved", []
+    for xi in sample_points_between_roots(_first_subresultant(F.q_list)):
+        if not is_real_rooted(Poly([q(xi) for q in F.q_list])):
+            return "refuted", [("non-real-rooted z-slice at xi", xi)]
+    return "proved", []
 
 
 def _condition_two(F: BivarOp) -> tuple[bool, list]:
@@ -124,7 +166,7 @@ def _condition_two(F: BivarOp) -> tuple[bool, list]:
         rel = interlace_relation(q0, q1)
     except NotRealRootedError:
         return False, [("Q_0 or Q_1 not real-rooted", None)]
-    if rel not in _STRICT_PAIR:
+    if rel not in STRICT_RELATIONS:
         return False, [("Q_0 vs Q_1 relation", rel.value)]
     if q0.degree > 0 and q0.is_standard != q1.is_standard:
         return False, [("leading signs differ", None)]
@@ -149,9 +191,9 @@ def _condition_three(F: BivarOp, d: int) -> tuple[bool, list]:
 def check_maincor(F: BivarOp, d: int) -> HypothesisReport:
     """Check the operator hypotheses for degrees up to d.
 
-    Condition (i) is decided exactly through the z-discriminant when the
-    z-degree is at most 2; for higher z-degree a rational grid is sampled,
-    which can refute soundly but only report 'sampled_only' otherwise.
+    Condition (i) is decided exactly at every z-degree: a slice of z-degree
+    at most 1 is always real-rooted, and above that the slice is checked
+    between the real zeros of the subresultant D of the module docstring.
     """
     if F.q(0).is_zero:
         raise PreconditionError("hypothesis check needs Q_0 != 0")

@@ -254,6 +254,18 @@ class InterlaceRelation(enum.Enum):
     NONE = "none"
 
 
+# the relations that count as interlacing, as alternating, and as strict
+INTERLACING_RELATIONS = frozenset(
+    {InterlaceRelation.INTERLACES, InterlaceRelation.INTERLACES_STRICT}
+)
+ALTERNATING_RELATIONS = frozenset(
+    {InterlaceRelation.ALTERNATES_LEFT, InterlaceRelation.ALTERNATES_LEFT_STRICT}
+)
+STRICT_RELATIONS = frozenset(
+    {InterlaceRelation.INTERLACES_STRICT, InterlaceRelation.ALTERNATES_LEFT_STRICT}
+)
+
+
 def _cauchy_index(u: list[int], v: list[int]) -> int:
     """Cauchy index of u/v over the reals, for integer coefficient lists.
 

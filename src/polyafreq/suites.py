@@ -73,6 +73,8 @@ from .polynomial import (
     unitize_with_degree,
 )
 from .roots import (
+    ALTERNATING_RELATIONS,
+    INTERLACING_RELATIONS,
     InterlaceRelation,
     alternates,
     interlace_relation,
@@ -93,9 +95,6 @@ from .transforms import (
 IR = InterlaceRelation
 X = Poly([0, 1])
 XP1 = Poly([1, 1])
-
-_ALT = {IR.ALTERNATES_LEFT, IR.ALTERNATES_LEFT_STRICT}
-_INT = {IR.INTERLACES, IR.INTERLACES_STRICT}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,7 +199,7 @@ def _gen_identities(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_identities(params: dict) -> Case | tuple[bool, dict | None]:
+def _eval_identities(params: dict) -> tuple[bool, dict | None]:
     kind = params["kind"]
     if kind == "shift-monomial":
         n = params["n"]
@@ -254,9 +253,9 @@ def _eval_e_images(params: dict):
     if failed:
         return False, failed
     low, high = e_transform(XP1 ** d), e_transform(monomial(d))
-    if interlace_relation(low, image) not in _ALT:
+    if interlace_relation(low, image) not in ALTERNATING_RELATIONS:
         return False, {"failed": "lower alternation"}
-    if interlace_relation(image, high) not in _ALT:
+    if interlace_relation(image, high) not in ALTERNATING_RELATIONS:
         return False, {"failed": "upper alternation"}
     return True, None
 
@@ -300,7 +299,7 @@ def _eval_dominance(params: dict):
         if failed:
             return False, failed
     rel = interlace_relation(ef, eg)
-    ok = rel in _ALT
+    ok = rel in ALTERNATING_RELATIONS
     return ok, None if ok else {"relation": rel.value}
 
 
@@ -431,12 +430,12 @@ def _eval_chain(params: dict):
         return ok, None
     q, t = rational_from_str(params["q"]), rational_from_str(params["t"])
     b0, bt, bq = b_euler_q(n, 0), b_euler_q(n, t), b_euler_q(n, q)
-    if interlace_relation(b0, bt) not in _INT:
+    if interlace_relation(b0, bt) not in INTERLACING_RELATIONS:
         return False, {"failed": "left interlacing"}
     # for 0 < q < t the smaller weight alternates left of the larger one
-    if interlace_relation(bq, bt) not in _ALT:
+    if interlace_relation(bq, bt) not in ALTERNATING_RELATIONS:
         return False, {"failed": "middle alternation"}
-    if interlace_relation(bq, X * b0) not in _ALT:
+    if interlace_relation(bq, X * b0) not in ALTERNATING_RELATIONS:
         return False, {"failed": "right alternation"}
     for lhs, rhs in ((b0, bt), (b0, bq), (bt, bq)):
         if poly_gcd(lhs, rhs).degree > 0:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyafreq import combinatorics
-from polyafreq.config import EnumGuards
 from polyafreq.errors import PreconditionError, ResourceLimitError
 from polyafreq.combinatorics import (
     b_euler_multi,
@@ -77,9 +76,16 @@ def test_eulerian_matches_oracle(n):
     assert eulerian_poly(n) == eulerian_oracle(n)
 
 
-def test_oracle_guard():
-    with pytest.raises(ResourceLimitError):
-        eulerian_oracle(4, guards=EnumGuards(sn_max=3))
+def test_oracle_guard(monkeypatch):
+    monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "3")
+    for enumerate_s4 in (
+        lambda: eulerian_oracle(4),
+        lambda: t_stack_poly(4, 1),
+        lambda: q_eulerian_oracle(4, 2),
+    ):
+        with pytest.raises(ResourceLimitError):
+            enumerate_s4()
+    assert eulerian_oracle(3) == eulerian_poly(3)
 
 
 def test_surjection_family():

@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import root_oracle
 from fraction_oracle import from_roots
+from minor_oracle import bareiss_determinant
+from operator_oracle import quadratic_condition_one, subresultant_block
+from polyafreq import operators
 from polyafreq.config import RunConfig
 from polyafreq.errors import PreconditionError
 from polyafreq.jsonio import poly_from_dict
@@ -135,10 +139,112 @@ def test_check_maincor_trivial_symbol():
         check_maincor(BivarOp([ZERO, Poly([1, 1])]), 3)
 
 
-def test_check_maincor_sampled_only():
-    F = BivarOp([Poly([1]), Poly([3]), Poly([3]), Poly([1])])  # (1+z)^3 slice
-    rep = check_maincor(F, 3)
-    assert rep.cond_i == "sampled_only"
+def refuting_slice(F):
+    """The z-slice at the witness of a refuted condition (i)."""
+    rep = check_maincor(F, 1)
+    assert rep.cond_i == "refuted", rep
+    tag, xi = rep.witnesses[0]
+    assert tag == "non-real-rooted z-slice at xi"
+    return xi, Poly([q(xi) for q in F.q_list])
+
+
+def test_check_maincor_exact_above_z_degree_two():
+    # (1+z)^3: sRes_0 and sRes_1 vanish identically, D = sRes_2 = 3
+    assert check_maincor(BivarOp([[1], [3], [3], [1]]), 3).cond_i == "proved"
+    # z^3 - (3 + xi^2) z + xi has three real roots at every xi
+    assert check_maincor(BivarOp([[0, 1], [-3, 0, -1], [], [1]]), 3).cond_i == "proved"
+    # z^3 - 3z + xi has one real root exactly when |xi| > 2
+    xi, slice_z = refuting_slice(BivarOp([[0, 1], [-3], [], [1]]))
+    assert abs(xi) > 2 and not root_oracle.is_real_rooted(slice_z)
+    # (z^2 - xi)^2 has four non-real roots exactly when xi < 0
+    xi, slice_z = refuting_slice(BivarOp([[0, 0, 1], [], [0, -2], [], [1]]))
+    assert xi < 0 and not root_oracle.is_real_rooted(slice_z)
+
+
+# -- condition (i) against the z-discriminant and the integer determinant -------
+
+small_int_polys = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
+nonzero_int_polys = small_int_polys.filter(lambda p: not p.is_zero)
+constants = st.integers(-4, 4).filter(bool).map(lambda c: Poly([c]))
+# a leading coefficient with real roots: the slice drops degree there
+real_rooted_leads = st.builds(
+    lambda c, roots: Poly([c]) * from_roots(roots),
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+)
+# c(xi) (z + a(xi))^2: the z-discriminant vanishes identically
+square_symbols = st.builds(
+    lambda c, a: BivarOp([c * a * a, c * a * 2, c]), nonzero_int_polys, small_int_polys
+)
+
+
+def symbol(*qs):
+    return BivarOp(qs)
+
+
+quadratic_symbols = st.one_of(
+    st.builds(symbol, small_int_polys, small_int_polys, nonzero_int_polys),
+    st.builds(symbol, small_int_polys, small_int_polys, real_rooted_leads),
+    st.builds(symbol, constants, constants, constants),
+    square_symbols,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(quadratic_symbols)
+def test_condition_one_matches_the_discriminant_at_z_degree_two(F):
+    assume(not F.q(0).is_zero)
+    rep = check_maincor(F, 1)
+    verdict, _ = quadratic_condition_one(F)
+    assert rep.cond_i == verdict
+    if verdict == "refuted":
+        _, xi = rep.witnesses[0]
+        disc = F.q(1) * F.q(1) - F.q(0) * F.q(2) * 4
+        assert disc(xi) < 0
+
+
+linear_in_xi = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(Poly).filter(
+    lambda p: not p.is_zero
+)
+linear_factors = st.builds(lambda b, a: BivarOp([a, b]), linear_in_xi, linear_in_xi)
+
+
+def times(F, G):
+    """The product symbol F(xi, z) G(xi, z)."""
+    out = [ZERO] * (F.degree_z + G.degree_z + 1)
+    for i, p in enumerate(F.q_list):
+        for j, q in enumerate(G.q_list):
+            out[i + j] = out[i + j] + p * q
+    return BivarOp(out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(linear_factors, min_size=3, max_size=4), nonzero_int_polys)
+def test_condition_one_on_products_of_linear_factors(factors, c):
+    F = factors[0]
+    for G in factors[1:]:
+        F = times(F, G)
+    assert check_maincor(F, 1).cond_i == "proved"
+    # z^2 + c(xi) has non-real roots wherever c(xi) > 0
+    assume(not root_oracle.check_nonneg_on_reals(-c))
+    xi, slice_z = refuting_slice(times(F, BivarOp([c, ZERO, Poly([1])])))
+    assert c(xi) > 0 and not root_oracle.is_real_rooted(slice_z)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(small_int_polys, min_size=3, max_size=5).filter(lambda qs: not qs[-1].is_zero))
+def test_subresultants_match_the_integer_determinant(qs):
+    F = BivarOp(qs)
+    d = F.degree_z
+    first = None
+    for j in range(d):
+        sres = operators._determinant(operators._subresultant_matrix(F.q_list, j))
+        for xi in range(-3, 4):
+            block = subresultant_block([int(q(xi)) for q in F.q_list], j)
+            assert sres(xi) == bareiss_determinant(block)
+        if first is None and not sres.is_zero:
+            first = sres
+    assert operators._first_subresultant(F.q_list) == first
 
 
 def test_polya_line_check():

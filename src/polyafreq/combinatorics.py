@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .config import EnumGuards
+from .config import max_enum
 from .errors import PreconditionError, ResourceLimitError
 from .polynomial import Poly, ZERO, unitize_with_degree
 from .transforms import e_transform, w_transform
@@ -26,7 +26,7 @@ XP1 = Poly([1, 1])
 
 def _require_enumerable(n: int) -> None:
     """Refuse an S_n enumeration above the POLYAFREQ_MAX_ENUM guard."""
-    bound = EnumGuards.from_env().sn_max
+    bound = max_enum()
     if n > bound:
         raise ResourceLimitError(f"S_{n} enumeration exceeds guard {bound}")
 

@@ -1,4 +1,4 @@
-"""Run-time configuration dataclasses."""
+"""Run-time configuration: the enumeration guard and the suite run knobs."""
 
 from __future__ import annotations
 
@@ -11,29 +11,22 @@ from .errors import PreconditionError
 MAX_ENUM_ENV = "POLYAFREQ_MAX_ENUM"
 
 
-@dataclasses.dataclass(frozen=True)
-class EnumGuards:
-    """Size limits for brute-force enumeration oracles.
+def max_enum() -> int:
+    """The largest n of a symmetric-group enumeration (n! cases).
 
-    sn_max bounds symmetric-group enumerations (n! cases); no code
-    enumerates signed permutations.  The MAX_ENUM_ENV variable, a positive
-    integer, overrides it.
+    9 unless the MAX_ENUM_ENV variable, a positive integer, overrides it;
+    no code enumerates signed permutations.
     """
-
-    sn_max: int = 9
-
-    @classmethod
-    def from_env(cls) -> "EnumGuards":
-        raw = os.environ.get(MAX_ENUM_ENV)
-        if raw is None:
-            return cls()
-        try:
-            bound = int(raw)
-        except ValueError:
-            bound = 0
-        if bound < 1:
-            raise PreconditionError(f"{MAX_ENUM_ENV} must be a positive integer, got {raw!r}")
-        return cls(sn_max=bound)
+    raw = os.environ.get(MAX_ENUM_ENV)
+    if raw is None:
+        return 9
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise PreconditionError(f"{MAX_ENUM_ENV} must be a positive integer, got {raw!r}")
+    return bound
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,7 +12,9 @@ operations, derivatives, division, evaluation, `monic` and the
 result, through `Poly._from_ints`; they return the same values that
 `Fraction` arithmetic gives.  `_remainder_sequence`, the one remainder loop,
 runs a signed primitive pseudo-remainder sequence on integer numerators;
-`poly_gcd` reads its last member and `roots` reads all of it.  `Fraction`
+`poly_gcd` reads its last member, and `roots` reads all of it: the whole
+Sturm chain, and for interlacing the signs at +-inf together with the last
+member, gcd(f, g), from the one sequence of the pair.  `Fraction`
 remains where a value is a rational: the views `coeffs`, `coeff` and
 `leading`, the value of an evaluation, `__str__`, and rational parameters
 such as those of `scale`, `monomial` and `binom`.

@@ -11,12 +11,14 @@ the one bisection, `_sample_points`, splits (-B, B] on it in the half-open
 convention (lo, hi] and returns one sorted point in each root-free interval.
 Root dominance builds the one chain of fg, real-rooted exactly when f and g
 are, and compares Descartes counts of f and g at its points; the sign of p
-on the reals is its sign at the points of p.  Interlacing is decided from a
-Cauchy index, which the signed remainder sequence of the two coprime parts
-gives from leading signs and degrees alone, with no evaluation.  Whenever
-that index succeeds it also certifies that both parts are real-rooted, so
-only their common factor is checked; the full checks on the two inputs,
-one chain each, run only when it fails.
+on the reals is its sign at the points of p.  Interlacing of f and g is
+decided from the Cauchy index Ind(f/g), which one signed remainder sequence
+of g and f gives from leading signs and degrees alone, with no evaluation.
+That sequence ends at c = gcd(f, g), and c scales every member alike, so it
+moves no sign variation and Ind(f/g) is the index of the coprime parts
+f/c over g/c; no gcd is computed apart.  Whenever the index succeeds it
+also certifies that both parts are real-rooted, so only c is checked; the
+full checks on the two inputs, one chain each, run only when it fails.
 
 A palindrome is decided at half its degree.  Strip x^k from f; when the
 rest reads the same reversed and has at least 3 coefficients, divide out
@@ -49,8 +51,6 @@ from .polynomial import (
     NEG_INF,
     POS_INF,
     Poly,
-    poly_gcd,
-    root_multiplicity,
     _primitive,
     _remainder_sequence,
 )
@@ -102,8 +102,9 @@ def _squarefree_chain(f: Poly, what: str) -> tuple[list[Poly], Fraction, int, in
 
     The Sturm chain of f ends at gcd(f, f') up to scale; dividing every
     member by it leaves a Sturm chain of the square-free part of f, whose
-    first member has the roots and the Cauchy bound B of that part.  The
-    chain counts roots in (lo, hi] at any two points, roots or not.
+    first member has the roots and the Cauchy bound B of that part (of f
+    itself when the gcd is constant).  The chain counts roots in (lo, hi] at
+    any two points, roots or not.
     """
     if f.is_zero:
         raise ZeroPolynomialError(f"{what} of zero polynomial")
@@ -111,9 +112,7 @@ def _squarefree_chain(f: Poly, what: str) -> tuple[list[Poly], Fraction, int, in
     gcd = chain[-1]
     if gcd.degree > 0:
         chain = [p.exact_divide(gcd) for p in chain]
-        B = cauchy_root_bound(chain[0])
-    else:
-        B = cauchy_root_bound(f)
+    B = cauchy_root_bound(chain[0])
     return chain, B, _chain_count(chain, -B, B), gcd.degree
 
 
@@ -205,11 +204,8 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
         hi = Fraction(hi)
     if lo > hi:
         raise PreconditionError("roots_within needs lo <= hi")
-    deg = len(f.nums) - 1
-    if deg == 0:
+    if len(f.nums) == 1:
         return True
-    if lo == hi:
-        return root_multiplicity(f, lo) == deg
     return _within(f, _squarefree_chain(f, "roots_within"), lo, hi)
 
 
@@ -219,7 +215,11 @@ def _within(
     lo: ExtendedRational,
     hi: ExtendedRational,
 ) -> bool:
-    """`roots_within` for lo < hi, read off `_squarefree_chain(f)`."""
+    """`roots_within` for lo <= hi, read off `_squarefree_chain(f)`.
+
+    At lo = hi = a the count on the empty (a, a] is 0, so f passes exactly
+    when its one distinct real root is a and it has no other root.
+    """
     chain, B, total, gcd_degree = summary
     if total < f.degree - gcd_degree:
         return False
@@ -266,60 +266,45 @@ STRICT_RELATIONS = frozenset(
 )
 
 
-def _cauchy_index(u: list[int], v: list[int]) -> int:
-    """Cauchy index of u/v over the reals, for integer coefficient lists.
+def _certifying_index(f: Poly, g: Poly) -> tuple[int, Poly] | None:
+    """(Ind(f/g), c = gcd(f, g)) when the index proves f/c and g/c real-rooted.
 
-    Sturm's generalised theorem: the index is V(-inf) - V(+inf) on the
-    signed remainder sequence v, u, -rem(v, u), ...  Each member here is a
-    positive multiple of the one in the theorem, so the signs at +-inf come
-    from the leading coefficients and degrees alone.
-    """
-    seq = _remainder_sequence(v, u)
-    at_pos = [p[-1] > 0 for p in seq]
-    # the sign at -inf flips for odd degree, i.e. for an even coefficient count
-    at_neg = [s == (len(p) % 2 == 1) for s, p in zip(at_pos, seq)]
-    return _sign_changes(at_neg) - _sign_changes(at_pos)
+    None, with no remainder sequence built, unless 0 <= deg g - deg f <= 1;
+    raises unless f and g are nonzero.  Sturm's generalised theorem needs no
+    coprime inputs: Ind(f/g) = V(-inf) - V(+inf) on the signed remainder
+    sequence g, f, -rem(g, f), ..., which ends at c up to scale.  Each member
+    here is a positive multiple of the one in the theorem, so the signs at
+    +-inf come from the leading coefficients and degrees alone.
 
-
-def _coprime_parts(f: Poly, g: Poly) -> tuple[list[int], list[int], Poly]:
-    """(u, v, c): c = gcd(f, g), and f/c and g/c as integer lists.
-
-    u and v are positive multiples of f/c and g/c with integer coefficients
-    of gcd 1.  Raises unless f and g are nonzero; real-rootedness is left to
-    `_require_real_rooted`.
+    With u = f/c and v = g/c, Ind(f/g) = Ind(u/v) and |Ind(u/v)| <= deg v;
+    equality forces deg v simple real poles whose jumps have one sign, hence
+    a simple root of u in each of the deg v - 1 gaps between them.  That is
+    every root of u when deg u = deg v - 1; at equal degrees the last root
+    of u is real too, since non-real roots come in conjugate pairs.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("interlace relation needs nonzero polynomials")
-    c = poly_gcd(f, g)
-    if c.degree <= 0:
-        return _primitive(f.nums), _primitive(g.nums), c
-    return _primitive(f.exact_divide(c).nums), _primitive(g.exact_divide(c).nums), c
-
-
-def _certifying_index(u: list[int], v: list[int]) -> int | None:
-    """Ind(u/v) when it proves u and v real-rooted, else None.
-
-    With deg v - deg u in {0, 1}, |Ind(u/v)| <= deg v, and equality forces
-    deg v simple real poles whose jumps have one sign, hence a simple root
-    of u in each of the deg v - 1 gaps between them.  That is every root of
-    u when deg u = deg v - 1; at equal degrees the last root of u is real
-    too, since non-real roots come in conjugate pairs.
-    """
-    du, dv = len(u) - 1, len(v) - 1
-    if not du <= dv <= du + 1:
+    if not 0 <= g.degree - f.degree <= 1:
         return None
-    index = _cauchy_index(u, v)
-    return index if abs(index) == dv else None
+    seq = _remainder_sequence(_primitive(g.nums), _primitive(f.nums))
+    at_pos = [p[-1] > 0 for p in seq]
+    # the sign at -inf flips for odd degree, i.e. for an even coefficient count
+    at_neg = [s == (len(p) % 2 == 1) for s, p in zip(at_pos, seq)]
+    index = _sign_changes(at_neg) - _sign_changes(at_pos)
+    last = seq[-1]
+    if abs(index) != g.degree - (len(last) - 1):
+        return None
+    return index, Poly._from_ints(last, last[-1])
 
 
-def _require_real_rooted(f: Poly, g: Poly, c: Poly, certified: bool) -> None:
+def _require_real_rooted(f: Poly, g: Poly, c: Poly | None) -> None:
     """Raise NotRealRootedError unless f and g are real-rooted.
 
-    When the index has certified u = f/c and v = g/c, f and g are
-    real-rooted exactly when c is, and c of degree <= 1 always is.
-    Otherwise the full checks on f and g decide.
+    c is gcd(f, g) when the index has certified f/c and g/c, and then f and
+    g are real-rooted exactly when c is, and c of degree <= 1 always is.
+    Otherwise (c is None) the full checks on f and g decide.
     """
-    if certified:
+    if c is not None:
         real = c.degree <= 1 or is_real_rooted(c)
     else:
         real = is_real_rooted(f) and is_real_rooted(g)
@@ -335,28 +320,30 @@ def interlace_relation(f: Poly, g: Poly) -> InterlaceRelation:
     the strict variants additionally require gcd(f, g) constant.  Raises
     unless f and g are nonzero and real-rooted.
 
-    The relation is decided from the Cauchy index of u/v, u = f/c and
-    v = g/c for c = gcd(f, g); no root is isolated.  Interlacing says
+    The relation is decided from the Cauchy index of f/g, read with c =
+    gcd(f, g) off the one signed remainder sequence of g and f; no root is
+    isolated.  For u = f/c and v = g/c, f/g = u/v: the common factor scales
+    every member of the sequence alike, so it moves no sign variation at
+    +-inf and Ind(f/g) = Ind(u/v).  Interlacing says
     0 <= #{beta <= t} - #{alpha <= t} <= 1 at every t, and alternating left
     says 0 <= #{alpha <= t} - #{beta <= t} <= 1; a common factor leaves both
     counts unchanged, so (f, g) and (u, v) are related alike.  The index
     that relates u and v also certifies them (`_certifying_index`), so only
     c is then checked for real-rootedness; the full checks on f and g run
-    only when the index fails.  With equal degrees the sign of the index,
-    times sign(lc u * lc v), says which of u and v has the smallest root;
-    two constants have index 0 = deg u.
+    only when the index fails, and no sequence is built unless
+    0 <= deg g - deg f <= 1.  With equal degrees the sign of the index,
+    times sign(lc u * lc v) = sign(lc f * lc g), says which of u and v has
+    the smallest root; two constants have index 0 = deg u.
     """
-    u, v, c = _coprime_parts(f, g)
-    index = _certifying_index(u, v)
-    _require_real_rooted(f, g, c, index is not None)
-    du, dv = len(u) - 1, len(v) - 1
+    index, c = _certifying_index(f, g) or (None, None)
+    _require_real_rooted(f, g, c)
     if index is None:
-        return InterlaceRelation.EQUAL_DEGREE_NONE if du == dv else InterlaceRelation.NONE
+        return InterlaceRelation.EQUAL_DEGREE_NONE if f.degree == g.degree else InterlaceRelation.NONE
     coprime = c.degree <= 0
-    if dv == du + 1:
+    if g.degree == f.degree + 1:
         return InterlaceRelation.INTERLACES_STRICT if coprime else InterlaceRelation.INTERLACES
-    sign = 1 if (u[-1] > 0) == (v[-1] > 0) else -1
-    if sign * index == du:
+    sign = 1 if (f.nums[-1] > 0) == (g.nums[-1] > 0) else -1
+    if sign * index == f.degree - c.degree:
         return InterlaceRelation.ALTERNATES_LEFT_STRICT if coprime else InterlaceRelation.ALTERNATES_LEFT
     return InterlaceRelation.EQUAL_DEGREE_NONE
 
@@ -366,19 +353,18 @@ def alternates(f: Poly, g: Poly, strict: bool = False) -> bool:
 
     Raises unless f and g are nonzero and real-rooted, also when strict is
     set and gcd(f, g) is not constant.  The answer is the certificate of
-    `_certifying_index` on the lower-degree part over the other, and the
+    `_certifying_index` on the lower-degree input over the other, and the
     full checks on f and g run only when it fails.
     """
-    u, v, c = _coprime_parts(f, g)
-    if len(u) > len(v):
-        u, v = v, u
-    # With deg v = deg u + 1 only u can interlace v.  With equal degrees
-    # Ind(v/u) = -Ind(u/v), since Ind(u/v) + Ind(v/u) is half the change of
-    # sign(uv) from -inf to +inf, so one order alternates left exactly when
-    # |Ind(u/v)| = deg u.
-    certified = _certifying_index(u, v) is not None
-    _require_real_rooted(f, g, c, certified)
-    return certified and not (strict and c.degree > 0)
+    if f.degree > g.degree:
+        f, g = g, f
+    # With deg g = deg f + 1 only f can interlace g.  With equal degrees
+    # Ind(g/f) = -Ind(f/g), since Ind(f/g) + Ind(g/f) is half the change of
+    # sign(fg) from -inf to +inf, so one order alternates left exactly when
+    # |Ind(f/g)| = deg f - deg c.
+    _, c = _certifying_index(f, g) or (None, None)
+    _require_real_rooted(f, g, c)
+    return c is not None and not (strict and c.degree > 0)
 
 
 # -- root dominance and global sign, from one set of sample points ------------

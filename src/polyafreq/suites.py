@@ -38,7 +38,7 @@ from .combinatorics import (
     w2_poly,
     weyl_combination,
 )
-from .config import EnumGuards, RunConfig
+from .config import RunConfig, max_enum
 from .errors import PolyafreqError, PreconditionError
 from .jsonio import poly_from_dict, poly_to_dict, poly_to_json, rational_from_str, rational_to_str
 from .operators import (
@@ -308,9 +308,8 @@ def _eval_dominance(params: dict):
 
 def _gen_two_stack(cfg: RunConfig) -> list[dict]:
     top = cfg.max_n or 12
-    guards = EnumGuards.from_env()
     params = [{"kind": "pf", "n": n} for n in range(1, top + 1)]
-    params += [{"kind": "oracle", "n": n} for n in range(1, min(8, top, guards.sn_max) + 1)]
+    params += [{"kind": "oracle", "n": n} for n in range(1, min(8, top, max_enum()) + 1)]
     return params
 
 
@@ -767,8 +766,7 @@ def _eval_pf_coherence(params: dict):
 
 def _gen_oracles(cfg: RunConfig) -> list[dict]:
     rng = _suite_rng("oracle-coherence", cfg.seed)
-    guards = EnumGuards.from_env()
-    top = min(cfg.max_n or 8, guards.sn_max)
+    top = min(cfg.max_n or 8, max_enum())
     bn_top = min(cfg.max_n or 8, 6)
     params = [{"kind": "eulerian", "n": n} for n in range(1, top + 1)]
     params += [{"kind": "surjection-identities", "n": n} for n in range(1, 13)]
@@ -909,7 +907,7 @@ def run_suite(name: str, config: RunConfig | None = None) -> SuiteReport:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     config = config or RunConfig()
-    EnumGuards.from_env()  # a malformed guard is a usage error, not a failing case
+    max_enum()  # a malformed guard is a usage error, not a failing case
     start = time.perf_counter()
     gen, _ = _SUITES[name]
     param_list = gen(config)

@@ -33,6 +33,10 @@ The check-first interlacing route: `interlace_relation` and `alternates`
 decide in full that f and g are real-rooted (here by the Yun route above)
 before they read the Cauchy index.  `polyafreq.roots` reads the index first; when it succeeds it has
 certified both coprime parts, and only their common factor is checked.
+Here the index is read in two passes: `poly_gcd(f, g)` first, then the
+remainder sequence of the coprime parts v = g/c and u = f/c.
+`polyafreq.roots` reads the index and c = gcd(f, g) off the one sequence
+of g and f.
 """
 
 from fractions import Fraction
@@ -48,10 +52,10 @@ from polyafreq.polynomial import (
     root_multiplicity,
     squarefree_part,
     _primitive,
+    _remainder_sequence,
 )
 from polyafreq.roots import (
     InterlaceRelation,
-    _cauchy_index,
     _chain_count,
     _squarefree_chain,
     _variations,
@@ -362,16 +366,37 @@ def check_nonneg_on_reals(p):
     )
 
 
+def cauchy_index(u, v):
+    """Ind(u/v) for integer coefficient lists: V(-inf) - V(+inf) on the
+    signed remainder sequence v, u, -rem(v, u), ..., read at +-inf off the
+    leading signs and degrees."""
+    seq = _remainder_sequence(v, u)
+    at_pos = [p[-1] > 0 for p in seq]
+    at_neg = [s == (len(p) % 2 == 1) for s, p in zip(at_pos, seq)]
+    return _sign_changes(at_neg) - _sign_changes(at_pos)
+
+
+def _sign_changes(signs):
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def coprime_parts(f, g):
+    """(u, v, c): c = gcd(f, g), and positive primitive integer multiples of
+    f/c and g/c, for nonzero f and g."""
+    c = poly_gcd(f, g)
+    if c.degree <= 0:
+        return _primitive(f.nums), _primitive(g.nums), c
+    return _primitive(f.exact_divide(c).nums), _primitive(g.exact_divide(c).nums), c
+
+
 def _checked_coprime_parts(f, g):
     """(u, v, coprime) after the full real-rootedness checks on f and g."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("interlace relation needs nonzero polynomials")
     if not is_real_rooted(f) or not is_real_rooted(g):
         raise NotRealRootedError("interlace relation needs real-rooted polynomials")
-    c = poly_gcd(f, g)
-    if c.degree <= 0:
-        return _primitive(f.nums), _primitive(g.nums), True
-    return _primitive(f.exact_divide(c).nums), _primitive(g.exact_divide(c).nums), False
+    u, v, c = coprime_parts(f, g)
+    return u, v, c.degree <= 0
 
 
 def interlace_relation(f, g):
@@ -379,12 +404,12 @@ def interlace_relation(f, g):
     u, v, coprime = _checked_coprime_parts(f, g)
     du, dv = len(u) - 1, len(v) - 1
     if dv == du + 1:
-        if abs(_cauchy_index(u, v)) == dv:
+        if abs(cauchy_index(u, v)) == dv:
             return InterlaceRelation.INTERLACES_STRICT if coprime else InterlaceRelation.INTERLACES
         return InterlaceRelation.NONE
     if du == dv:
         sign = 1 if (u[-1] > 0) == (v[-1] > 0) else -1
-        if sign * _cauchy_index(u, v) == du:
+        if sign * cauchy_index(u, v) == du:
             return InterlaceRelation.ALTERNATES_LEFT_STRICT if coprime else InterlaceRelation.ALTERNATES_LEFT
         return InterlaceRelation.EQUAL_DEGREE_NONE
     return InterlaceRelation.NONE
@@ -398,4 +423,4 @@ def alternates(f, g, strict=False):
         return False
     if len(u) > len(v):
         u, v = v, u
-    return len(v) - len(u) <= 1 and abs(_cauchy_index(u, v)) == len(v) - 1
+    return len(v) - len(u) <= 1 and abs(cauchy_index(u, v)) == len(v) - 1

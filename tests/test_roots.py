@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -326,10 +327,10 @@ def _input_kind(f, g, outcome):
     """Which part of the route the pair (f, g) exercised, for coverage."""
     if f.is_zero or g.is_zero:
         return "zero"
-    u, v, c = roots._coprime_parts(f, g)
+    u, v, c = root_oracle.coprime_parts(f, g)
     if len(u) > len(v):
         u, v = v, u
-    certified = roots._certifying_index(u, v) is not None
+    certified = len(v) - len(u) <= 1 and abs(root_oracle.cauchy_index(u, v)) == len(v) - 1
     if outcome == (NotRealRootedError, "interlace relation needs real-rooted polynomials"):
         return "common factor not real-rooted" if certified else "input not real-rooted"
     if c.degree > 0 and polynomial.poly_gcd(c, c.derivative()).degree > 0:
@@ -389,8 +390,8 @@ def test_pass_path_builds_no_chain_of_the_inputs():
 
     collect()
     assert sum(1 for f, g in pairs if f.degree >= 3) >= 10
-    shared = Poly([-2, 0, 1])
-    calls = []
+    shared, linear, far = Poly([-2, 0, 1]), Poly([-7, 1]), Poly([-8, 1])
+    calls, sequences = [], []
 
     def spy(fn):
         def wrapper(p):
@@ -398,18 +399,34 @@ def test_pass_path_builds_no_chain_of_the_inputs():
             return fn(p)
         return wrapper
 
+    def spy_sequence(a, b):
+        # the function that asked for the remainder sequence
+        sequences.append(sys._getframe(1).f_code.co_name)
+        return polynomial._remainder_sequence(a, b)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "sturm_chain", spy(roots.sturm_chain))
         mp.setattr(roots, "is_real_rooted", spy(roots.is_real_rooted))
+        mp.setattr(roots, "_remainder_sequence", spy_sequence)
         for f, g in pairs:
+            # one sequence of the pair per call gives the index and gcd(f, g)
             assert interlace_relation(f, g) in passing
             assert alternates(f, g, strict=True) and alternates(g, f)
+            assert interlace_relation(f * linear, g * linear) in {IR.INTERLACES, IR.ALTERNATES_LEFT}
+            assert alternates(g * linear, f * linear)
             assert calls == [], (f, g, calls)
+            assert sequences == ["_certifying_index"] * 5, (f, g, sequences)
             # a shared real factor of degree 2 is checked, and only it
             assert interlace_relation(f * shared, g * shared) in {IR.INTERLACES, IR.ALTERNATES_LEFT}
             assert not alternates(f * shared, g * shared, strict=True)
             assert set(calls) == {shared}, (f, g, calls)
             calls.clear()
+            sequences.clear()
+            # degrees two or more apart: no sequence of the pair, only the input checks' chains
+            assert interlace_relation(f, g * far**2) == IR.NONE and not alternates(g * far**2, f)
+            assert sequences and set(sequences) == {"sturm_chain"}, (f, g, sequences)
+            calls.clear()
+            sequences.clear()
 
 
 def test_positive_sum_interlacing():
@@ -615,6 +632,77 @@ def test_palindromes_at_half_degree_match_one_chain_of_f():
     assert sum(root_oracle.palindromic_half(f) is not None for f in fixed) >= len(fixed) - 5
 
 
+# -- a one-point interval, and both questions from one chain ---------------------
+
+
+@st.composite
+def point_queries(draw):
+    """(f, a, kind) for roots_within(f, a, a): a root of full multiplicity, a
+    root of lower multiplicity, no root, a point at or beyond the bound B the
+    chain clips to, or a root beside a non-real factor."""
+    a = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    power = Poly([-a, 1]) ** draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("full", "lower", "no-root", "beyond-bound", "non-real")))
+    if kind == "full":
+        f = power
+    elif kind == "lower":
+        other = st.one_of(_linear, st.sampled_from(_QUADRATICS)).filter(lambda p: p(a) != 0)
+        f = power * draw(other)
+    elif kind == "non-real":
+        f = power * draw(st.sampled_from(_NONREAL))
+    else:
+        f = draw(_polys.filter(lambda p: p.degree > 0 and p(a) != 0))
+        if kind == "beyond-bound":
+            B = roots._squarefree_chain(f, "roots_within")[1]
+            a = (B + draw(st.sampled_from((0, Fraction(1, 3), 5)))) * draw(st.sampled_from((1, -1)))
+    return f.scale(draw(_leads)), a, kind
+
+
+def test_one_point_interval_reads_the_chain():
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point_queries())
+    def check(query):
+        f, a, kind = query
+        within = roots_within(f, a, a)
+        assert within == (polynomial.root_multiplicity(f, a) == f.degree), (f, a)
+        seen[kind, within] += 1
+
+    check()
+    assert set(seen) == {
+        ("full", True), ("lower", False), ("no-root", False), ("beyond-bound", False),
+        ("non-real", False),
+    }, seen
+
+
+_interval_ends = st.one_of(_endpoints, st.sampled_from((Fraction(-1), Fraction(0), Fraction(1))))
+
+
+def test_simple_roots_within_answers_both_questions():
+    seen = collections.Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(_polys, palindromes()), _interval_ends, _interval_ends)
+    def check(f, a, b):
+        lo, hi = sorted((a, b))
+        if lo == hi:
+            return
+        both = roots.simple_roots_within(f, lo, hi)
+        assert both == (is_simple_rooted(f), roots_within(f, lo, hi)), (f, lo, hi)
+        at_root = any(end not in (NEG_INF, POS_INF) and f(end) == 0 for end in (lo, hi))
+        seen[root_oracle.palindromic_half(f) is not None, at_root, *both] += 1
+
+    check()
+    # palindromes, which is_simple_rooted reads at half degree, and endpoints
+    # that are roots reach every verdict pair that can occur
+    for half in (True, False):
+        for key in ((True, True), (True, False), (False, False)):
+            assert seen[half, False, *key], seen
+    for key in ((True, True), (True, False), (False, True), (False, False)):
+        assert seen[True, True, *key] + seen[False, True, *key], seen
+
+
 def _no_yun(*args, **kwargs):
     raise AssertionError("a root question ran the Yun route")
 
@@ -663,8 +751,8 @@ def test_real_rootedness_reads_one_chain():
         chains.clear()
         return _outcome(fn, *args), list(chains)
 
+    assert not hasattr(roots, "poly_gcd")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(roots, "poly_gcd", _no_yun)
         for name in ("squarefree_part", "poly_gcd"):
             mp.setattr(polynomial, name, _no_yun)
         mp.setattr(roots, "sturm_chain", counted_chain)

@@ -88,13 +88,14 @@ def _chain_count(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
 
 
 def cauchy_root_bound(f: Poly) -> Fraction:
-    """B with every real root of f strictly inside (-B, B)."""
+    """B = 1 + ceil(max |a_i| / |a_n|) over i < n, an integer with every real
+    root of f strictly inside (-B, B); a Fraction, so halving it stays exact."""
     if f.is_zero:
         raise ZeroPolynomialError("root bound of zero polynomial")
     if len(f.nums) == 1:
         return Fraction(1)
     lead = abs(f.nums[-1])
-    return Fraction(lead + max(abs(c) for c in f.nums[:-1]), lead)
+    return Fraction(1 - (-max(abs(c) for c in f.nums[:-1]) // lead))
 
 
 def _squarefree_chain(f: Poly, what: str) -> tuple[list[Poly], Fraction, int, int]:

@@ -4,12 +4,16 @@ Each suite is a pair of functions: a generator that expands a RunConfig
 into JSON-serializable case parameter dicts (all randomness derives from
 the seed), and an evaluator that decides one case from its parameters
 alone.  That split keeps reports reproducible byte-for-byte and lets a
-worker pool fan out cases without shared state.
+worker pool fan out cases without shared state.  An evaluator returns None
+when the case passes, else the witness of its first failed check: a dict,
+with a `repro` command where a CLI check decides the failure.
+`evaluate_case` alone forms the (verdict, witness) pair of a case.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 import time
@@ -75,6 +79,7 @@ from .polynomial import (
 from .roots import (
     ALTERNATING_RELATIONS,
     INTERLACING_RELATIONS,
+    STRICT_RELATIONS,
     InterlaceRelation,
     alternates,
     interlace_relation,
@@ -199,24 +204,25 @@ def _gen_identities(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_identities(params: dict) -> tuple[bool, dict | None]:
+def _eval_identities(params: dict) -> dict | None:
     kind = params["kind"]
     if kind == "shift-monomial":
         n = params["n"]
-        ok = XP1 * e_transform(monomial(n)) == X * e_transform(XP1 ** n)
-        return ok, None
+        if XP1 * e_transform(monomial(n)) != X * e_transform(XP1 ** n):
+            return {"failed": "(1 + x) E(x^n) = x E((1 + x)^n)"}
+        return None
     if kind == "reflect-commutes":
         f = Poly(rational_from_str(c) for c in params["coeffs"])
-        ok = reflect(e_transform(f)) == e_transform(reflect(f))
-        return ok, None
+        if reflect(e_transform(f)) != e_transform(reflect(f)):
+            return {"failed": "E commutes with reflection"}
+        return None
     f = poly_from_dict(params["poly"])
     mult = e_multiplicity_at_minus_one(f)
     if mult < params["staircase"]:
-        return False, {"mult": mult}
+        return {"mult": mult}
     w = w_transform(f)
     wdeg = w.degree if not w.is_zero else -1
-    ok = wdeg == f.degree - mult
-    return ok, None if ok else {"w_degree": wdeg, "mult": mult}
+    return None if wdeg == f.degree - mult else {"w_degree": wdeg, "mult": mult}
 
 
 # -- nonnegative basis combinations under the binomial transform -------------------
@@ -245,19 +251,19 @@ def _e_image_failure(image: Poly) -> dict | None:
     return None
 
 
-def _eval_e_images(params: dict):
+def _eval_e_images(params: dict) -> dict | None:
     d = params["d"]
     # sum_i a_i x^i (1 + x)^(d - i)
     image = e_transform(unitize_with_degree(Poly._from_ints(list(params["weights"])), d))
     failed = _e_image_failure(image)
     if failed:
-        return False, failed
+        return failed
     low, high = e_transform(XP1 ** d), e_transform(monomial(d))
     if interlace_relation(low, image) not in ALTERNATING_RELATIONS:
-        return False, {"failed": "lower alternation"}
+        return {"failed": "lower alternation"}
     if interlace_relation(image, high) not in ALTERNATING_RELATIONS:
-        return False, {"failed": "upper alternation"}
-    return True, None
+        return {"failed": "upper alternation"}
+    return None
 
 
 # -- dominance is carried to alternation ---------------------------------------------
@@ -287,20 +293,19 @@ def _gen_dominance(cfg: RunConfig) -> list[dict]:
     return out
 
 
-def _eval_dominance(params: dict):
+def _eval_dominance(params: dict) -> dict | None:
     alphas = [rational_from_str(t) for t in params["alphas"]]
     betas = [rational_from_str(t) for t in params["betas"]]
     f, g = _from_roots(alphas), _from_roots(betas)
     if not root_dominance(f, g):
-        return False, {"failed": "dominance construction"}
+        return {"failed": "dominance construction"}
     ef, eg = e_transform(f), e_transform(g)
     for image in (ef, eg):
         failed = _e_image_failure(image)
         if failed:
-            return False, failed
+            return failed
     rel = interlace_relation(ef, eg)
-    ok = rel in ALTERNATING_RELATIONS
-    return ok, None if ok else {"relation": rel.value}
+    return None if rel in ALTERNATING_RELATIONS else {"relation": rel.value}
 
 
 # -- two-pass stack sorting counts ----------------------------------------------------
@@ -313,12 +318,12 @@ def _gen_two_stack(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_two_stack(params: dict):
+def _eval_two_stack(params: dict) -> dict | None:
     n = params["n"]
     if params["kind"] == "pf":
         w = w2_poly(n)
         if not is_pf_finite(w):
-            return False, _repro_check("pf", w)
+            return _repro_check("pf", w)
         # multiplier pipeline from the closed-form factorization
         odd = multisect(X * XP1 ** (2 * n), 2, 0)
         if n > 0:
@@ -328,12 +333,11 @@ def _eval_two_stack(params: dict):
         final = Poly(binom(n + k, n - 1) * c for k, c in enumerate(rev.coeffs))
         for step in (odd, stage, rev, final):
             if not step.is_zero and step.degree > 0 and not is_real_rooted(step):
-                return False, _repro_check("real-rooted", step)
+                return _repro_check("real-rooted", step)
         if final != w.scale(Fraction(n * n) * binom(2 * n, n)):
-            return False, {"failed": "pipeline normalization"}
-        return True, None
-    ok = w2_poly(n) == t_stack_poly(n, 2)
-    return ok, None
+            return {"failed": "pipeline normalization"}
+        return None
+    return None if w2_poly(n) == t_stack_poly(n, 2) else {"failed": "W_2 closed form = two-stack enumeration"}
 
 
 # -- deformed descent polynomials ------------------------------------------------------
@@ -359,27 +363,24 @@ def _gen_t_deform(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_t_deform(params: dict):
+def _eval_t_deform(params: dict) -> dict | None:
     t = rational_from_str(params["t"])
     if params["kind"] == "maincor":
         F = _theorem53_symbol(t)
         rep = check_maincor(F, params["d"])
         if not rep.all_hold:
-            return False, {"cond_i": rep.cond_i, "cond_ii": rep.cond_ii, "cond_iii": rep.cond_iii}
+            return {"cond_i": rep.cond_i, "cond_ii": rep.cond_ii, "cond_iii": rep.cond_iii}
         disc = F.q(1) * F.q(1) - F.q(0) * F.q(2) * 4
         inner = Poly([2 + t]) + Poly([1, 2]) ** 2 * (3 - t)
-        ok = disc == monomial(2) * XP1 ** 2 * inner
-        return ok, None if ok else {"failed": "discriminant factorization"}
+        return None if disc == monomial(2) * XP1 ** 2 * inner else {"failed": "discriminant factorization"}
     n = params["n"]
     a = eulerian_t_poly(n, t)
     if params["kind"] == "rooted":
-        ok = is_simple_rooted(a)
-        return ok, None if ok else _repro_check("simple", a)
+        return None if is_simple_rooted(a) else _repro_check("simple", a)
     shifted = a.exact_divide(X)
     shifted_next = eulerian_t_poly(n + 1, t).exact_divide(X)
     rel = interlace_relation(shifted, shifted_next)
-    ok = rel == IR.INTERLACES_STRICT
-    return ok, None if ok else {"relation": rel.value}
+    return None if rel == IR.INTERLACES_STRICT else {"relation": rel.value}
 
 
 # -- cycle-weighted descent polynomials at negative integer weights ---------------------
@@ -390,19 +391,18 @@ def _gen_negative_weights(cfg: RunConfig) -> list[dict]:
     return [{"n": n, "m": m} for m in range(0, 6) for n in range(1, top + 1)]
 
 
-def _eval_negative_weights(params: dict):
+def _eval_negative_weights(params: dict) -> dict | None:
     n, m = params["n"], params["m"]
     a = q_eulerian_poly(n, -m)
     e = e_q_poly(n, -m)
     if m == 0:
-        ok = a.is_zero and e.is_zero
-        return ok, None if ok else {"failed": "weight zero should collapse"}
+        return None if a.is_zero and e.is_zero else {"failed": "weight zero should collapse"}
     if not a.is_zero and not is_real_rooted(a):
-        return False, _repro_check("real-rooted", a)
+        return _repro_check("real-rooted", a)
     expected = min(n, m)
     if e.is_zero or e.degree != expected:
-        return False, {"degree": str(e.degree if not e.is_zero else NEG_INF), "expected": expected}
-    return True, None
+        return {"degree": str(e.degree if not e.is_zero else NEG_INF), "expected": expected}
+    return None
 
 
 # -- interlacing chain for the signed-descent family -------------------------------------
@@ -422,24 +422,28 @@ def _gen_chain(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_chain(params: dict):
+def _eval_chain(params: dict) -> dict | None:
     n = params["n"]
     if params["kind"] == "corollary":
-        ok = interlace_relation(b_euler_q(n, 0), b_euler_q(n, 1)) == IR.INTERLACES_STRICT
-        return ok, None
+        rel = interlace_relation(b_euler_q(n, 0), b_euler_q(n, 1))
+        return None if rel == IR.INTERLACES_STRICT else {"relation": rel.value}
     q, t = rational_from_str(params["q"]), rational_from_str(params["t"])
     b0, bt, bq = b_euler_q(n, 0), b_euler_q(n, t), b_euler_q(n, q)
-    if interlace_relation(b0, bt) not in INTERLACING_RELATIONS:
-        return False, {"failed": "left interlacing"}
+    left = interlace_relation(b0, bt)
+    if left not in INTERLACING_RELATIONS:
+        return {"failed": "left interlacing"}
     # for 0 < q < t the smaller weight alternates left of the larger one
-    if interlace_relation(bq, bt) not in ALTERNATING_RELATIONS:
-        return False, {"failed": "middle alternation"}
-    if interlace_relation(bq, X * b0) not in ALTERNATING_RELATIONS:
-        return False, {"failed": "right alternation"}
-    for lhs, rhs in ((b0, bt), (b0, bq), (bt, bq)):
-        if poly_gcd(lhs, rhs).degree > 0:
-            return False, {"failed": "common zero among the first three"}
-    return True, None
+    middle = interlace_relation(bq, bt)
+    if middle not in ALTERNATING_RELATIONS:
+        return {"failed": "middle alternation"}
+    right = interlace_relation(bq, X * b0)
+    if right not in ALTERNATING_RELATIONS:
+        return {"failed": "right alternation"}
+    # a relation is strict exactly when its pair has a constant gcd, and
+    # gcd(B_n(q), x B_n(0)) = gcd(B_n(q), B_n(0)) because B_n(q)(0) = 1
+    if not {left, middle, right} <= STRICT_RELATIONS:
+        return {"failed": "common zero among the first three"}
+    return None
 
 
 # -- subset-restricted signed descent polynomials ------------------------------------------
@@ -463,18 +467,17 @@ def _gen_subsets(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_subsets(params: dict):
+def _eval_subsets(params: dict) -> dict | None:
     n = params["n"]
     if params["kind"] == "rooted":
         p = p_bn_subset(n, set(params["subset"]))
-        ok = not p.is_zero and is_simple_rooted(p)
-        return ok, None if ok else _repro_check("simple", p)
+        return None if not p.is_zero and is_simple_rooted(p) else _repro_check("simple", p)
     for mask in range(2 ** (n + 1)):
         subset = {s for s in range(n + 1) if mask >> s & 1}
         expected = signed_descent_poly(n, [math.comb(n, j) if j in subset else 0 for j in range(n + 1)])
         if p_bn_subset(n, subset) != expected:
-            return False, {"subset": sorted(subset)}
-    return True, None
+            return {"subset": sorted(subset)}
+    return None
 
 
 # -- multivariate signed-descent identity ----------------------------------------------
@@ -491,12 +494,13 @@ def _gen_multivariate(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_multivariate(params: dict):
+def _eval_multivariate(params: dict) -> dict | None:
     n = params["n"]
     qs = [rational_from_str(t) for t in params["qs"]]
     elementary = math.prod((Poly([1, q]) for q in qs), start=ONE).coeffs
-    ok = b_euler_multi(n, qs) == signed_descent_poly(n, elementary)
-    return ok, None
+    if b_euler_multi(n, qs) != signed_descent_poly(n, elementary):
+        return {"failed": "B_n(q_1, ..., q_n) = signed descent sum over e_j(q)"}
+    return None
 
 
 # -- cluster-complex h-polynomial combinations ---------------------------------------------
@@ -517,24 +521,23 @@ def _gen_weyl(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_weyl(params: dict):
+def _eval_weyl(params: dict) -> dict | None:
     n = params["n"]
     if params["kind"] == "hadamard":
-        ok = fz_h_poly("B", n) == hadamard_product(XP1 ** n, XP1 ** n)
-        return ok, None
+        if fz_h_poly("B", n) != hadamard_product(XP1 ** n, XP1 ** n):
+            return {"failed": "h(B_n) = (1 + x)^n * (1 + x)^n"}
+        return None
     if params["kind"] == "dfamily":
         h = fz_h_poly("D", n)
-        ok = is_simple_rooted(h)
-        return ok, None if ok else _repro_check("simple", h)
+        return None if is_simple_rooted(h) else _repro_check("simple", h)
     alpha, beta = rational_from_str(params["alpha"]), rational_from_str(params["beta"])
     F = weyl_combination(n, alpha, beta)
     if not is_simple_rooted(F):
-        return False, _repro_check("simple", F)
+        return _repro_check("simple", F)
     lower = fz_h_poly("B", n - 1)
     rel = interlace_relation(lower, F)
     expected = IR.INTERLACES_STRICT if alpha > 0 else IR.ALTERNATES_LEFT_STRICT
-    ok = rel == expected
-    return ok, None if ok else {"relation": rel.value}
+    return None if rel == expected else {"relation": rel.value}
 
 
 # -- bilinear product rootedness --------------------------------------------------------
@@ -582,19 +585,19 @@ def _gen_products(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_products(params: dict):
+def _eval_products(params: dict) -> dict | None:
     op = params["op"]
     f, g = poly_from_dict(params["f"]), poly_from_dict(params["g"])
     if op == "hermite-poulain":
         out = hermite_poulain(f, g)
         if out.is_zero:
-            return True, None
+            return None
         if not is_real_rooted(out):
-            return False, _repro_check("real-rooted", out)
+            return _repro_check("real-rooted", out)
         multiple = poly_gcd(out, out.derivative())
         if multiple.degree > 0 and poly_gcd(g, g.derivative()) % squarefree_part(multiple) != ZERO:
-            return False, {"failed": "multiple root not inherited"}
-        return True, None
+            return {"failed": "multiple root not inherited"}
+        return None
     if op == "schur":
         out = schur_product(f, g)
     elif op == "hadamard":
@@ -609,16 +612,16 @@ def _eval_products(params: dict):
     else:
         out = circ_form(f, g, MultiplierSeq(kind=params["seq"]), rational_from_str(params["alpha"]))
     if out.is_zero:
-        return True, None
+        return None
     if not is_real_rooted(out):
-        return False, _repro_check("real-rooted", out)
+        return _repro_check("real-rooted", out)
     if op == "hadamard":
         trimmed = out
         while not trimmed.is_zero and trimmed.coeff(0) == 0:
             trimmed = trimmed.exact_divide(X)
         if not trimmed.is_zero and trimmed.degree > 0 and not is_simple_rooted(trimmed):
-            return False, {"failed": "repeated nonzero root"}
-    return True, None
+            return {"failed": "repeated nonzero root"}
+    return None
 
 
 # -- operator hypothesis checks end to end -----------------------------------------------
@@ -660,25 +663,21 @@ def _gen_operator_checks(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_operator_checks(params: dict):
+def _eval_operator_checks(params: dict) -> dict | None:
     F = _symbol_from_params(params)
     if params["kind"] == "hypotheses":
         rep = check_maincor(F, params["d"])
         if params["expect"] == "proved":
-            ok = rep.all_hold
-            return ok, None if ok else {"cond_i": rep.cond_i}
-        ok = rep.cond_i == "refuted" and bool(rep.witnesses)
-        return ok, None if ok else {"cond_i": rep.cond_i}
+            return None if rep.all_hold else {"cond_i": rep.cond_i}
+        return None if rep.cond_i == "refuted" and rep.witnesses else {"cond_i": rep.cond_i}
     if params["kind"] == "image":
         out = apply_phi(F, poly_from_dict(params["f"]))
-        ok = not out.is_zero and is_real_rooted(out)
-        return ok, None if ok else _repro_check("real-rooted", out)
+        return None if not out.is_zero and is_real_rooted(out) else _repro_check("real-rooted", out)
     f, g = poly_from_dict(params["f"]), poly_from_dict(params["g"])
     if interlace_relation(f, g) != IR.ALTERNATES_LEFT_STRICT:
-        return False, {"failed": "input pair not strictly alternating"}
+        return {"failed": "input pair not strictly alternating"}
     img_f, img_g = apply_phi(F, f), apply_phi(F, g)
-    ok = alternates(img_f, img_g, strict=True)
-    return ok, None if ok else {"failed": "strict alternation lost"}
+    return None if alternates(img_f, img_g, strict=True) else {"failed": "strict alternation lost"}
 
 
 # -- line-intersection count checks --------------------------------------------------------
@@ -709,15 +708,16 @@ def _gen_line_checks(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_line_checks(params: dict):
-    ok = polya_line_check(
+def _eval_line_checks(params: dict) -> dict | None:
+    if not polya_line_check(
         poly_from_dict(params["f"]),
         poly_from_dict(params["b"]),
         rational_from_str(params["s"]),
         rational_from_str(params["t"]),
         rational_from_str(params["u"]),
-    )
-    return ok, None
+    ):
+        return {"failed": "deg f real intersections with the line"}
+    return None
 
 
 # -- Toeplitz window coherence ---------------------------------------------------------------
@@ -739,26 +739,29 @@ def _gen_pf_coherence(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_pf_coherence(params: dict):
+def _eval_pf_coherence(params: dict) -> dict | None:
     if params["kind"] == "counterexample":
         report = minors_nonneg((1, 1, 0, 1), 4, 2)
-        ok = not report.nonnegative and report.witness is not None and report.witness[2] == -1
-        return ok, None if ok else {"failed": "expected witness -1"}
+        if report.nonnegative or report.witness is None or report.witness[2] != -1:
+            return {"failed": "expected witness -1"}
+        return None
     f = poly_from_dict(params["poly"])
     if params["kind"] == "multisect":
         step = params["step"]
-        ok = all(is_pf_finite(multisect(f, step, off)) for off in range(step))
-        return ok, None
+        for off in range(step):
+            part = multisect(f, step, off)
+            if not is_pf_finite(part):
+                return _repro_check("pf", part)
+        return None
     if not is_pf_finite(f):
-        return False, _repro_check("pf", f)
+        return _repro_check("pf", f)
     if not is_log_concave(f.coeffs) or not is_unimodal(f.coeffs):
-        return False, {"failed": "log-concavity chain"}
+        return {"failed": "log-concavity chain"}
     report = pf_window_report(f, order=4)
-    ok = report.nonnegative
-    if ok:
-        return True, None
+    if report.nonnegative:
+        return None
     rows, cols, value = report.witness
-    return False, {"rows": list(rows), "cols": list(cols), "minor": rational_to_str(value)}
+    return {"rows": list(rows), "cols": list(cols), "minor": rational_to_str(value)}
 
 
 # -- enumeration oracles against generators -----------------------------------------------------
@@ -781,39 +784,40 @@ def _gen_oracles(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_oracles(params: dict):
+def _eval_oracles(params: dict) -> dict | None:
     n = params["n"]
     kind = params["kind"]
     if kind == "eulerian":
-        ok = eulerian_poly(n) == eulerian_oracle(n)
-        return ok, None
+        return None if eulerian_poly(n) == eulerian_oracle(n) else {"failed": "A_n = S_n enumeration"}
     if kind == "surjection-identities":
-        ok = (
-            surjection_poly(n + 1) == X * g_poly(n)
-            and surjection_poly(n) == e_transform(monomial(n))
-            and unitize_with_degree(eulerian_poly(n), n) == surjection_poly(n)
-        )
-        return ok, None
+        if surjection_poly(n + 1) != X * g_poly(n):
+            return {"failed": "surjection E_{n+1} = x G_n"}
+        if surjection_poly(n) != e_transform(monomial(n)):
+            return {"failed": "surjection E_n = E(x^n)"}
+        if unitize_with_degree(eulerian_poly(n), n) != surjection_poly(n):
+            return {"failed": "(1 + x)^n A_n(x/(1 + x)) = surjection E_n"}
+        return None
     if kind == "q-eulerian":
         q = rational_from_str(params["q"])
-        ok = q_eulerian_poly(n, q) == q_eulerian_oracle(n, q)
-        return ok, None
+        if q_eulerian_poly(n, q) != q_eulerian_oracle(n, q):
+            return {"failed": "A_n(x; q) = excedance/cycle enumeration over S_n"}
+        return None
     if kind == "stack-degenerations":
-        ok = (
-            t_stack_poly(n, 1) == narayana_poly(n)
-            and t_stack_poly(n, n - 1) == eulerian_poly(n).exact_divide(X)
-        )
-        return ok, None
+        if t_stack_poly(n, 1) != narayana_poly(n):
+            return {"failed": "1-stack-sortable descents = N_n"}
+        if t_stack_poly(n, n - 1) != eulerian_poly(n).exact_divide(X):
+            return {"failed": "(n-1)-stack-sortable descents = A_n / x"}
+        return None
     if kind == "b-marginal":
-        ok = all(
-            signed_descent_poly(n, [math.comb(n, j) * q**j for j in range(n + 1)]) == b_euler_q(n, q)
-            for q in (0, 1, 2)
-        )
-        return ok, None
+        for q in (0, 1, 2):
+            if signed_descent_poly(n, [math.comb(n, j) * q**j for j in range(n + 1)]) != b_euler_q(n, q):
+                return {"failed": f"B_n({q}) = signed descent sum over C(n, j) {q}^j"}
+        return None
     if kind == "pdn-palindrome":
         p = p_dn_poly(n)
-        ok = p.nums == p.nums[::-1] and is_real_rooted(p)
-        return ok, None
+        if p.nums != p.nums[::-1]:
+            return {"failed": "D_n descent polynomial is a palindrome"}
+        return None if is_real_rooted(p) else _repro_check("real-rooted", p)
     # Worpitzky-style series check
     a = eulerian_poly(n)
     minus = Poly([1, -1]) ** (n + 1)
@@ -822,8 +826,8 @@ def _eval_oracles(params: dict):
     for i in range(N - n - 2):
         conv = sum(series[j] * minus.coeff(i - j) for j in range(max(0, i - n - 1), i + 1))
         if conv != a.coeff(i):
-            return False, {"index": i}
-    return True, None
+            return {"index": i}
+    return None
 
 
 # -- integer-filled root patterns map to nonpositive spectra --------------------------------------
@@ -843,11 +847,10 @@ def _gen_integer_filled(cfg: RunConfig) -> list[dict]:
     return params
 
 
-def _eval_integer_filled(params: dict):
+def _eval_integer_filled(params: dict) -> dict | None:
     roots = [*range(params["lam"], params["top"] + 1), *map(rational_from_str, params["extras"])]
     image = e_transform(_from_roots(roots))
-    ok = roots_within(image, NEG_INF, 0)
-    return ok, None if ok else _repro_check("interval", image, " --lo=-inf --hi 0")
+    return None if roots_within(image, NEG_INF, 0) else _repro_check("interval", image, " --lo=-inf --hi 0")
 
 
 # -- registry and runner ---------------------------------------------------------------------------
@@ -890,17 +893,13 @@ def _case_id(suite: str, index: int, params: dict) -> str:
 
 
 def evaluate_case(suite: str, params: dict) -> tuple[bool, dict | None]:
-    """Evaluate one case; exceptions become failing verdicts with a witness."""
+    """(verdict, witness) of one case; a `PolyafreqError` fails it with its message."""
     evaluator = _SUITES[suite][1]
     try:
-        return evaluator(params)
+        witness = evaluator(params)
     except PolyafreqError as exc:
-        return False, {"error": f"{type(exc).__name__}: {exc}"}
-
-
-def _evaluate_star(task):
-    suite, params = task
-    return evaluate_case(suite, params)
+        witness = {"error": f"{type(exc).__name__}: {exc}"}
+    return witness is None, witness
 
 
 def run_suite(name: str, config: RunConfig | None = None) -> SuiteReport:
@@ -913,7 +912,7 @@ def run_suite(name: str, config: RunConfig | None = None) -> SuiteReport:
     param_list = gen(config)
     if config.jobs > 1 and len(param_list) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_evaluate_star, [(name, p) for p in param_list], chunksize=8))
+            results = list(pool.map(functools.partial(evaluate_case, name), param_list, chunksize=8))
     else:
         results = [evaluate_case(name, p) for p in param_list]
     cases = [

@@ -103,7 +103,7 @@ def cauchy_root_bound(f: Poly) -> Fraction:
     if len(f.coeffs) == 1:
         return Fraction(1)
     lead = abs(f.coeffs[-1])
-    return 1 + max(abs(c) for c in f.coeffs[:-1]) / lead
+    return Fraction(1 + math.ceil(max(abs(c) for c in f.coeffs[:-1]) / lead))
 
 
 def monic(f: Poly) -> Poly:

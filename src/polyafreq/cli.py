@@ -46,10 +46,10 @@ from .config import RunConfig
 from .errors import NotRealRootedError, PolyafreqError, PreconditionError, ZeroPolynomialError
 from .jsonio import (
     load_poly_argument,
+    minor_to_dict,
     poly_from_dict,
     poly_to_json,
     rational_from_str,
-    rational_to_str,
 )
 from .operators import (
     BivarOp,
@@ -295,13 +295,10 @@ def _interlace(f: Poly, g: Poly):
 
 
 def _pf_minors(terms, window: int | None, order: int | None):
-    size = window or len(terms) + 2
-    order = order or min(4, size)
-    report = minors_nonneg(terms, size, order)
-    fields = {"verdict": report.nonnegative, "window": size, "order": order}
+    report = minors_nonneg(terms, window, order)
+    fields = {"verdict": report.nonnegative, "window": report.window, "order": report.order}
     if report.witness is not None:
-        rows, cols, value = report.witness
-        fields["witness"] = {"rows": list(rows), "cols": list(cols), "minor": rational_to_str(value)}
+        fields["witness"] = minor_to_dict(report.witness)
     return report.nonnegative, fields
 
 
@@ -370,26 +367,21 @@ def _report_csv(reports) -> str:
 
 def _cmd_verify(args) -> int:
     config = RunConfig(max_n=args.max_n, seed=args.seed, jobs=args.jobs)
-    if args.suite == "all":
-        reports = run_all(config)
-        exit_code = max((r.exit_code for r in reports), default=0)
-        if args.csv:
-            sys.stdout.write(_report_csv(reports))
-        else:
-            aggregate = {
-                "suite": "all",
-                "reports": [r.to_dict() for r in reports],
-                "elapsed": sum(r.elapsed for r in reports),
-                "exit_code": exit_code,
-            }
-            print(json.dumps(aggregate, sort_keys=True))
-        return exit_code
-    report = run_suite(args.suite, config)
+    reports = run_all(config) if args.suite == "all" else [run_suite(args.suite, config)]
+    exit_code = max(r.exit_code for r in reports)
     if args.csv:
-        sys.stdout.write(_report_csv([report]))
+        sys.stdout.write(_report_csv(reports))
+    elif args.suite != "all":
+        print(json.dumps(reports[0].to_dict(), sort_keys=True))
     else:
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    return report.exit_code
+        aggregate = {
+            "suite": "all",
+            "reports": [r.to_dict() for r in reports],
+            "elapsed": sum(r.elapsed for r in reports),
+            "exit_code": exit_code,
+        }
+        print(json.dumps(aggregate, sort_keys=True))
+    return exit_code
 
 
 # -- parser ------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def rational_from_str(text: str) -> Fraction:
     return value
 
 
+def minor_to_dict(witness) -> dict:
+    """A minor (rows, cols, value) of a `pf.MinorReport` witness."""
+    rows, cols, value = witness
+    return {"rows": list(rows), "cols": list(cols), "minor": rational_to_str(value)}
+
+
 def poly_to_dict(f: Poly) -> dict:
     return {"coeffs": [rational_to_str(c) for c in f.coeffs]}
 

@@ -82,20 +82,20 @@ def hermite_poulain(f: Poly, g: Poly) -> Poly:
 class HypothesisReport:
     """Verdicts for the three operator conditions.
 
-    cond_i is 'proved' or 'refuted'; a refutation carries the xi of a
-    non-real-rooted z-slice as its witness.  cond_ii is the strict
+    cond_i holds when every z-slice is real-rooted; when it fails, the xi of
+    a non-real-rooted z-slice is its witness.  cond_ii is the strict
     interlacing/sign clause on (Q_0, Q_1); cond_iii the degree and
     leading-sign bookkeeping of the monomial images.
     """
 
-    cond_i: str
+    cond_i: bool
     cond_ii: bool
     cond_iii: bool
     witnesses: list[tuple[str, object]] = dataclasses.field(default_factory=list)
 
     @property
     def all_hold(self) -> bool:
-        return self.cond_i == "proved" and self.cond_ii and self.cond_iii
+        return self.cond_i and self.cond_ii and self.cond_iii
 
 
 def _subresultant_matrix(qs: tuple[Poly, ...], j: int) -> list[list[Poly]]:
@@ -148,14 +148,14 @@ def _first_subresultant(qs: tuple[Poly, ...]) -> Poly:
     return qs[d] * d
 
 
-def _condition_one(F: BivarOp) -> tuple[str, list]:
+def _condition_one(F: BivarOp) -> tuple[bool, list]:
     """Real-rootedness of F(xi, z) for every real xi."""
     if F.degree_z <= 1:
-        return "proved", []
+        return True, []
     for xi in sample_points_between_roots(_first_subresultant(F.q_list)):
         if not is_real_rooted(Poly([q(xi) for q in F.q_list])):
-            return "refuted", [("non-real-rooted z-slice at xi", xi)]
-    return "proved", []
+            return False, [("non-real-rooted z-slice at xi", xi)]
+    return True, []
 
 
 def _condition_two(F: BivarOp) -> tuple[bool, list]:
@@ -197,11 +197,11 @@ def check_maincor(F: BivarOp, d: int) -> HypothesisReport:
     """
     if F.q(0).is_zero:
         raise PreconditionError("hypothesis check needs Q_0 != 0")
-    verdict_i, wit_i = _condition_one(F)
+    ok_i, wit_i = _condition_one(F)
     ok_ii, wit_ii = _condition_two(F)
     ok_iii, wit_iii = _condition_three(F, d)
     return HypothesisReport(
-        cond_i=verdict_i,
+        cond_i=ok_i,
         cond_ii=ok_ii,
         cond_iii=ok_iii,
         witnesses=wit_i + wit_ii + wit_iii,

@@ -54,11 +54,16 @@ def _terms_of(s) -> tuple[Fraction, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class MinorReport:
-    """Verdict of a minor check; a negative verdict carries the
-    lexicographically first offending minor."""
+    """A minor check of a window of this size up to this order, with the
+    lexicographically first negative minor or None."""
 
-    nonnegative: bool
+    window: int
+    order: int
     witness: tuple[tuple[int, ...], tuple[int, ...], Fraction] | None = None
+
+    @property
+    def nonnegative(self) -> bool:
+        return self.witness is None
 
 
 def _admissible_count(size: int, deg: int, order: int) -> int:
@@ -202,10 +207,12 @@ def _plan(size: int, deg: int, k: int):
     return columns, [_col_parts(cols, size) for cols in columns], keys, entries
 
 
-def minors_nonneg(terms, size: int, order: int) -> MinorReport:
+def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> MinorReport:
     """Check the k x k minors, k <= order, of the size x size Toeplitz window
     M[i][j] = a_{i-j} of a sequence (a `Poly` or an iterable of rationals,
-    zero-padded) for nonnegativity.
+    zero-padded) for nonnegativity.  The window defaults to len(terms) + 2
+    (deg + 3 for a `Poly`) and the order to min(4, size); an order above
+    the window raises PreconditionError.
 
     Only the admissible minors {c_0 = 0, c_i <= r_i <= c_i + deg} that come
     no later than their persymmetric twins are evaluated: by the band, shift
@@ -224,12 +231,17 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
     and its twin's.  More than MAX_MINORS admissible minors and 2 x 2 table
     entries raise PreconditionError before any minor is evaluated.
     """
+    a = _terms_of(terms)
+    if size is None:
+        size = len(a) + 2
+    if order is None:
+        order = min(4, size)
     if order > size:
         raise PreconditionError("minor order exceeds matrix dimension")
-    a = _terms_of(terms)[:size]
+    a = a[:size]
     support = [t for t, x in enumerate(a) if x != 0]
     if not support or order < 1:
-        return MinorReport(nonnegative=True)
+        return MinorReport(size, order)
     deg = support[-1]
     table = math.comb(size, 2) ** 2 if order >= 2 else 0
     if table > MAX_MINORS or table + _admissible_count(size, deg, order) > MAX_MINORS:
@@ -241,14 +253,13 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
     a = [int(x * lcm) for x in a[: deg + 1]]
 
     def report(rows, cols, det_int, k):
-        value = Fraction(det_int, lcm ** k)
-        return MinorReport(nonnegative=False, witness=(tuple(rows), tuple(cols), value))
+        return MinorReport(size, order, (tuple(rows), tuple(cols), Fraction(det_int, lcm ** k)))
 
     for i, x in enumerate(a):
         if x < 0:
             return report((i,), (0,), x, 1)
     if order < 2:
-        return MinorReport(nonnegative=True)
+        return MinorReport(size, order)
 
     m = [[a[i - j] if 0 <= i - j <= deg else 0 for j in range(size)] for i in range(size)]
     pairs = list(itertools.combinations(range(size), 2))
@@ -318,18 +329,7 @@ def minors_nonneg(terms, size: int, order: int) -> MinorReport:
                     col_key, twin_rows = keys[ci]
                     values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
 
-    return MinorReport(nonnegative=True)
-
-
-def pf_window_report(f, size: int | None = None, order: int = 4) -> MinorReport:
-    """Minor check of the Toeplitz window of a coefficient sequence.
-
-    Default window size is deg + 3 and default minor order 4.
-    """
-    terms = _terms_of(f)
-    if size is None:
-        size = len(terms) + 2
-    return minors_nonneg(terms, size, min(order, size))
+    return MinorReport(size, order)
 
 
 # -- sequence-level verdicts --------------------------------------------------------

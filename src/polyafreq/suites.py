@@ -44,7 +44,14 @@ from .combinatorics import (
 )
 from .config import RunConfig, max_enum
 from .errors import PolyafreqError, PreconditionError
-from .jsonio import poly_from_dict, poly_to_dict, poly_to_json, rational_from_str, rational_to_str
+from .jsonio import (
+    minor_to_dict,
+    poly_from_dict,
+    poly_to_dict,
+    poly_to_json,
+    rational_from_str,
+    rational_to_str,
+)
 from .operators import (
     BivarOp,
     apply_phi,
@@ -58,13 +65,7 @@ from .operators import (
     schur_product,
     sharp_product,
 )
-from .pf import (
-    is_log_concave,
-    is_pf_finite,
-    is_unimodal,
-    minors_nonneg,
-    pf_window_report,
-)
+from .pf import is_log_concave, is_pf_finite, is_unimodal, minors_nonneg
 from .polynomial import (
     NEG_INF,
     ONE,
@@ -667,9 +668,8 @@ def _eval_operator_checks(params: dict) -> dict | None:
     F = _symbol_from_params(params)
     if params["kind"] == "hypotheses":
         rep = check_maincor(F, params["d"])
-        if params["expect"] == "proved":
-            return None if rep.all_hold else {"cond_i": rep.cond_i}
-        return None if rep.cond_i == "refuted" and rep.witnesses else {"cond_i": rep.cond_i}
+        holds = rep.all_hold if params["expect"] == "proved" else not rep.cond_i
+        return None if holds else {"cond_i": rep.cond_i}
     if params["kind"] == "image":
         out = apply_phi(F, poly_from_dict(params["f"]))
         return None if not out.is_zero and is_real_rooted(out) else _repro_check("real-rooted", out)
@@ -742,7 +742,7 @@ def _gen_pf_coherence(cfg: RunConfig) -> list[dict]:
 def _eval_pf_coherence(params: dict) -> dict | None:
     if params["kind"] == "counterexample":
         report = minors_nonneg((1, 1, 0, 1), 4, 2)
-        if report.nonnegative or report.witness is None or report.witness[2] != -1:
+        if report.nonnegative or report.witness[2] != -1:
             return {"failed": "expected witness -1"}
         return None
     f = poly_from_dict(params["poly"])
@@ -757,11 +757,8 @@ def _eval_pf_coherence(params: dict) -> dict | None:
         return _repro_check("pf", f)
     if not is_log_concave(f.coeffs) or not is_unimodal(f.coeffs):
         return {"failed": "log-concavity chain"}
-    report = pf_window_report(f, order=4)
-    if report.nonnegative:
-        return None
-    rows, cols, value = report.witness
-    return {"rows": list(rows), "cols": list(cols), "minor": rational_to_str(value)}
+    report = minors_nonneg(f)
+    return None if report.nonnegative else minor_to_dict(report.witness)
 
 
 # -- enumeration oracles against generators -----------------------------------------------------

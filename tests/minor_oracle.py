@@ -96,7 +96,7 @@ def exhaustive_minors(matrix: Matrix, order: int) -> MinorReport:
 
     def report(rows, cols, det_int, k):
         value = Fraction(det_int, lcm ** k)
-        return MinorReport(nonnegative=False, witness=(tuple(rows), tuple(cols), value))
+        return MinorReport(n, order, (tuple(rows), tuple(cols), value))
 
     # k = 1
     if order >= 1:
@@ -170,4 +170,4 @@ def exhaustive_minors(matrix: Matrix, order: int) -> MinorReport:
                 if d < 0:
                     return report(rows, cols, d, k)
 
-    return MinorReport(nonnegative=True)
+    return MinorReport(n, order)

@@ -16,13 +16,13 @@ from polyafreq.roots import negative_witness
 
 
 def quadratic_condition_one(F):
-    """(verdict, witnesses) of condition (i) for a symbol of z-degree 2."""
+    """(holds, witnesses) of condition (i) for a symbol of z-degree 2."""
     assert F.degree_z == 2
     disc = F.q(1) * F.q(1) - F.q(0) * F.q(2) * 4
     xi = None if disc.is_zero else negative_witness(disc)
     if xi is None:
-        return "proved", []
-    return "refuted", [("negative z-discriminant at xi", xi)]
+        return True, []
+    return False, [("negative z-discriminant at xi", xi)]
 
 
 def subresultant_block(coeffs: list[int], j: int) -> list[list[int]]:

@@ -16,7 +16,6 @@ from polyafreq.pf import (
     is_pf_finite,
     is_unimodal,
     minors_nonneg,
-    pf_window_report,
 )
 from polyafreq.polynomial import NEG_INF, Poly, ZERO
 from polyafreq.roots import roots_within
@@ -92,6 +91,16 @@ def test_minors_order_bound():
         minors_nonneg((1,), 3, 4)
 
 
+def test_minors_window_defaults():
+    """The window defaults to len(terms) + 2, trailing zeros counted (a
+    `Poly` has none), and the order to min(4, window)."""
+    assert minors_nonneg((1, 2, 1, 0)) == minors_nonneg((1, 2, 1, 0), 6, 4)
+    assert minors_nonneg(Poly([1, 2, 1, 0])) == minors_nonneg((1, 2, 1), 5, 4)
+    assert minors_nonneg((1,), 3) == minors_nonneg((1,), 3, 3)
+    report = minors_nonneg((1, 1, 0, 1), order=2)
+    assert (report.window, report.order, report.witness) == (6, 2, ((1, 3), (0, 1), -1))
+
+
 def test_order_five_path():
     report = minors_nonneg((1, 5, 10, 10, 5, 1), 8, 5)
     assert report.nonnegative
@@ -132,11 +141,11 @@ def test_pf_implies_tp_window():
         f = from_roots([-Fraction(rng.randint(0, 12), 3) for _ in range(d)],
                        lead=rng.randint(1, 3))
         assert is_pf_finite(f)
-        assert pf_window_report(f).nonnegative
+        assert minors_nonneg(f).nonnegative
 
 
 def test_pf_counterexample_window():
-    report = pf_window_report(Poly([1, 1, 0, 1]), size=4, order=2)
+    report = minors_nonneg(Poly([1, 1, 0, 1]), 4, 2)
     assert not report.nonnegative
     assert report.witness[2] == -1
 
@@ -246,7 +255,7 @@ def test_minors_match_exhaustive_route_on_fixed_windows():
         size = len(f.coeffs) + 2
         report = minors_nonneg(f, size, order)
         assert report == exhaustive_minors(toeplitz_window(f, size), order)
-        assert report == pf_window_report(f, order=order)
+        assert report == minors_nonneg(f, order=order)
 
 
 def test_first_negative_minor_at_each_order():

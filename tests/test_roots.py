@@ -581,6 +581,14 @@ _middles = st.one_of(
     st.fractions(min_value=-5, max_value=-2, max_denominator=3),
 )
 
+# x^4 + ax^3 + (c + 2)x^2 + ax + 1 = x^2 h(x + 1/x) for h = y^2 + ay + c, with
+# c > a^2 / 4: h, the half of the palindrome, has no real root
+_nonreal_halves = st.builds(
+    lambda a, e: Poly([1, a, a * a / 4 + e + 2, a, 1]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    st.fractions(min_value=0, max_value=3, max_denominator=3).filter(bool),
+)
+
 
 def _pair(r):
     """(x - r)(x - 1/r)."""
@@ -589,17 +597,19 @@ def _pair(r):
 
 @st.composite
 def palindromes(draw):
-    """Products of palindromic quadratics, (1 + x)^i, (1 - x)^j and x^k, times
-    a rational of either sign; an odd j makes an anti-palindrome.  Half the
-    draws take distinct pairs r, 1/r with |r| > 1, i <= 1, j = 0 and k <= 1,
-    which are simple-rooted."""
+    """Products of palindromic quadratics and quartics, (1 + x)^i, (1 - x)^j
+    and x^k, times a rational of either sign; an odd j makes an
+    anti-palindrome.  Half the draws take distinct pairs r, 1/r with |r| > 1,
+    i <= 1, j = 0 and k <= 1, which are simple-rooted."""
     if draw(st.booleans()):
         rs = draw(st.lists(_beyond_one, unique=True, min_size=1, max_size=3))
         factors = [(_pair(r), 1) for r in rs]
         i, j, k = draw(st.integers(0, 1)), 0, draw(st.integers(0, 1))
     else:
-        quadratic = st.one_of(_reciprocal.map(_pair), _middles.map(lambda b: Poly([1, b, 1])))
-        factors = draw(st.lists(st.tuples(quadratic, st.integers(1, 2)), max_size=3))
+        factor = st.one_of(
+            _reciprocal.map(_pair), _middles.map(lambda b: Poly([1, b, 1])), _nonreal_halves
+        )
+        factors = draw(st.lists(st.tuples(factor, st.integers(1, 2)), max_size=3))
         i, j, k = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
     f = _product(factors, draw(_leads))
     return f * Poly([1, 1]) ** i * Poly([1, -1]) ** j * monomial(k)
@@ -618,12 +628,15 @@ def test_palindromes_at_half_degree_match_one_chain_of_f():
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(palindromes())
     def check(f):
-        seen[root_oracle.palindromic_half(f) is not None, *_check_against_one_chain(f)] += 1
+        half = root_oracle.palindromic_half(f)
+        seen[half is not None, *_check_against_one_chain(f)] += 1
+        seen["non-real half"] += half is not None and not root_oracle.is_real_rooted(half[0])
 
     check()
     # palindromes reach every verdict, and anti-palindromes the full chain
     for key in ((True, True, True), (True, True, False), (True, False, False), (False, True, True)):
         assert seen[key] >= 5, seen
+    assert seen["non-real half"] >= 5, seen
     fixed = [eulerian_poly(n) for n in range(1, 26)]
     fixed += [b_euler_q(n, 1) for n in range(1, 21)]
     fixed += [fz_h_poly(family, n) for family in "ABD" for n in range(2, 16)]

@@ -9,6 +9,7 @@ import pytest
 from polyafreq import cli, roots, suites
 from polyafreq.combinatorics import b_euler_q, multisect, p_dn_poly
 from polyafreq.config import RunConfig
+from polyafreq.errors import ExactDivisionError
 from polyafreq.jsonio import poly_to_dict, rational_from_str
 from polyafreq.polynomial import Poly, ZERO, poly_gcd
 from polyafreq.roots import ALTERNATING_RELATIONS, INTERLACING_RELATIONS, InterlaceRelation
@@ -163,8 +164,13 @@ def test_evaluators_return_a_witness_or_none():
 
 F_PF = Poly([1, 3, 3, 1])
 
+
+def _forced_division(*args):
+    raise ExactDivisionError("forced")
+
+
 # (suite, params, callee bound in `suites`, a wrong stand-in, the witness)
-# for every check that once failed with no witness.
+# for every check that once failed with no witness, and for the error exit.
 FORCED_FAILURES = [
     ("lemmas-4-3-4-5", {"kind": "shift-monomial", "n": 2}, "e_transform", lambda f: f,
      {"failed": "(1 + x) E(x^n) = x E((1 + x)^n)"}),
@@ -196,6 +202,7 @@ FORCED_FAILURES = [
      suites._repro_check("real-rooted", p_dn_poly(4))),
     ("oracle-coherence", {"kind": "pdn-palindrome", "n": 4}, "p_dn_poly", lambda n: Poly([1, 2]),
      {"failed": "D_n descent polynomial is a palindrome"}),
+    ("thm-5-2", {"kind": "pf", "n": 3}, "w2_poly", _forced_division, {"error": "ExactDivisionError: forced"}),
 ]
 
 
@@ -206,6 +213,18 @@ def test_forced_failure_carries_its_witness(monkeypatch, suite, params, callee, 
     assert suites.evaluate_case(suite, params) == (True, None)
     monkeypatch.setattr(suites, callee, wrong)
     assert suites.evaluate_case(suite, params) == (False, witness)
+
+
+def test_window_witness_behind_the_pf_verdict(monkeypatch):
+    """A `pf-coherence` window reaches its minor check only when
+    `is_pf_finite` holds, so a negative minor shows only behind a wrong PF
+    verdict; the case then fails with that minor."""
+    f = Poly([1, 1, 1])  # log-concave and unimodal, with non-real roots
+    params = {"kind": "window", "i": 0, "poly": poly_to_dict(f)}
+    assert suites.evaluate_case("pf-coherence", params) == (False, suites._repro_check("pf", f))
+    monkeypatch.setattr(suites, "is_pf_finite", lambda f: True)
+    witness = {"rows": [1, 2, 3], "cols": [0, 1, 2], "minor": "-1"}
+    assert suites.evaluate_case("pf-coherence", params) == (False, witness)
 
 
 def chain_by_gcds(b0, bt, bq):

@@ -119,7 +119,8 @@ def _subresultant_matrix(qs: tuple[Poly, ...], j: int) -> list[list[Poly]]:
 
 def _determinant(rows: list[list[Poly]]) -> Poly:
     """Fraction-free Bareiss elimination over Q[xi]: each update divides
-    exactly by the previous pivot, and a zero pivot swaps in a lower row."""
+    exactly by the previous pivot, unless that is 1, and a zero pivot swaps
+    in a lower row."""
     m = [list(r) for r in rows]
     n, sign, prev = len(m), 1, ONE
     for k in range(n - 1):
@@ -129,10 +130,12 @@ def _determinant(rows: list[list[Poly]]) -> Poly:
                 return ZERO
             m[k], m[swap], sign = m[swap], m[k], -sign
         pivot, top = m[k][k], m[k]
+        divide = prev != ONE
         for row in m[k + 1:]:
             lead = row[k]
             for c in range(k + 1, n):
-                row[c] = (row[c] * pivot - lead * top[c]).exact_divide(prev)
+                entry = row[c] * pivot - lead * top[c]
+                row[c] = entry.exact_divide(prev) if divide else entry
         prev = pivot
     return m[-1][-1] if sign > 0 else -m[-1][-1]
 

@@ -11,6 +11,14 @@ and columns c is therefore 0 unless c_i <= r_i <= c_i + deg for every i:
 if r_i < c_i, rows r_0..r_i meet columns c_i..c_{k-1} in a zero block, and
 if r_i > c_i + deg, rows r_i..r_{k-1} meet columns c_0..c_i in one; either
 block spans k + 1 rows and columns, so the minor vanishes (Frobenius-Koenig).
+The same holds at the lower edge of the support: when a_t = 0 for t < lo,
+a minor with r_i < c_i + lo for some i has the zero block of rows
+r_0..r_i against columns c_i..c_{k-1}.  Every other minor has r_0 >= lo
+and columns below size - lo, and its entries are those of the window of
+a_lo, a_{lo+1}, ... (the sequence of f / x^lo) on rows r - lo.  So the
+size x size window of a sequence with lo leading zeros has the negative
+minors of the (size - lo) x (size - lo) window of its trimmed terms, with
+lo added to every row, and that map keeps lexicographic order.
 The window is also shift-invariant: moving the rows and columns of a
 nonzero minor down by c_0 <= r_0 gives an equal minor that comes no later
 in lexicographic order.  So the lexicographically first negative minor has
@@ -42,7 +50,9 @@ from .roots import is_real_rooted
 
 #: Most minors one `minors_nonneg` call accepts, counted as the admissible
 #: minors of every order, twins included, plus its table of all 2 x 2 minors
-#: of the window.  About half of the admissible minors are evaluated.
+#: of the window.  The count is of the window as given, leading zeros
+#: included, though only the window of the trimmed terms is evaluated, and
+#: of that about half of the admissible minors.
 MAX_MINORS = 1_000_000
 
 
@@ -214,7 +224,13 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
     (deg + 3 for a `Poly`) and the order to min(4, size); an order above
     the window raises PreconditionError.
 
-    Only the admissible minors {c_0 = 0, c_i <= r_i <= c_i + deg} that come
+    With lo the first index of the support, only the window of the trimmed
+    terms a_lo..a_deg is checked, of size size - lo and bandwidth deg - lo,
+    and lo is added to the rows of its witness: by the lower-band argument
+    of the module docstring the other minors of the window vanish, and the
+    shift keeps lexicographic order.  An order above size - lo plans no
+    minor.  Of that window only the admissible minors
+    {c_0 = 0, c_i <= r_i <= c_i + deg - lo} that come
     no later than their persymmetric twins are evaluated: by the band, shift
     and twin arguments of the module docstring every other minor is 0 or
     equals one of them that comes earlier.  They are enumerated
@@ -229,7 +245,8 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
     value is read from a table of the order k - 1 values, keyed by row and
     column bitmasks, that the order k - 1 loop fills under each minor's key
     and its twin's.  More than MAX_MINORS admissible minors and 2 x 2 table
-    entries raise PreconditionError before any minor is evaluated.
+    entries of the window as given raise PreconditionError before any minor
+    is evaluated.
     """
     a = _terms_of(terms)
     if size is None:
@@ -250,16 +267,20 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
             f"admissible minors of order up to {order} and 2 x 2 table entries"
         )
     lcm = math.lcm(*(x.denominator for x in a))
-    a = [int(x * lcm) for x in a[: deg + 1]]
+    # the window of the trimmed terms; lo goes back onto the witness rows
+    lo = support[0]
+    a = [int(x * lcm) for x in a[lo : deg + 1]]
+    window, size, deg = size, size - lo, deg - lo
 
     def report(rows, cols, det_int, k):
-        return MinorReport(size, order, (tuple(rows), tuple(cols), Fraction(det_int, lcm ** k)))
+        witness = (tuple(r + lo for r in rows), tuple(cols), Fraction(det_int, lcm ** k))
+        return MinorReport(window, order, witness)
 
     for i, x in enumerate(a):
         if x < 0:
             return report((i,), (0,), x, 1)
     if order < 2:
-        return MinorReport(size, order)
+        return MinorReport(window, order)
 
     m = [[a[i - j] if 0 <= i - j <= deg else 0 for j in range(size)] for i in range(size)]
     pairs = list(itertools.combinations(range(size), 2))
@@ -329,7 +350,7 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
                     col_key, twin_rows = keys[ci]
                     values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
 
-    return MinorReport(size, order)
+    return MinorReport(window, order)
 
 
 # -- sequence-level verdicts --------------------------------------------------------

@@ -46,14 +46,15 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
 
 
 # index layout of the six 2+2 column splits in a Laplace expansion along the
-# first two rows of a 4x4 minor: (top pair, bottom pair, sign)
+# first two rows of a 4x4 minor: (top pair, bottom pair); their signs,
+# + - + + - +, are written out in the order-4 loop of `exhaustive_minors`
 _SPLITS4 = (
-    ((0, 1), (2, 3), 1),
-    ((0, 2), (1, 3), -1),
-    ((0, 3), (1, 2), 1),
-    ((1, 2), (0, 3), 1),
-    ((1, 3), (0, 2), -1),
-    ((2, 3), (0, 1), 1),
+    ((0, 1), (2, 3)),
+    ((0, 2), (1, 3)),
+    ((0, 3), (1, 2)),
+    ((1, 2), (0, 3)),
+    ((1, 3), (0, 2)),
+    ((2, 3), (0, 1)),
 )
 
 
@@ -143,22 +144,23 @@ def exhaustive_minors(matrix: Matrix, order: int) -> MinorReport:
     # k = 4: Laplace along the first two rows, six products of cached 2x2s
     if order >= 4:
         quads = list(itertools.combinations(range(n), 4))
-        col_splits = []
-        for quad in quads:
-            col_splits.append(
-                tuple(
-                    (pair_index[(quad[a], quad[b])], pair_index[(quad[c], quad[d])], sg)
-                    for (a, b), (c, d), sg in _SPLITS4
-                )
+        col_splits = [
+            tuple(
+                pair_index[(quad[i], quad[j])]
+                for split in _SPLITS4
+                for i, j in split
             )
+            for quad in quads
+        ]
         for quad_r in quads:
             r0, r1, r2, r3 = quad_r
             top = det2[pair_index[(r0, r1)]]
             bottom = det2[pair_index[(r2, r3)]]
-            for ci, quad_c in enumerate(quads):
-                d = 0
-                for ti, bi, sg in col_splits[ci]:
-                    d += sg * top[ti] * bottom[bi]
+            for quad_c, (t0, b0, t1, b1, t2, b2, t3, b3, t4, b4, t5, b5) in zip(quads, col_splits):
+                d = (
+                    top[t0] * bottom[b0] - top[t1] * bottom[b1] + top[t2] * bottom[b2]
+                    + top[t3] * bottom[b3] - top[t4] * bottom[b4] + top[t5] * bottom[b5]
+                )
                 if d < 0:
                     return report(quad_r, quad_c, d, 4)
 

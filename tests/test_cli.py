@@ -101,6 +101,30 @@ def test_check_pf_minors_witness(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, code, window, order, witness", [
+    (("--terms", "0,1,2,1"), 0, 6, 4, None),
+    (("--poly", '{"coeffs":["0","0","0","1","3","3","1"]}'), 0, 9, 4, None),
+    (("--terms", "0,0,0,1,1,1", "--window", "5"), 0, 5, 4, None),
+    (("--terms", "0,0,1,1,1"), 1, 7, 4, ([3, 4, 5], [0, 1, 2], "-1")),
+    (("--terms", "0,0,0,2,1,1"), 1, 8, 4, ([4, 5], [0, 1], "-1")),
+    (("--terms", "0,0,2,2,1", "--order", "4"), 1, 7, 4, ([3, 4, 5, 6], [0, 1, 2, 3], "-4")),
+    (("--poly", '{"coeffs":["0","2","1","1"]}', "--order", "2"), 1, 6, 2, ([2, 3], [0, 1], "-1")),
+    (("--terms", "0,0,0,-1", "--window", "4", "--order", "4"), 1, 4, 4, ([3], [0], "-1")),
+])
+def test_check_pf_minors_with_leading_zeros(capsys, argv, code, window, order, witness):
+    """1 to 3 leading zeros: the window and order are those asked for, and
+    the witness rows count the zeros."""
+    got, out, err = run_cli(capsys, "check", "pf-minors", *argv)
+    assert (got, err) == (code, "")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["window"], payload["order"]) == (code == 0, window, order)
+    if witness is None:
+        assert "witness" not in payload
+    else:
+        rows, cols, minor = witness
+        assert payload["witness"] == {"rows": rows, "cols": cols, "minor": minor}
+
+
 def test_check_pf_minors_at_the_guard_boundary(capsys):
     """331,981 admissible minors plus the 4,356-entry 2 x 2 table: just under
     MAX_MINORS, and every order up to 12 is evaluated."""

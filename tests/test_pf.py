@@ -236,19 +236,25 @@ def test_minors_match_exhaustive_route(query):
     assert minors_nonneg(terms, size, order) == exhaustive_minors(toeplitz_window(terms, size), order)
 
 
-def test_minors_match_exhaustive_route_on_fixed_windows():
-    """Every seed-0 `pf-coherence` window and the w2(n) windows that
-    `check pf-minors` meets at orders 4 and 5, through both routes."""
+def _pf_coherence_windows() -> list[Poly]:
+    """The 100 polynomials whose windows seed-0 `pf-coherence` checks."""
     from polyafreq.config import RunConfig
     from polyafreq.jsonio import poly_from_dict
     from polyafreq.suites import _gen_pf_coherence
 
     windows = [
-        (poly_from_dict(p["poly"]), 4)
+        poly_from_dict(p["poly"])
         for p in _gen_pf_coherence(RunConfig(seed=0))
         if p["kind"] == "window"
     ]
     assert len(windows) == 100
+    return windows
+
+
+def test_minors_match_exhaustive_route_on_fixed_windows():
+    """Every seed-0 `pf-coherence` window and the w2(n) windows that
+    `check pf-minors` meets at orders 4 and 5, through both routes."""
+    windows = [(f, 4) for f in _pf_coherence_windows()]
     windows += [(w2_poly(n), 4) for n in range(6, 12)]
     windows += [(w2_poly(n), 5) for n in range(4, 9)]
     for f, order in windows:
@@ -256,6 +262,53 @@ def test_minors_match_exhaustive_route_on_fixed_windows():
         report = minors_nonneg(f, size, order)
         assert report == exhaustive_minors(toeplitz_window(f, size), order)
         assert report == minors_nonneg(f, order=order)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_minors_of_x_power_times_pf_windows_match_exhaustive_route(k):
+    """x^k times each seed-0 `pf-coherence` polynomial, in the window of the
+    polynomial's own default size: only the window of the trimmed terms is
+    checked, and where it is smaller than 4 no minor above it is planned."""
+    for f in _pf_coherence_windows():
+        size = len(f.coeffs) + 2
+        shifted = Poly([0] * k + list(f.coeffs))
+        report = minors_nonneg(shifted, size, 4)
+        assert report == exhaustive_minors(toeplitz_window(shifted, size), 4)
+        assert report.nonnegative and report.window == size
+
+
+def test_leading_zeros_add_to_the_witness_rows():
+    """Non-PF g whose first negative minor has order 2, 3 or 4, times x^k:
+    the witness is g's with k added to every row, and its window and order
+    are those given, also when the order exceeds size - k."""
+    for g, size, order in (((2, 1, 1), 5, 2), ((1, 1, 1), 5, 3), ((2, 2, 1), 5, 4)):
+        rows, cols, value = minors_nonneg(g, size, 4).witness
+        assert len(rows) == order
+        for k in (1, 2, 3):
+            terms = (0,) * k + g
+            report = minors_nonneg(terms, size + k, 4)
+            assert report == exhaustive_minors(toeplitz_window(terms, size + k), 4)
+            assert report.window == size + k and report.order == 4
+            assert report.witness == (tuple(r + k for r in rows), cols, value)
+            # the window of the trimmed terms has size - 1 rows, so orders
+            # above it are planned for nothing
+            for top in range(1, size + k):
+                assert minors_nonneg(terms, size + k - 1, top) == exhaustive_minors(
+                    toeplitz_window(terms, size + k - 1), top
+                )
+
+
+def test_single_term_in_the_last_row():
+    """A window whose only nonzero term sits in its last row: one 1 x 1
+    minor, and no minor of order 2 or more is nonzero."""
+    for size in (1, 2, 5):
+        for c in (3, -2, Fraction(-1, 3)):
+            terms = (0,) * (size - 1) + (c,)
+            for order in range(1, size + 1):
+                report = minors_nonneg(terms, size, order)
+                assert report == exhaustive_minors(toeplitz_window(terms, size), order)
+                assert report.window == size and report.order == order
+                assert report.witness == (None if c > 0 else ((size - 1,), (0,), c))
 
 
 def test_first_negative_minor_at_each_order():

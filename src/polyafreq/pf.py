@@ -34,6 +34,24 @@ admissible, with the same t and the minor itself as its twin.  Of a pair
 of twins only the one that comes first in lexicographic order is
 evaluated: were the other the first negative minor, its earlier twin would
 be a negative minor before it.
+
+Most windows are totally nonnegative, and for those no minor need be
+evaluated.  Neville elimination clears each column from the bottom up,
+replacing row i by row_i - (q / p) row_{i-1}, with q its entry in the
+column and p the entry above it.  Each such step factors the window as
+A = (I + (q / p) E_{i,i-1}) A'; a step with q = 0 is skipped, and scaling
+a row by a positive number, as the fraction-free form does, only adds a
+positive diagonal factor.  When every q / p is nonnegative the factors are
+nonnegative bidiagonal matrices, and what is left of a lower-triangular
+window is its diagonal.  Such a product with a positive diagonal is
+totally nonnegative (Whitney, J. Analyse Math. 2, 1952; Cauchy-Binet), so
+an elimination that runs through with q >= 0, p > 0 and a positive
+diagonal proves that the window has no negative minor at any order.
+Conversely a nonsingular totally nonnegative matrix always runs through so
+(Gasca and Pena, Linear Algebra Appl. 165, 1992).  The window of the
+trimmed terms is nonsingular, since its diagonal is a_lo != 0, so it is
+accepted exactly when it is totally nonnegative, as that of a PF sequence
+is, and only windows with a negative minor are left to the minor scan.
 """
 
 from __future__ import annotations
@@ -50,9 +68,9 @@ from .roots import is_real_rooted
 
 #: Most minors one `minors_nonneg` call accepts, counted as the admissible
 #: minors of every order, twins included, plus its table of all 2 x 2 minors
-#: of the window.  The count is of the window as given, leading zeros
-#: included, though only the window of the trimmed terms is evaluated, and
-#: of that about half of the admissible minors.
+#: of the window of the trimmed terms, of which about half of the admissible
+#: minors are evaluated.  It also bounds that window to 45 rows, and so the
+#: cost of its Neville elimination.
 MAX_MINORS = 1_000_000
 
 
@@ -217,70 +235,48 @@ def _plan(size: int, deg: int, k: int):
     return columns, [_col_parts(cols, size) for cols in columns], keys, entries
 
 
-def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> MinorReport:
-    """Check the k x k minors, k <= order, of the size x size Toeplitz window
-    M[i][j] = a_{i-j} of a sequence (a `Poly` or an iterable of rationals,
-    zero-padded) for nonnegativity.  The window defaults to len(terms) + 2
-    (deg + 3 for a `Poly`) and the order to min(4, size); an order above
-    the window raises PreconditionError.
+def _neville_tn(a: list[int], m: int) -> bool:
+    """True only if the m x m window of the integer terms a is totally
+    nonnegative, by Neville elimination (see the module docstring).
 
-    With lo the first index of the support, only the window of the trimmed
-    terms a_lo..a_deg is checked, of size size - lo and bandwidth deg - lo,
-    and lo is added to the rows of its witness: by the lower-band argument
-    of the module docstring the other minors of the window vanish, and the
-    shift keeps lexicographic order.  An order above size - lo plans no
-    minor.  Of that window only the admissible minors
-    {c_0 = 0, c_i <= r_i <= c_i + deg - lo} that come
-    no later than their persymmetric twins are evaluated: by the band, shift
-    and twin arguments of the module docstring every other minor is 0 or
-    equals one of them that comes earlier.  They are enumerated
-    lexicographically in (k, rows, cols) from compiled plans (`_plan`,
-    cached per (size, deg, k)), so the first negative one found is the
-    lexicographically first negative minor of the whole window.
-    Denominators are cleared first (a positive scaling, so minor signs are
-    unchanged); 2 x 2 minors come from one table, orders 3 and 4 from
-    Laplace expansions over it.  An order k >= 5 minor is expanded along its
-    first row, det = sum_j (-1)^j a_{r_0 - c_j} D(R - r_0, C - c_j): each
-    sub-minor, shifted down to first column 0, is admissible or 0, and its
-    value is read from a table of the order k - 1 values, keyed by row and
-    column bitmasks, that the order k - 1 loop fills under each minor's key
-    and its twin's.  More than MAX_MINORS admissible minors and 2 x 2 table
-    entries of the window as given raise PreconditionError before any minor
-    is evaluated.
+    Column by column, each row from the bottom up is replaced by
+    p row_i - q row_{i-1}, with q its entry in the column and p the entry
+    above it, and divided by its content; the elimination gives up at the
+    first q < 0, or p <= 0 under a q != 0, and on a diagonal pivot a_0 <= 0.
+    Rows keep their entries of columns j..i only: the window stays lower
+    triangular, and every column left of j is already cleared below row j.
     """
-    a = _terms_of(terms)
-    if size is None:
-        size = len(a) + 2
-    if order is None:
-        order = min(4, size)
-    if order > size:
-        raise PreconditionError("minor order exceeds matrix dimension")
-    a = a[:size]
-    support = [t for t, x in enumerate(a) if x != 0]
-    if not support or order < 1:
-        return MinorReport(size, order)
-    deg = support[-1]
-    table = math.comb(size, 2) ** 2 if order >= 2 else 0
-    if table > MAX_MINORS or table + _admissible_count(size, deg, order) > MAX_MINORS:
-        raise PreconditionError(
-            f"a window of size {size} and bandwidth {deg} has more than {MAX_MINORS} "
-            f"admissible minors of order up to {order} and 2 x 2 table entries"
-        )
-    lcm = math.lcm(*(x.denominator for x in a))
-    # the window of the trimmed terms; lo goes back onto the witness rows
-    lo = support[0]
-    a = [int(x * lcm) for x in a[lo : deg + 1]]
-    window, size, deg = size, size - lo, deg - lo
+    if not a or a[0] <= 0:
+        return False
+    n = len(a)
+    rows = [[a[i - j] if i - j < n else 0 for j in range(i + 1)] for i in range(m)]
+    for j in range(m - 1):
+        for i in range(m - 1, j, -1):
+            row = rows[i]
+            q = row[j]
+            if q == 0:
+                continue
+            above = rows[i - 1]
+            p = above[j]
+            if p <= 0 or q < 0:
+                return False
+            new = [0] * (j + 1)
+            new += (p * x - q * y for x, y in zip(row[j + 1 : i], above[j + 1 :]))
+            new.append(p * row[i])
+            g = math.gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
+    return True
 
-    def report(rows, cols, det_int, k):
-        witness = (tuple(r + lo for r in rows), tuple(cols), Fraction(det_int, lcm ** k))
-        return MinorReport(window, order, witness)
 
+def _first_negative_minor(a: list[int], size: int, deg: int, order: int):
+    """The lexicographically first negative minor of order at most order of
+    the size x size window of the integer terms a = a_0..a_deg, as (rows,
+    cols, value, k), or None: the minor scan of `minors_nonneg`."""
     for i, x in enumerate(a):
         if x < 0:
-            return report((i,), (0,), x, 1)
+            return (i,), (0,), x, 1
     if order < 2:
-        return MinorReport(window, order)
+        return None
 
     m = [[a[i - j] if 0 <= i - j <= deg else 0 for j in range(size)] for i in range(size)]
     pairs = list(itertools.combinations(range(size), 2))
@@ -295,7 +291,7 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
         for ci in ids:
             d = row[parts[ci]]
             if d < 0:
-                return report(rows, columns[ci], d, 2)
+                return rows, columns[ci], d, 2
 
     # k = 3: expansion along the first row of each minor
     if order >= 3:
@@ -307,7 +303,7 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
                 c0, c1, c2, p12, p02, p01 = parts[ci]
                 d = top[c0] * bottom[p12] - top[c1] * bottom[p02] + top[c2] * bottom[p01]
                 if d < 0:
-                    return report(rows, columns[ci], d, 3)
+                    return rows, columns[ci], d, 3
 
     # k = 4: Laplace along the first two rows, six products of cached 2x2s;
     # the values are kept, keyed as in `_plan`, when order 5 reads them
@@ -325,7 +321,7 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
                     + top[t3] * bottom[b3] - top[t4] * bottom[b4] + top[t5] * bottom[b5]
                 )
                 if d < 0:
-                    return report(rows, columns[ci], d, 4)
+                    return rows, columns[ci], d, 4
                 if keep:
                     col_key, twin_rows = keys[ci]
                     values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
@@ -345,12 +341,86 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
                         break
                     d += sign * top[c] * get(sub_key >> s | col_key, 0)
                 if d < 0:
-                    return report(rows, columns[ci], d, k)
+                    return rows, columns[ci], d, k
                 if keep:
                     col_key, twin_rows = keys[ci]
                     values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
 
-    return MinorReport(window, order)
+    return None
+
+
+def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> MinorReport:
+    """Check the k x k minors, k <= order, of the size x size Toeplitz window
+    M[i][j] = a_{i-j} of a sequence (a `Poly` or an iterable of rationals,
+    zero-padded) for nonnegativity.  The window defaults to deg + 3, with
+    deg the index of the last nonzero term (2 for the zero sequence), and
+    the order to min(4, size); an order above the window raises
+    PreconditionError.
+
+    With lo the first index of the support, only the window of the trimmed
+    terms a_lo..a_deg is checked, of size size - lo and bandwidth deg - lo,
+    and lo is added to the rows of its witness: by the lower-band argument
+    of the module docstring the other minors of the window vanish, and the
+    shift keeps lexicographic order.  An order above size - lo plans no
+    minor.  More than MAX_MINORS admissible minors and 2 x 2 table entries
+    of that window raise PreconditionError before any minor is evaluated.
+    Denominators are cleared first (a positive scaling, so minor signs are
+    unchanged).
+
+    From order 2 on, Neville elimination (`_neville_tn`) runs first.  When
+    it accepts, the window is a product of nonnegative bidiagonal factors
+    and a positive diagonal, so it is totally nonnegative at every order
+    (module docstring) and no minor is evaluated.  A PF sequence is always
+    accepted: its trimmed window is totally nonnegative and nonsingular
+    (Gasca and Pena).  The guard's bound on the window also bounds the
+    elimination, O((size - lo)^3) steps.
+
+    Otherwise the minors are scanned (`_first_negative_minor`), the only
+    source of witnesses.  Only the admissible minors
+    {c_0 = 0, c_i <= r_i <= c_i + deg - lo} that come
+    no later than their persymmetric twins are evaluated: by the band, shift
+    and twin arguments of the module docstring every other minor is 0 or
+    equals one of them that comes earlier.  They are enumerated
+    lexicographically in (k, rows, cols) from compiled plans (`_plan`,
+    cached per (size, deg, k)), so the first negative one found is the
+    lexicographically first negative minor of the whole window.
+    2 x 2 minors come from one table, orders 3 and 4 from
+    Laplace expansions over it.  An order k >= 5 minor is expanded along its
+    first row, det = sum_j (-1)^j a_{r_0 - c_j} D(R - r_0, C - c_j): each
+    sub-minor, shifted down to first column 0, is admissible or 0, and its
+    value is read from a table of the order k - 1 values, keyed by row and
+    column bitmasks, that the order k - 1 loop fills under each minor's key
+    and its twin's.
+    """
+    a = _terms_of(terms)
+    if size is None:
+        size = max((t for t, x in enumerate(a) if x != 0), default=-1) + 3
+    if order is None:
+        order = min(4, size)
+    if order > size:
+        raise PreconditionError("minor order exceeds matrix dimension")
+    a = a[:size]
+    support = [t for t, x in enumerate(a) if x != 0]
+    if not support or order < 1:
+        return MinorReport(size, order)
+    # the window of the trimmed terms; lo goes back onto the witness rows
+    lo, deg = support[0], support[-1]
+    n, band = size - lo, deg - lo
+    table = math.comb(n, 2) ** 2 if order >= 2 else 0
+    if table > MAX_MINORS or table + _admissible_count(n, band, order) > MAX_MINORS:
+        raise PreconditionError(
+            f"a window of size {size} and bandwidth {deg} has more than {MAX_MINORS} "
+            f"admissible minors of order up to {order} and 2 x 2 table entries"
+        )
+    lcm = math.lcm(*(x.denominator for x in a))
+    a = [int(x * lcm) for x in a[lo : deg + 1]]
+    if order >= 2 and _neville_tn(a, n):
+        return MinorReport(size, order)
+    found = _first_negative_minor(a, n, band, order)
+    if found is None:
+        return MinorReport(size, order)
+    rows, cols, d, k = found
+    return MinorReport(size, order, (tuple(r + lo for r in rows), cols, Fraction(d, lcm ** k)))
 
 
 # -- sequence-level verdicts --------------------------------------------------------

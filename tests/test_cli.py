@@ -99,6 +99,10 @@ def test_check_pf_minors_witness(capsys):
     assert payload["witness"]["minor"] == "-1"
     code, out, _ = run_cli(capsys, "check", "pf-minors", "--terms", "1,2,1")
     assert code == 0
+    # trailing zeros do not widen the default window: both forms get 5 x 5
+    for argv in (("--terms", "1,2,1,0"), ("--poly", '{"coeffs":["1","2","1","0"]}')):
+        code, out, _ = run_cli(capsys, "check", "pf-minors", *argv)
+        assert code == 0 and json.loads(out)["window"] == 5
 
 
 @pytest.mark.parametrize("argv, code, window, order, witness", [
@@ -125,15 +129,26 @@ def test_check_pf_minors_with_leading_zeros(capsys, argv, code, window, order, w
         assert payload["witness"] == {"rows": rows, "cols": cols, "minor": minor}
 
 
-def test_check_pf_minors_at_the_guard_boundary(capsys):
+def _no_minor_evaluated(*args):
+    raise AssertionError("a minor was evaluated")
+
+
+def test_check_pf_minors_at_the_guard_boundary(capsys, monkeypatch):
     """331,981 admissible minors plus the 4,356-entry 2 x 2 table: just under
-    MAX_MINORS, and every order up to 12 is evaluated."""
-    code, out, _ = run_cli(
-        capsys, "check", "pf-minors", "--terms", "1,3,3,1", "--window", "12", "--order", "12"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["verdict"] is True and payload["window"] == 12
+    MAX_MINORS, also behind a leading zero, since the guard counts the
+    window of the trimmed terms.  The window is totally nonnegative, so
+    Neville elimination accepts it and no minor is evaluated; the scan's
+    own run to order 12 is `tests/test_pf.py::test_scan_reaches_order_12`."""
+    import polyafreq.pf as pf
+
+    monkeypatch.setattr(pf, "_plan", _no_minor_evaluated)
+    for terms, window in (("1,3,3,1", 12), ("0,1,3,3,1", 13)):
+        code, out, _ = run_cli(
+            capsys, "check", "pf-minors", "--terms", terms, "--window", str(window), "--order", "12"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] is True and payload["window"] == window
 
 
 def test_check_sequence_kinds(capsys):
@@ -432,15 +447,15 @@ def test_empty_list_elements_are_usage_errors(capsys, argv):
 def test_pf_minors_guard(capsys, monkeypatch):
     import polyafreq.pf as pf
 
-    def evaluated(*args):
-        raise AssertionError("a minor was evaluated")
-
-    monkeypatch.setattr(pf, "_plan", evaluated)
-    code, out, err = run_cli(
-        capsys, "check", "pf-minors", "--terms", ",".join(["1"] * 30), "--window", "30", "--order", "15"
-    )
-    assert code == 2 and out == ""
-    assert "Traceback" not in err and "more than" in err
+    monkeypatch.setattr(pf, "_plan", _no_minor_evaluated)
+    for argv in (
+        ("--terms", ",".join(["1"] * 30), "--window", "30", "--order", "15"),
+        # the trimmed window is one row larger than at the guard boundary
+        ("--terms", "0,1,3,3,1", "--window", "14", "--order", "12"),
+    ):
+        code, out, err = run_cli(capsys, "check", "pf-minors", *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and "more than" in err
 
 
 def test_cor_6_10_guard(capsys):

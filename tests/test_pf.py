@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,10 +93,14 @@ def test_minors_order_bound():
 
 
 def test_minors_window_defaults():
-    """The window defaults to len(terms) + 2, trailing zeros counted (a
-    `Poly` has none), and the order to min(4, window)."""
-    assert minors_nonneg((1, 2, 1, 0)) == minors_nonneg((1, 2, 1, 0), 6, 4)
+    """The window defaults to deg + 3, deg the index of the last nonzero
+    term, so trailing zeros do not widen it and a sequence gets the window
+    of its `Poly`; the zero sequence gets 2.  The order defaults to
+    min(4, window)."""
+    assert minors_nonneg((1, 2, 1, 0)) == minors_nonneg((1, 2, 1), 5, 4)
     assert minors_nonneg(Poly([1, 2, 1, 0])) == minors_nonneg((1, 2, 1), 5, 4)
+    assert minors_nonneg((1, 1, 1) + (0,) * 9).window == 5
+    assert minors_nonneg((0, 0, 0)) == minors_nonneg(()) == minors_nonneg(ZERO) == minors_nonneg((), 2, 2)
     assert minors_nonneg((1,), 3) == minors_nonneg((1,), 3, 3)
     report = minors_nonneg((1, 1, 0, 1), order=2)
     assert (report.window, report.order, report.witness) == (6, 2, ((1, 3), (0, 1), -1))
@@ -207,36 +212,52 @@ def toeplitz_queries(draw):
         terms = (Poly([c, b, 1]) * Poly([1, 1]) ** draw(st.integers(1, 3))).coeffs
         order = draw(st.sampled_from((8, 7, 6, 5)))
         return terms, draw(st.integers(order, 8)), order
-    if kind == "free":
-        terms = draw(st.lists(
-            st.one_of(st.just(Fraction(0)), st.fractions(-3, 6, max_denominator=4)),
-            max_size=8,
-        ))
-    else:
-        roots = draw(st.lists(st.fractions(0, 4, max_denominator=3), max_size=6))
-        terms = list(_pf_terms(roots, draw(st.integers(1, 3))))
-        if kind == "complex":
-            # x^2 + 2sx + s^2 + e, roots -s +- i sqrt(e)
-            s = draw(st.fractions(Fraction(1, 4), 2, max_denominator=4))
-            e = s * s * draw(st.fractions(Fraction(1, 64), 2, max_denominator=64))
-            terms = list((Poly(terms) * Poly([s * s + e, 2 * s, 1])).coeffs)
-        if kind == "perturbed":
-            i = draw(st.integers(0, len(terms) - 1))
-            terms[i] += draw(st.fractions(-2, 2, max_denominator=8))
-        terms = [Fraction(0)] * draw(st.integers(0, 2)) + terms + [Fraction(0)] * draw(st.integers(0, 2))
+    terms = _draw_sequence(draw, kind, -3)
     order = draw(st.sampled_from((6, 5, 4, 3, 2, 1)))
     size = draw(st.integers(order, 8))
     return terms, size, order
+
+
+def _draw_sequence(draw, kind, low):
+    """A "free" sequence of rationals in [low, 6] and zeros, or a PF
+    sequence, the same times a factor with complex roots ("complex") or with
+    one term perturbed ("perturbed"); 0 to 2 zeros pad it on either side."""
+    if kind == "free":
+        return draw(st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(low, 6, max_denominator=4)),
+            max_size=8,
+        ))
+    roots = draw(st.lists(st.fractions(0, 4, max_denominator=3), max_size=6))
+    terms = list(_pf_terms(roots, draw(st.integers(1, 3))))
+    if kind == "complex":
+        # x^2 + 2sx + s^2 + e, roots -s +- i sqrt(e)
+        s = draw(st.fractions(Fraction(1, 4), 2, max_denominator=4))
+        e = s * s * draw(st.fractions(Fraction(1, 64), 2, max_denominator=64))
+        terms = list((Poly(terms) * Poly([s * s + e, 2 * s, 1])).coeffs)
+    if kind == "perturbed":
+        i = draw(st.integers(0, len(terms) - 1))
+        terms[i] += draw(st.fractions(-2, 2, max_denominator=8))
+    return [Fraction(0)] * draw(st.integers(0, 2)) + terms + [Fraction(0)] * draw(st.integers(0, 2))
+
+
+def scanned(terms, size, order):
+    """`minors_nonneg` with the Neville elimination refusing every window,
+    so that the minor scan (`pf._first_negative_minor`) answers alone."""
+    with mock.patch.object(pf, "_neville_tn", return_value=False):
+        return minors_nonneg(terms, size, order)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(toeplitz_queries())
 def test_minors_match_exhaustive_route(query):
     terms, size, order = query
-    assert minors_nonneg(terms, size, order) == exhaustive_minors(toeplitz_window(terms, size), order)
+    expected = exhaustive_minors(toeplitz_window(terms, size), order)
+    assert minors_nonneg(terms, size, order) == expected
+    assert scanned(terms, size, order) == expected
 
 
-def _pf_coherence_windows() -> list[Poly]:
+@pytest.fixture(scope="module")
+def pf_coherence_windows() -> list[Poly]:
     """The 100 polynomials whose windows seed-0 `pf-coherence` checks."""
     from polyafreq.config import RunConfig
     from polyafreq.jsonio import poly_from_dict
@@ -251,30 +272,118 @@ def _pf_coherence_windows() -> list[Poly]:
     return windows
 
 
-def test_minors_match_exhaustive_route_on_fixed_windows():
+def test_minors_match_exhaustive_route_on_fixed_windows(pf_coherence_windows):
     """Every seed-0 `pf-coherence` window and the w2(n) windows that
-    `check pf-minors` meets at orders 4 and 5, through both routes."""
-    windows = [(f, 4) for f in _pf_coherence_windows()]
+    `check pf-minors` meets at orders 4 and 5, through the public route,
+    its default window and the minor scan alone, against one oracle
+    result per window."""
+    windows = [(f, 4) for f in pf_coherence_windows]
     windows += [(w2_poly(n), 4) for n in range(6, 12)]
     windows += [(w2_poly(n), 5) for n in range(4, 9)]
     for f, order in windows:
         size = len(f.coeffs) + 2
-        report = minors_nonneg(f, size, order)
-        assert report == exhaustive_minors(toeplitz_window(f, size), order)
-        assert report == minors_nonneg(f, order=order)
+        expected = exhaustive_minors(toeplitz_window(f, size), order)
+        assert minors_nonneg(f, size, order) == expected
+        assert minors_nonneg(f, order=order) == expected
+        assert scanned(f, size, order) == expected
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_minors_of_x_power_times_pf_windows_match_exhaustive_route(k):
+def test_minors_of_x_power_times_pf_windows_match_exhaustive_route(k, pf_coherence_windows):
     """x^k times each seed-0 `pf-coherence` polynomial, in the window of the
     polynomial's own default size: only the window of the trimmed terms is
-    checked, and where it is smaller than 4 no minor above it is planned."""
-    for f in _pf_coherence_windows():
+    checked, and where it is smaller than 4 no minor above it is planned;
+    the public route and the minor scan alone against one oracle result."""
+    for f in pf_coherence_windows:
         size = len(f.coeffs) + 2
         shifted = Poly([0] * k + list(f.coeffs))
-        report = minors_nonneg(shifted, size, 4)
-        assert report == exhaustive_minors(toeplitz_window(shifted, size), 4)
-        assert report.nonnegative and report.window == size
+        expected = exhaustive_minors(toeplitz_window(shifted, size), 4)
+        assert expected.nonnegative and expected.window == size
+        assert minors_nonneg(shifted, size, 4) == expected
+        assert scanned(shifted, size, 4) == expected
+
+
+# -- Neville elimination against the exhaustive route -----------------------------------
+
+
+def _integers(terms) -> list[int]:
+    """terms times the lcm of their denominators, as `minors_nonneg` scales them."""
+    terms = [Fraction(x) for x in terms]
+    lcm = math.lcm(*(x.denominator for x in terms))
+    return [int(x * lcm) for x in terms]
+
+
+def _trimmed(terms, size):
+    """The terms from the first nonzero one on and the size of their window
+    in the size x size window of terms, as `minors_nonneg` passes them to
+    `pf._neville_tn`, or None for a window of zeros."""
+    lo = next((t for t, x in enumerate(terms) if x != 0), None)
+    if lo is None or lo >= size:
+        return None
+    return terms[lo:], size - lo
+
+
+@st.composite
+def neville_queries(draw):
+    """(terms, size): PF sequences, the same times a factor with complex
+    roots or with one term perturbed, and free nonnegative rational
+    sequences, with leading and trailing zeros, in windows shorter and
+    longer than the sequence."""
+    kind = draw(st.sampled_from(("complex", "perturbed", "pf", "free")))
+    return _draw_sequence(draw, kind, 0), draw(st.integers(1, 8))
+
+
+def test_neville_acceptance_is_sound():
+    """When the elimination accepts a window, the exhaustive route finds no
+    negative minor of any order in it.  On the window of the trimmed terms,
+    which is nonsingular, it accepts exactly the totally nonnegative ones
+    (Gasca and Pena); a window with leading zeros is singular and refused."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(neville_queries())
+    def check(query):
+        terms, size = query
+        trimmed = _trimmed(terms, size)
+        if trimmed != (terms, size):
+            assert not pf._neville_tn(_integers(terms), size)
+        if trimmed is not None:
+            terms, size = trimmed
+            tn = exhaustive_minors(toeplitz_window(terms, size), size).nonnegative
+            assert pf._neville_tn(_integers(terms), size) == tn
+            seen.add(tn)
+
+    check()
+    assert seen == {False, True}
+
+
+def test_neville_accepts_every_pf_window(pf_coherence_windows):
+    """The window of the trimmed terms of a PF sequence is totally
+    nonnegative and nonsingular, so the elimination accepts it at every
+    size, and `minors_nonneg` evaluates no minor of it: every seed-0
+    `pf-coherence` window, the w2(n) windows and drawn PF sequences."""
+
+    def accepted(f, size):
+        trimmed = _trimmed(f.coeffs, size)
+        return trimmed is None or pf._neville_tn(_integers(trimmed[0]), trimmed[1])
+
+    fixed = pf_coherence_windows + [w2_poly(n) for n in range(4, 12)]
+    with mock.patch.object(pf, "_plan", side_effect=AssertionError("a minor was evaluated")):
+        for f in fixed:
+            size = len(f.coeffs) + 2
+            assert minors_nonneg(f, size, min(4, size)).nonnegative
+            assert all(accepted(f, n) for n in range(1, size + 3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.fractions(0, 6, max_denominator=4), max_size=10),
+        st.integers(1, 3),
+        st.integers(1, 14),
+    )
+    def check(roots, lead, size):
+        assert accepted(from_roots([-r for r in roots], lead=lead), size)
+
+    check()
 
 
 def test_leading_zeros_add_to_the_witness_rows():
@@ -356,9 +465,18 @@ def test_admissible_count_matches_plans():
             assert all(persymmetric_twin(*minor) >= minor for minor in planned)
             covered += len(planned | {persymmetric_twin(*minor) for minor in planned})
         assert count == covered
-    # check pf-minors --terms 1,3,3,1 --window 12 --order 12 still answers
+    # check pf-minors --terms 1,3,3,1 --window 12 --order 12 still answers,
+    # and so does the same window behind a leading zero, which the guard
+    # counts on its trimmed shape; one row more is refused
     assert pf._admissible_count(12, 3, 12) == 331_981
     assert 331_981 + math.comb(12, 2) ** 2 <= pf.MAX_MINORS
+    assert pf._admissible_count(13, 3, 12) + math.comb(13, 2) ** 2 > pf.MAX_MINORS
+
+
+def test_scan_reaches_order_12():
+    """The depth check of the minor scan: every planned minor of orders 1 to
+    12 of the 12 x 12 window of (1, 3, 3, 1), none negative."""
+    assert pf._first_negative_minor([1, 3, 3, 1], 12, 3, 12) is None
 
 
 @st.composite

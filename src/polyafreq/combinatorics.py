@@ -1,12 +1,28 @@
 """Combinatorial polynomial families and their enumeration oracles.
 
 Every family has a closed-form or recursive generator.  Over the symmetric
-group (descent and excedance counts, stack sorting) a guarded brute-force
-enumeration is kept beside it as an oracle, and equality of the two routes
-is a test, not an assumption of the generators.  Type-B descent statistics
-are counted by descent sets in O(n^2) terms (`signed_descent_poly`), not by
-listing the 2^n n! signed permutations; that route never calls the
-W-transform, so it still checks the W route of the type-B families.
+group (descent and excedance counts, stack sorting) a guarded count is kept
+beside it as an oracle, and equality of the two routes is a test, not an
+assumption of the generators.
+
+Descents over S_n, of every permutation or of the t-stack-sortable ones, are
+counted by one walk (`_descent_walk`) that places the letters left to right
+instead of listing the n! permutations.  A stack-sorting pass pops every
+smaller entry before it pushes, so each stack decreases from bottom to top
+and is just the set of its letters, a bitmask: a letter v entering a pass
+pops the letters of mask & ((1 << v) - 1), smallest first, into the next
+pass.  After a prefix the state is the set of letters left, the last letter
+(it decides whether the next one is a descent) and the t stack masks; the
+completions of equal states are counted once, in a memo local to one call.
+The last pass must emit the letters in increasing order, so a prefix is
+dropped at the first letter it emits out of order.  t is capped at n - 1,
+as the docstring of `t_stack_poly` argues.  The excedance/cycle count still
+visits every permutation, but counts them into an integer table.
+
+Type-B descent statistics are counted by descent sets in O(n^2) terms
+(`signed_descent_poly`), not by listing the 2^n n! signed permutations;
+that route never calls the W-transform, so it still checks the W route of
+the type-B families.
 """
 
 from __future__ import annotations
@@ -32,10 +48,6 @@ def _require_enumerable(n: int) -> None:
 
 
 # -- permutation statistics -----------------------------------------------------
-
-
-def descents(perm: tuple[int, ...]) -> int:
-    return sum(1 for a, b in zip(perm, perm[1:]) if a > b)
 
 
 def excedances(perm: tuple[int, ...]) -> int:
@@ -88,14 +100,11 @@ def eulerian_poly(n: int) -> Poly:
 
 
 def eulerian_oracle(n: int) -> Poly:
-    """Descent enumeration over S_n; equals eulerian_poly on the guarded range."""
+    """Descent count over S_n; equals eulerian_poly on the guarded range."""
     _require_enumerable(n)
     if n < 1:
         raise PreconditionError("eulerian_oracle needs n >= 1")
-    counts = [0] * (n + 1)
-    for perm in itertools.permutations(range(1, n + 1)):
-        counts[descents(perm) + 1] += 1
-    return Poly(counts)
+    return Poly([0] + _descent_walk(n, None))
 
 
 def eulerian_t_poly(n: int, t) -> Poly:
@@ -108,42 +117,77 @@ def eulerian_t_poly(n: int, t) -> Poly:
 # -- stack sorting ---------------------------------------------------------------
 
 
-def stack_sort(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """One pass of stack sorting, s(L n R) = s(L) s(R) n: each entry first
-    pops every smaller entry off the top of the stack, then is pushed; the
-    stack is emptied at the end."""
-    out = []
-    stack = []
-    for v in perm:
-        while stack and stack[-1] < v:
-            out.append(stack.pop())
-        stack.append(v)
-    out.extend(reversed(stack))
-    return tuple(out)
+def _descent_walk(n: int, passes: int | None) -> list[int]:
+    """Counts by descent number of the permutations of [n] that the given
+    number of stack-sorting passes sorts, or of all of them for None.
 
+    Letter v is the bit 1 << v, so a descent is a bit below the last one.  A
+    pass receives an increasing run of letters, each popping the smaller
+    letters of the stack before it is pushed; with u the run's largest
+    letter, the pass emits the stack's letters below u and the rest of the
+    run, in increasing order, and keeps those above u and u itself.  low is
+    the bit of the next letter the last pass must emit, so the run that
+    pass emits is in order exactly when it fills the bits from low upward.
+    Once every letter is placed, each stack flushes in increasing order and
+    so does the pipeline: the last pass emits the stacked letters, which are
+    those from low upward, in order, and every completed walk counts.  The
+    counts of a state's completions are packed in one int, one field of
+    n!.bit_length() bits per descent number, and a descent shifts them up
+    one field.
+    """
+    width = math.factorial(n).bit_length()
+    memo = {}
 
-def is_t_stack_sortable(perm: tuple[int, ...], t: int) -> bool:
-    # a sorted p stays sorted, and n - 1 passes sort any p of length n
-    p, target = tuple(perm), tuple(sorted(perm))
-    for _ in range(t):
-        if p == target:
-            break
-        p = stack_sort(p)
-    return p == target
+    def complete(left: int, last: int, stacks: tuple[int, ...], low: int) -> int:
+        if not left:
+            return 1
+        # low is fixed by the others: the letters neither left nor stacked
+        key = (left, last, stacks)
+        packed = memo.get(key)
+        if packed is not None:
+            return packed
+        packed = 0
+        rest = left
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            run, after = bit, stacks
+            if passes is not None:
+                masks = []
+                for mask in stacks:
+                    if run:
+                        top = 1 << (run.bit_length() - 1)
+                        run, mask = (mask & (top - 1)) | (run ^ top), (mask & -top) | top
+                    masks.append(mask)
+                if (run + low) & run:
+                    continue
+                after = tuple(masks)
+            sub = complete(left ^ bit, bit, after, low + run)
+            packed += sub << width if last > bit else sub
+        memo[key] = packed
+        return packed
+
+    packed = complete((1 << n) - 1, 0, (0,) * (passes or 0), 1)
+    field = (1 << width) - 1
+    return [packed >> (d * width) & field for d in range(n)]
 
 
 def t_stack_poly(n: int, t: int) -> Poly:
-    """Descent polynomial of the t-stack-sortable permutations in S_n."""
+    """Descent polynomial of the t-stack-sortable permutations in S_n.
+
+    t above n - 1 counts as n - 1, which is exact.  If a word ends with its
+    j largest letters in increasing order, a pass leaves them there and puts
+    the largest other letter just in front of them: that letter pops every
+    letter before it, and none pops it until the suffix arrives.  So after j
+    passes the j largest letters are in place, n - 1 passes sort any word of
+    length n, and a pass leaves a sorted word unchanged.
+    """
     if n < 1:
         raise PreconditionError("t_stack_poly needs n >= 1")
     if t < 0:
         raise PreconditionError("t_stack_poly needs t >= 0")
     _require_enumerable(n)
-    counts = [0] * n
-    for perm in itertools.permutations(range(1, n + 1)):
-        if is_t_stack_sortable(perm, t):
-            counts[descents(perm)] += 1
-    return Poly(counts)
+    return Poly(_descent_walk(n, min(t, n - 1)))
 
 
 def w2_closed(n: int, k: int) -> Fraction:
@@ -187,15 +231,16 @@ def q_eulerian_poly(n: int, q) -> Poly:
 
 
 def q_eulerian_oracle(n: int, q) -> Poly:
-    """sum over S_n of x^{exc} q^{c}, by enumeration."""
+    """sum over S_n of x^{exc} q^{c}, by enumeration into a table of counts
+    by (exc, c), to which q is applied once per entry."""
+    if n < 0:
+        raise PreconditionError("q_eulerian_oracle needs n >= 0")
     _require_enumerable(n)
     q = Fraction(q)
-    coeffs = [Fraction(0)] * n if n else [Fraction(1)]
-    if n == 0:
-        return Poly(coeffs)
+    table = [[0] * (n + 1) for _ in range(max(n, 1))]
     for perm in itertools.permutations(range(1, n + 1)):
-        coeffs[excedances(perm)] += q ** cycle_count(perm)
-    return Poly(coeffs)
+        table[excedances(perm)][cycle_count(perm)] += 1
+    return Poly(sum(count * q**c for c, count in enumerate(row) if count) for row in table)
 
 
 def e_q_poly(n: int, q) -> Poly:

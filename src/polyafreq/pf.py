@@ -94,6 +94,7 @@ class MinorReport:
         return self.witness is None
 
 
+@functools.lru_cache(maxsize=128)
 def _admissible_count(size: int, deg: int, order: int) -> int:
     """Number of admissible minors of orders 1..order >= 1, for deg < size.
 

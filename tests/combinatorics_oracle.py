@@ -6,14 +6,19 @@ x^{des_B} over the table with the weights of the type-B families.
 `polyafreq.combinatorics.signed_descent_poly` counts the same sums by
 descent sets.
 
-The recursive stack sort s(L n R) = s(L) s(R) n, which
-`polyafreq.combinatorics.stack_sort` replaces by the one-stack loop.
+The permutations of 1..n listed one by one with `itertools.permutations`:
+their descents, one-stack sorting passes and excedance/cycle weights, summed
+per permutation.  `polyafreq.combinatorics` counts the same descent sums by
+a memoized walk over prefixes, and the excedance/cycle sum by a table of
+counts.  The recursive stack sort s(L n R) = s(L) s(R) n checks the
+one-stack loop.
 """
 
 import dataclasses
 import itertools
 from fractions import Fraction
 
+from polyafreq.combinatorics import cycle_count, excedances
 from polyafreq.errors import PreconditionError
 from polyafreq.polynomial import Poly
 
@@ -106,10 +111,64 @@ def signed_perm_stats(n: int) -> StatTable:
     return StatTable(n=n, rows=rows)
 
 
-def stack_sort(perm: tuple[int, ...]) -> tuple[int, ...]:
+def recursive_stack_sort(perm: tuple[int, ...]) -> tuple[int, ...]:
     """One pass of the recursive stack sort s(L n R) = s(L) s(R) n."""
     if len(perm) <= 1:
         return tuple(perm)
     top = max(perm)
     pivot = perm.index(top)
-    return stack_sort(perm[:pivot]) + stack_sort(perm[pivot + 1 :]) + (top,)
+    return recursive_stack_sort(perm[:pivot]) + recursive_stack_sort(perm[pivot + 1 :]) + (top,)
+
+
+def descents(perm: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(perm, perm[1:]) if a > b)
+
+
+def stack_sort(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """One pass of stack sorting, s(L n R) = s(L) s(R) n: each entry first
+    pops every smaller entry off the top of the stack, then is pushed; the
+    stack is emptied at the end."""
+    out = []
+    stack = []
+    for v in perm:
+        while stack and stack[-1] < v:
+            out.append(stack.pop())
+        stack.append(v)
+    out.extend(reversed(stack))
+    return tuple(out)
+
+
+def is_t_stack_sortable(perm: tuple[int, ...], t: int) -> bool:
+    # a sorted p stays sorted, and n - 1 passes sort any p of length n
+    p, target = tuple(perm), tuple(sorted(perm))
+    for _ in range(t):
+        if p == target:
+            break
+        p = stack_sort(p)
+    return p == target
+
+
+def eulerian_by_listing(n: int) -> Poly:
+    """sum over S_n of x^{des + 1}."""
+    counts = [0] * (n + 1)
+    for perm in itertools.permutations(range(1, n + 1)):
+        counts[descents(perm) + 1] += 1
+    return Poly(counts)
+
+
+def t_stack_by_listing(n: int, t: int) -> Poly:
+    """sum over the t-stack-sortable permutations of S_n of x^{des}."""
+    counts = [0] * n
+    for perm in itertools.permutations(range(1, n + 1)):
+        if is_t_stack_sortable(perm, t):
+            counts[descents(perm)] += 1
+    return Poly(counts)
+
+
+def q_eulerian_by_listing(n: int, q) -> Poly:
+    """sum over S_n of x^{exc} q^{cycles}, one Fraction power per permutation."""
+    q = Fraction(q)
+    coeffs = [Fraction(0)] * max(n, 1)
+    for perm in itertools.permutations(range(1, n + 1)):
+        coeffs[excedances(perm)] += q ** cycle_count(perm)
+    return Poly(coeffs)

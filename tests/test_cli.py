@@ -264,19 +264,21 @@ def test_verify_csv(capsys):
 
 
 def test_t_stack_with_huge_t_stops_once_sorted(capsys, monkeypatch):
-    # the 6 permutations of [3] need at most 2 passes each; a loop that ran
-    # all t passes would fail here instead of running for hours
-    calls = []
-    real_sort = combinatorics.stack_sort
+    # n - 1 passes sort any permutation of [n], so t = 10**12 must run the
+    # walk with n - 1 stacks; walking more would not finish
+    walks = []
+    real_walk = combinatorics._descent_walk
 
-    def counted_sort(perm):
-        calls.append(perm)
-        assert len(calls) <= 12
-        return real_sort(perm)
+    def counted_walk(n, passes):
+        walks.append((n, passes))
+        return real_walk(n, passes)
 
-    monkeypatch.setattr(combinatorics, "stack_sort", counted_sort)
-    code, out, _ = run_cli(capsys, "gen", "t_stack", "--n", "3", "--t", "1000000000000")
-    assert code == 0 and out.strip() == '{"coeffs":["1","4","1"]}'
+    monkeypatch.setattr(combinatorics, "_descent_walk", counted_walk)
+    for n, coeffs in ((1, ["1"]), (3, ["1", "4", "1"]), (5, ["1", "26", "66", "26", "1"])):
+        walks.clear()
+        code, out, _ = run_cli(capsys, "gen", "t_stack", "--n", str(n), "--t", "1000000000000")
+        assert code == 0 and json.loads(out) == {"coeffs": coeffs}
+        assert walks == [(n, n - 1)]
 
 
 def test_enum_guard_env(capsys, monkeypatch):

@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyafreq import combinatorics
 from polyafreq.errors import PreconditionError, ResourceLimitError
 from polyafreq.combinatorics import (
     b_euler_multi,
     b_euler_q,
     cycle_count,
-    descents,
     e_q_poly,
     eulerian_oracle,
     eulerian_poly,
@@ -20,7 +18,6 @@ from polyafreq.combinatorics import (
     excedances,
     fz_h_poly,
     g_poly,
-    is_t_stack_sortable,
     multisect,
     narayana_poly,
     p_bn_subset,
@@ -28,7 +25,6 @@ from polyafreq.combinatorics import (
     q_eulerian_oracle,
     q_eulerian_poly,
     signed_descent_poly,
-    stack_sort,
     surjection_poly,
     t_stack_poly,
     w2_closed,
@@ -48,7 +44,13 @@ from polyafreq.roots import is_real_rooted, is_simple_rooted
 from polyafreq.transforms import e_transform
 
 import combinatorics_oracle as oracle
-from combinatorics_oracle import SignedPerm, signed_perm_stats
+from combinatorics_oracle import (
+    SignedPerm,
+    descents,
+    is_t_stack_sortable,
+    signed_perm_stats,
+    stack_sort,
+)
 
 XP1 = Poly([1, 1])
 
@@ -137,13 +139,13 @@ def test_stack_sort():
 
 def test_t_stack_sortable_stops_once_sorted(monkeypatch):
     passes = []
-    real_sort = combinatorics.stack_sort
+    real_sort = oracle.stack_sort
 
     def counted_sort(perm):
         passes.append(perm)
         return real_sort(perm)
 
-    monkeypatch.setattr(combinatorics, "stack_sort", counted_sort)
+    monkeypatch.setattr(oracle, "stack_sort", counted_sort)
     for n in range(1, 6):
         for perm in itertools.permutations(range(1, n + 1)):
             passes.clear()
@@ -169,7 +171,7 @@ def test_w2_matches_stack_sort_oracle(n):
 
 def test_one_stack_loop_matches_recursive_sort_on_s7():
     for perm in itertools.permutations(range(1, 8)):
-        assert stack_sort(perm) == oracle.stack_sort(perm)
+        assert stack_sort(perm) == oracle.recursive_stack_sort(perm)
 
 
 def _t_stack_oracle(n, t):
@@ -178,7 +180,7 @@ def _t_stack_oracle(n, t):
     for perm in itertools.permutations(target):
         p = perm
         for _ in range(t):
-            p = oracle.stack_sort(p)
+            p = oracle.recursive_stack_sort(p)
         if p == target:
             counts[descents(perm)] += 1
     return Poly(counts)
@@ -192,6 +194,26 @@ def test_t_stack_poly_matches_recursive_oracle(n):
         assert t_stack_poly(n, t) == _t_stack_oracle(n, t), t
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_descent_walk_matches_listing_routes(n):
+    # t = n - 1 and above sort every permutation; t = 10**18 runs only if
+    # the walk caps it
+    for t in [*range(n + 2), 10**18]:
+        assert t_stack_poly(n, t) == oracle.t_stack_by_listing(n, t), t
+    assert eulerian_oracle(n) == oracle.eulerian_by_listing(n)
+
+
+def test_descent_walk_matches_listing_routes_at_8():
+    assert t_stack_poly(8, 2) == oracle.t_stack_by_listing(8, 2)
+    assert eulerian_oracle(8) == oracle.eulerian_by_listing(8)
+
+
+def test_q_eulerian_table_matches_per_permutation_sum():
+    for n in range(8):
+        for q in (0, -1, 3, Fraction(-5, 3), Fraction(1, 2)):
+            assert q_eulerian_oracle(n, q) == oracle.q_eulerian_by_listing(n, q), (n, q)
+
+
 def test_q_eulerian():
     q = Fraction(2, 5)
     assert q_eulerian_poly(0, q) == Poly([1])
@@ -203,6 +225,9 @@ def test_q_eulerian():
     # at q = 1 the excedance distribution is the shifted Eulerian one
     for n in range(1, 8):
         assert q_eulerian_poly(n, 1) == eulerian_poly(n).exact_divide(Poly([0, 1]))
+    for route in (q_eulerian_poly, q_eulerian_oracle):
+        with pytest.raises(PreconditionError, match=f"^{route.__name__} needs n >= 0$"):
+            route(-1, q)
 
 
 def test_e_q_identity_and_degree_law():

@@ -24,16 +24,10 @@ nonzero minor down by c_0 <= r_0 gives an equal minor that comes no later
 in lexicographic order.  So the lexicographically first negative minor has
 c_0 = 0, and `minors_nonneg` evaluates only the admissible minors
 {c_0 = 0, c_i <= r_i <= c_i + deg}, in the order of an exhaustive check.
-
-The window is persymmetric as well, M = J M^T J with J the reversal
-(Karlin, Total Positivity, 1968).  The twin of an admissible minor (R, C)
-with t = max R has rows t - c for c in reversed C and columns t - r for r
-in reversed R: its entries are those of (R, C) transposed and reversed, so
-it has the same value, and the band conditions carry over, so it is
-admissible, with the same t and the minor itself as its twin.  Of a pair
-of twins only the one that comes first in lexicographic order is
-evaluated: were the other the first negative minor, its earlier twin would
-be a negative minor before it.
+Each is expanded along its first row,
+det = sum_j (-1)^j a_{r_0 - c_j} D(R - r_0, C - c_j), and every sub-minor,
+shifted down to first column 0, is admissible or 0, so one table of the
+admissible values of order k - 1 gives every value of order k.
 
 Most windows are totally nonnegative, and for those no minor need be
 evaluated.  Neville elimination clears each column from the bottom up,
@@ -52,6 +46,9 @@ Conversely a nonsingular totally nonnegative matrix always runs through so
 trimmed terms is nonsingular, since its diagonal is a_lo != 0, so it is
 accepted exactly when it is totally nonnegative, as that of a PF sequence
 is, and only windows with a negative minor are left to the minor scan.
+So `minors_nonneg` first bounds the rows of the window (MAX_ROWS), then
+runs the elimination, and only for a window it refuses counts the
+admissible minors (MAX_MINORS) and scans them.
 """
 
 from __future__ import annotations
@@ -66,11 +63,15 @@ from .errors import PreconditionError
 from .polynomial import Poly
 from .roots import is_real_rooted
 
-#: Most minors one `minors_nonneg` call accepts, counted as the admissible
-#: minors of every order, twins included, plus its table of all 2 x 2 minors
-#: of the window of the trimmed terms, of which about half of the admissible
-#: minors are evaluated.  It also bounds that window to 45 rows, and so the
-#: cost of its Neville elimination.
+#: Most rows the window of the trimmed terms may have at order 2 or more.
+#: It bounds Neville elimination, O(rows^3) steps, before any count is
+#: taken.  C(45, 2)^2 <= MAX_MINORS < C(46, 2)^2: no larger window has at
+#: most MAX_MINORS 2 x 2 minors.
+MAX_ROWS = 45
+
+#: Most minors one `minors_nonneg` call scans: the admissible minors of
+#: every order up to the one asked for, which `_admissible_count` counts
+#: exactly.
 MAX_MINORS = 1_000_000
 
 
@@ -124,118 +125,6 @@ def _admissible_count(size: int, deg: int, order: int) -> int:
     return total
 
 
-def _mask(indices) -> int:
-    return sum(1 << i for i in indices)
-
-
-def _pair(a: int, b: int, n: int) -> int:
-    """Index of the pair a < b in itertools.combinations(range(n), 2)."""
-    return a * (2 * n - a - 1) // 2 + b - a - 1
-
-
-def _row_parts(rows: tuple[int, ...], n: int):
-    """What the order-k loop of `minors_nonneg` reads for these rows: det2 rows
-    for k <= 4, and the first row and the key of the others for k >= 5."""
-    if len(rows) == 2:
-        return _pair(*rows, n)
-    if len(rows) == 3:
-        return _pair(rows[1], rows[2], n)
-    if len(rows) == 4:
-        return _pair(rows[0], rows[1], n), _pair(rows[2], rows[3], n)
-    return rows[0], _mask(rows[1:]) << n
-
-
-def _col_parts(cols: tuple[int, ...], n: int):
-    """What the order-k loop of `minors_nonneg` reads for these columns: det2
-    columns for k <= 4, and for k >= 5 one (c_j, shift, mask, sign) per term
-    of the expansion along the first row.  shift moves the sub-minor down to
-    first column 0 (c_1 for j = 0, else 0), and mask is that of C minus c_j
-    so shifted."""
-    if len(cols) == 2:
-        return _pair(*cols, n)
-    if len(cols) == 3:
-        c0, c1, c2 = cols
-        return cols + (_pair(c1, c2, n), _pair(c0, c2, n), _pair(c0, c1, n))
-    if len(cols) == 4:
-        # Laplace expansion along the first two rows: the (top, bottom) pairs of
-        # the six column splits, whose signs are + - + + - +
-        c0, c1, c2, c3 = cols
-        return (
-            _pair(c0, c1, n), _pair(c2, c3, n),
-            _pair(c0, c2, n), _pair(c1, c3, n),
-            _pair(c0, c3, n), _pair(c1, c2, n),
-            _pair(c1, c2, n), _pair(c0, c3, n),
-            _pair(c1, c3, n), _pair(c0, c2, n),
-            _pair(c2, c3, n), _pair(c0, c1, n),
-        )
-    mask = _mask(cols)
-    shifts = (cols[1],) + (0,) * (len(cols) - 1)
-    return tuple(
-        (c, s, (mask ^ 1 << c) >> s, -1 if j % 2 else 1)
-        for j, (c, s) in enumerate(zip(cols, shifts))
-    )
-
-
-@functools.lru_cache(maxsize=128)
-def _plan(size: int, deg: int, k: int):
-    """The admissible k x k minors of a size x size window of bandwidth deg
-    that come no later than their twins.
-
-    Returns (columns, parts, keys, entries).  columns lists each planned
-    column set once and parts its `_col_parts`.  entries holds (rows,
-    `_row_parts(rows)`, row keys, ids) for the row sets in lexicographic
-    order, where ids index the row set's planned column sets in
-    lexicographic order.  For k >= 4 a minor (R, C) is keyed
-    mask(R) << size | mask(C) and its twin mask(t - c) << size | mask(t - r),
-    t = max R; keys holds (mask(C), mask(size - 1 - c) << size) per column
-    set and the row keys are (mask(R) << size, size - 1 - t, mask(t - r)),
-    so that the twin's key is one shift and two ors away.  Row sets are
-    extended one row at a time, each column c_i running from
-    max(c_{i-1} + 1, r_i - deg) to at most r_i, so the cost grows with the
-    plan and not with C(size - 1, k - 1).
-    """
-    index: dict[tuple[int, ...], int] = {}
-    entries = []
-
-    def extend(rows, partial):
-        """Plan the row sets that start with rows, whose column sets so far
-        are partial, in lexicographic order."""
-        i = len(rows)
-        if i == k:
-            # the twin's rows t - c_{k-1}, t - c_{k-2}, ... come no earlier
-            # than rows exactly when C reversed is at most mirror; when they
-            # equal rows the minor is its own twin
-            t = rows[-1]
-            mirror = tuple(t - r for r in rows)
-            ids = tuple(
-                index.setdefault(cols, len(index)) for cols in partial if cols[::-1] <= mirror
-            )
-            if ids:
-                keys = (_mask(rows) << size, size - 1 - t, _mask(mirror)) if k >= 4 else None
-                entries.append((rows, _row_parts(rows, size), keys, ids))
-            return
-        for r in range(rows[-1] + 1, size - k + i + 1):
-            # a planned minor has c_{k-1} <= t - r_0 (the twin test above), so
-            # c_i <= t - r_0 - (k - 1 - i), with t = r on the last row and
-            # t <= size - 1 before it
-            cap = min(r, (r if i == k - 1 else size - 1) - rows[0] - (k - 1 - i))
-            grown = [
-                cols + (c,)
-                for cols in partial
-                for c in range(max(cols[-1] + 1, r - deg), cap + 1)
-            ]
-            if grown:
-                extend(rows + (r,), grown)
-
-    for r0 in range(min(deg, size - k) + 1):
-        extend((r0,), [(0,)])
-    columns = list(index)
-    keys = [
-        (_mask(cols), _mask(size - 1 - c for c in cols) << size) for cols in columns
-    ] if k >= 4 else None
-    return columns, [_col_parts(cols, size) for cols in columns], keys, entries
-
-
 def _neville_tn(a: list[int], m: int) -> bool:
     """True only if the m x m window of the integer terms a is totally
     nonnegative, by Neville elimination (see the module docstring).
@@ -269,84 +158,53 @@ def _neville_tn(a: list[int], m: int) -> bool:
     return True
 
 
+def _admissible_minors(size: int, deg: int, k: int):
+    """The admissible k x k minors {c_0 = 0, c_i <= r_i <= c_i + deg}, k >= 2,
+    of a size x size window, as (rows, column sets) per row set, both in
+    lexicographic order.  Each column c_i runs from max(c_{i-1} + 1, r_i - deg)
+    to r_i, a range that is never empty."""
+    for rows in itertools.combinations(range(size), k):
+        if rows[0] > deg:
+            return
+        columns = [(0,)]
+        for r in rows[1:]:
+            columns = [
+                cols + (c,) for cols in columns for c in range(max(cols[-1] + 1, r - deg), r + 1)
+            ]
+        yield rows, columns
+
+
 def _first_negative_minor(a: list[int], size: int, deg: int, order: int):
     """The lexicographically first negative minor of order at most order of
     the size x size window of the integer terms a = a_0..a_deg, as (rows,
-    cols, value, k), or None: the minor scan of `minors_nonneg`."""
+    cols, value, k), or None: the minor scan of `minors_nonneg`.
+
+    Each admissible minor is expanded along its first row over the values
+    of order k - 1, keyed by (rows, cols); a sub-minor shifted down to first
+    column 0 that is not admissible is 0 (module docstring)."""
     for i, x in enumerate(a):
         if x < 0:
             return (i,), (0,), x, 1
-    if order < 2:
-        return None
-
-    m = [[a[i - j] if 0 <= i - j <= deg else 0 for j in range(size)] for i in range(size)]
-    pairs = list(itertools.combinations(range(size), 2))
-    det2 = [
-        [m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0] for c0, c1 in pairs]
-        for r0, r1 in pairs
-    ]
-
-    columns, parts, _, entries = _plan(size, deg, 2)
-    for rows, ri, _, ids in entries:
-        row = det2[ri]
-        for ci in ids:
-            d = row[parts[ci]]
-            if d < 0:
-                return rows, columns[ci], d, 2
-
-    # k = 3: expansion along the first row of each minor
-    if order >= 3:
-        columns, parts, _, entries = _plan(size, deg, 3)
-        for rows, bi, _, ids in entries:
-            top = m[rows[0]]
-            bottom = det2[bi]
-            for ci in ids:
-                c0, c1, c2, p12, p02, p01 = parts[ci]
-                d = top[c0] * bottom[p12] - top[c1] * bottom[p02] + top[c2] * bottom[p01]
-                if d < 0:
-                    return rows, columns[ci], d, 3
-
-    # k = 4: Laplace along the first two rows, six products of cached 2x2s;
-    # the values are kept, keyed as in `_plan`, when order 5 reads them
-    values: dict[int, int] = {}
-    if order >= 4:
-        keep = order >= 5
-        columns, parts, keys, entries = _plan(size, deg, 4)
-        for rows, (ti, bi), (row_key, shift, twin_cols), ids in entries:
-            top = det2[ti]
-            bottom = det2[bi]
-            for ci in ids:
-                t0, b0, t1, b1, t2, b2, t3, b3, t4, b4, t5, b5 = parts[ci]
-                d = (
-                    top[t0] * bottom[b0] - top[t1] * bottom[b1] + top[t2] * bottom[b2]
-                    + top[t3] * bottom[b3] - top[t4] * bottom[b4] + top[t5] * bottom[b5]
-                )
-                if d < 0:
-                    return rows, columns[ci], d, 4
-                if keep:
-                    col_key, twin_rows = keys[ci]
-                    values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
-
-    # k >= 5: expansion along the first row over the order k - 1 values
-    for k in range(5, order + 1):
+    values = {((r,), (0,)): x for r, x in enumerate(a)}
+    for k in range(2, order + 1):
         get = values.get
         values = {}
         keep = k < order
-        columns, parts, keys, entries = _plan(size, deg, k)
-        for rows, (r0, sub_key), (row_key, shift, twin_cols), ids in entries:
-            top = m[r0]
-            for ci in ids:
-                d = 0
-                for c, s, col_key, sign in parts[ci]:
+        for rows, columns in _admissible_minors(size, deg, k):
+            r0, below = rows[0], rows[1:]
+            for cols in columns:
+                c1 = cols[1]
+                d = a[r0] * get((tuple(r - c1 for r in below), tuple(c - c1 for c in cols[1:])), 0)
+                for j in range(1, k):
+                    c = cols[j]
                     if c > r0:
                         break
-                    d += sign * top[c] * get(sub_key >> s | col_key, 0)
+                    term = a[r0 - c] * get((below, cols[:j] + cols[j + 1 :]), 0)
+                    d += -term if j % 2 else term
                 if d < 0:
-                    return rows, columns[ci], d, k
+                    return rows, cols, d, k
                 if keep:
-                    col_key, twin_rows = keys[ci]
-                    values[row_key | col_key] = values[twin_rows >> shift | twin_cols] = d
-
+                    values[rows, cols] = d
     return None
 
 
@@ -362,36 +220,27 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
     terms a_lo..a_deg is checked, of size size - lo and bandwidth deg - lo,
     and lo is added to the rows of its witness: by the lower-band argument
     of the module docstring the other minors of the window vanish, and the
-    shift keeps lexicographic order.  An order above size - lo plans no
-    minor.  More than MAX_MINORS admissible minors and 2 x 2 table entries
-    of that window raise PreconditionError before any minor is evaluated.
-    Denominators are cleared first (a positive scaling, so minor signs are
-    unchanged).
+    shift keeps lexicographic order.  No minor of an order above size - lo
+    is evaluated.  Denominators are cleared first (a positive scaling, so
+    minor signs are unchanged).
 
-    From order 2 on, Neville elimination (`_neville_tn`) runs first.  When
-    it accepts, the window is a product of nonnegative bidiagonal factors
-    and a positive diagonal, so it is totally nonnegative at every order
-    (module docstring) and no minor is evaluated.  A PF sequence is always
-    accepted: its trimmed window is totally nonnegative and nonsingular
-    (Gasca and Pena).  The guard's bound on the window also bounds the
-    elimination, O((size - lo)^3) steps.
-
-    Otherwise the minors are scanned (`_first_negative_minor`), the only
-    source of witnesses.  Only the admissible minors
-    {c_0 = 0, c_i <= r_i <= c_i + deg - lo} that come
-    no later than their persymmetric twins are evaluated: by the band, shift
-    and twin arguments of the module docstring every other minor is 0 or
-    equals one of them that comes earlier.  They are enumerated
-    lexicographically in (k, rows, cols) from compiled plans (`_plan`,
-    cached per (size, deg, k)), so the first negative one found is the
-    lexicographically first negative minor of the whole window.
-    2 x 2 minors come from one table, orders 3 and 4 from
-    Laplace expansions over it.  An order k >= 5 minor is expanded along its
-    first row, det = sum_j (-1)^j a_{r_0 - c_j} D(R - r_0, C - c_j): each
-    sub-minor, shifted down to first column 0, is admissible or 0, and its
-    value is read from a table of the order k - 1 values, keyed by row and
-    column bitmasks, that the order k - 1 loop fills under each minor's key
-    and its twin's.
+    The guards and the two routes run in this order:
+    - from order 2 on, a trimmed window of more than MAX_ROWS rows raises
+      PreconditionError, before anything of its size is built;
+    - from order 2 on, Neville elimination (`_neville_tn`) runs.  When it
+      accepts, the window is a product of nonnegative bidiagonal factors
+      and a positive diagonal, so it is totally nonnegative at every order
+      (module docstring) and no minor is evaluated.  A PF sequence is
+      always accepted: its trimmed window is totally nonnegative and
+      nonsingular (Gasca and Pena);
+    - more than MAX_MINORS admissible minors of the trimmed window raise
+      PreconditionError before any minor is evaluated;
+    - the minors are scanned (`_first_negative_minor`), the only source of
+      witnesses.  Only the admissible minors {c_0 = 0, c_i <= r_i <= c_i +
+      deg - lo} are evaluated, each by one expansion along its first row
+      (module docstring), lexicographically in (k, rows, cols), so the first
+      negative one found is the lexicographically first negative minor of
+      the whole window.
     """
     a = _terms_of(terms)
     if size is None:
@@ -407,16 +256,20 @@ def minors_nonneg(terms, size: int | None = None, order: int | None = None) -> M
     # the window of the trimmed terms; lo goes back onto the witness rows
     lo, deg = support[0], support[-1]
     n, band = size - lo, deg - lo
-    table = math.comb(n, 2) ** 2 if order >= 2 else 0
-    if table > MAX_MINORS or table + _admissible_count(n, band, order) > MAX_MINORS:
+    if order >= 2 and n > MAX_ROWS:
         raise PreconditionError(
-            f"a window of size {size} and bandwidth {deg} has more than {MAX_MINORS} "
-            f"admissible minors of order up to {order} and 2 x 2 table entries"
+            f"a window of size {size} has more than {MAX_ROWS} rows from its first "
+            f"nonzero term on, at minor order {order}"
         )
     lcm = math.lcm(*(x.denominator for x in a))
     a = [int(x * lcm) for x in a[lo : deg + 1]]
     if order >= 2 and _neville_tn(a, n):
         return MinorReport(size, order)
+    if _admissible_count(n, band, order) > MAX_MINORS:
+        raise PreconditionError(
+            f"a window of size {size} and bandwidth {deg} has more than {MAX_MINORS} "
+            f"admissible minors of order up to {order}"
+        )
     found = _first_negative_minor(a, n, band, order)
     if found is None:
         return MinorReport(size, order)

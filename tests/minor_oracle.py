@@ -58,14 +58,6 @@ _SPLITS4 = (
 )
 
 
-def persymmetric_twin(rows: tuple[int, ...], cols: tuple[int, ...]):
-    """The twin of an admissible Toeplitz minor (R, C): with t = max R, the
-    minor on rows t - c for c in reversed C and columns t - r for r in
-    reversed R, the transposed and reversed submatrix."""
-    t = rows[-1]
-    return tuple(t - c for c in reversed(cols)), tuple(t - r for r in reversed(rows))
-
-
 def toeplitz_window(s, size: int) -> Matrix:
     """size x size matrix M[i][j] = a_{i-j} with zero padding."""
     terms = s.coeffs if isinstance(s, Poly) else tuple(Fraction(t) for t in s)

@@ -134,21 +134,42 @@ def _no_minor_evaluated(*args):
 
 
 def test_check_pf_minors_at_the_guard_boundary(capsys, monkeypatch):
-    """331,981 admissible minors plus the 4,356-entry 2 x 2 table: just under
-    MAX_MINORS, also behind a leading zero, since the guard counts the
-    window of the trimmed terms.  The window is totally nonnegative, so
-    Neville elimination accepts it and no minor is evaluated; the scan's
-    own run to order 12 is `tests/test_pf.py::test_scan_reaches_order_12`."""
+    """Totally nonnegative windows are accepted by Neville elimination
+    before the minor count is taken, so no minor is evaluated and no count
+    refuses them: 331,981 admissible minors, just under MAX_MINORS, also
+    behind a leading zero, one row more, 1,077,869 of them, and the
+    all-ones window of 30 rows, whose count is far above.  The scan's own
+    run to order 12 is `tests/test_pf.py::test_scan_reaches_order_12`."""
     import polyafreq.pf as pf
 
-    monkeypatch.setattr(pf, "_plan", _no_minor_evaluated)
-    for terms, window in (("1,3,3,1", 12), ("0,1,3,3,1", 13)):
+    monkeypatch.setattr(pf, "_first_negative_minor", _no_minor_evaluated)
+    for terms, window, order in (
+        ("1,3,3,1", 12, 12),
+        ("0,1,3,3,1", 13, 12),
+        ("1,3,3,1", 13, 12),
+        ("0,1,3,3,1", 14, 12),
+        (",".join(["1"] * 30), 30, 15),
+    ):
         code, out, _ = run_cli(
-            capsys, "check", "pf-minors", "--terms", terms, "--window", str(window), "--order", "12"
+            capsys, "check", "pf-minors", "--terms", terms, "--window", str(window),
+            "--order", str(order),
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] is True and payload["window"] == window
+
+
+def test_check_pf_minors_just_under_the_count(capsys):
+    """(1, 3, 4, 3, 1) first fails at order 5.  Its 13 x 13 window has
+    547,742 admissible minors up to order 6, so the scan runs and finds the
+    witness; up to order 7 it has 1,023,022 and is refused
+    (`test_pf_minors_guard`)."""
+    code, out, err = run_cli(
+        capsys, "check", "pf-minors", "--terms", "1,3,4,3,1", "--window", "13", "--order", "6"
+    )
+    assert (code, err) == (1, "")
+    witness = json.loads(out)["witness"]
+    assert len(witness["rows"]) == 5 and witness["cols"] == [0, 1, 2, 3, 4]
 
 
 def test_check_sequence_kinds(capsys):
@@ -447,17 +468,34 @@ def test_empty_list_elements_are_usage_errors(capsys, argv):
 
 
 def test_pf_minors_guard(capsys, monkeypatch):
+    """Windows that Neville elimination refuses and that have more than
+    MAX_MINORS admissible minors, and, before the elimination runs, windows
+    of more than MAX_ROWS rows from their first nonzero term on."""
     import polyafreq.pf as pf
 
-    monkeypatch.setattr(pf, "_plan", _no_minor_evaluated)
+    monkeypatch.setattr(pf, "_first_negative_minor", _no_minor_evaluated)
+    refused = (
+        # a_27 a_29 > a_28^2 at the foot of the window
+        ("--terms", ",".join(["1"] * 29 + ["2"]), "--window", "30", "--order", "15"),
+        # 1,023,022 admissible minors, 22 more than MAX_MINORS
+        ("--terms", "1,3,4,3,1", "--window", "13", "--order", "7"),
+    )
+    for argv in refused:
+        code, out, err = run_cli(capsys, "check", "pf-minors", *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and "more than 1000000 admissible minors" in err
+    # no list of the window's size is built: the elimination and the count
+    # never see these windows
+    monkeypatch.setattr(pf, "_neville_tn", _no_minor_evaluated)
+    monkeypatch.setattr(pf, "_admissible_count", _no_minor_evaluated)
     for argv in (
-        ("--terms", ",".join(["1"] * 30), "--window", "30", "--order", "15"),
-        # the trimmed window is one row larger than at the guard boundary
-        ("--terms", "0,1,3,3,1", "--window", "14", "--order", "12"),
+        ("--terms", "1,1", "--window", "46", "--order", "2"),
+        ("--terms", "0,1,1", "--window", "47", "--order", "2"),
+        ("--terms", "1,1", "--window", "1000000000", "--order", "2"),
     ):
         code, out, err = run_cli(capsys, "check", "pf-minors", *argv)
         assert code == 2 and out == ""
-        assert "Traceback" not in err and "more than" in err
+        assert "Traceback" not in err and "more than 45 rows" in err
 
 
 def test_cor_6_10_guard(capsys):

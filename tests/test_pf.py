@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_oracle import from_roots
-from minor_oracle import bareiss_determinant, exhaustive_minors, persymmetric_twin, toeplitz_window
+from minor_oracle import bareiss_determinant, exhaustive_minors, toeplitz_window
 from polyafreq.combinatorics import eulerian_poly, multisect, w2_poly
 from polyafreq import pf
 from polyafreq.errors import PreconditionError
@@ -200,9 +200,8 @@ def toeplitz_queries(draw):
     and a later one fails), free rational sequences with negative and zero
     terms, and late-failing windows whose first negative minor has order 5
     or more.  Orders reach 6, or 8 for the late-failing ones, so first-row
-    expansions run over order-4 values and over their own, and a witness is
-    read from sub-minors stored under their twins' keys; windows are shorter
-    and longer than the sequence."""
+    expansions run over values that were themselves expanded so; windows
+    are shorter and longer than the sequence."""
     kind = draw(st.sampled_from(("complex", "perturbed", "pf", "free", "late")))
     if kind == "late":
         # (x^2 + bx + c)(1 + x)^m with b^2 < 4c, as in
@@ -368,7 +367,9 @@ def test_neville_accepts_every_pf_window(pf_coherence_windows):
         return trimmed is None or pf._neville_tn(_integers(trimmed[0]), trimmed[1])
 
     fixed = pf_coherence_windows + [w2_poly(n) for n in range(4, 12)]
-    with mock.patch.object(pf, "_plan", side_effect=AssertionError("a minor was evaluated")):
+    with mock.patch.object(
+        pf, "_first_negative_minor", side_effect=AssertionError("a minor was evaluated")
+    ):
         for f in fixed:
             size = len(f.coeffs) + 2
             assert minors_nonneg(f, size, min(4, size)).nonnegative
@@ -441,10 +442,18 @@ def test_first_negative_minor_at_each_order():
         assert len(rows) == k and cols[0] == 0 and value < 0
 
 
-def test_admissible_count_matches_plans():
-    """Every admissible minor is planned or is the twin of a planned minor
-    that comes earlier, so the planned minors and their twins are exactly
-    the admissible ones that `_admissible_count` counts."""
+def test_admissible_count_matches_the_scan():
+    """The admissible minors that the scan enumerates, `_admissible_count`
+    (the guard) and a brute-force count over every (rows, cols) agree, so
+    the guard counts exactly the minors the scan can evaluate.  At the guard
+    shapes, where the brute force is too slow, the first two agree."""
+
+    def scanned(size, deg, order):
+        return deg + 1 + sum(
+            len(columns)
+            for k in range(2, order + 1)
+            for _, columns in pf._admissible_minors(size, deg, k)
+        )
 
     def brute(size, deg, order):
         return sum(
@@ -457,70 +466,41 @@ def test_admissible_count_matches_plans():
 
     for size, deg, order in ((1, 0, 1), (5, 2, 3), (6, 0, 6), (7, 3, 4), (8, 7, 5), (6, 1, 2)):
         count = pf._admissible_count(size, deg, order)
-        assert count == brute(size, deg, order)
-        covered = deg + 1
-        for k in range(2, order + 1):
-            columns, _, _, entries = pf._plan(size, deg, k)
-            planned = {(rows, columns[ci]) for rows, _, _, ids in entries for ci in ids}
-            assert all(persymmetric_twin(*minor) >= minor for minor in planned)
-            covered += len(planned | {persymmetric_twin(*minor) for minor in planned})
-        assert count == covered
-    # check pf-minors --terms 1,3,3,1 --window 12 --order 12 still answers,
-    # and so does the same window behind a leading zero, which the guard
-    # counts on its trimmed shape; one row more is refused
-    assert pf._admissible_count(12, 3, 12) == 331_981
-    assert 331_981 + math.comb(12, 2) ** 2 <= pf.MAX_MINORS
-    assert pf._admissible_count(13, 3, 12) + math.comb(13, 2) ** 2 > pf.MAX_MINORS
+        assert count == brute(size, deg, order) == scanned(size, deg, order)
+    # check pf-minors --terms 1,3,3,1 --window 12 --order 12 would be
+    # scanned, one row more would not; --terms 1,3,4,3,1 --window 13 is
+    # scanned at order 6 and refused at order 7 (`tests/test_cli.py`)
+    for size, deg, order, count, refused in (
+        (12, 3, 12, 331_981, False),
+        (13, 3, 12, 1_077_869, True),
+        (13, 4, 6, 547_742, False),
+        (13, 4, 7, 1_023_022, True),
+        (pf.MAX_ROWS, 1, 2, 175, False),
+    ):
+        assert pf._admissible_count(size, deg, order) == scanned(size, deg, order) == count
+        assert (count > pf.MAX_MINORS) == refused
 
 
 def test_scan_reaches_order_12():
-    """The depth check of the minor scan: every planned minor of orders 1 to
+    """The depth check of the minor scan: every admissible minor of orders 1 to
     12 of the 12 x 12 window of (1, 3, 3, 1), none negative."""
     assert pf._first_negative_minor([1, 3, 3, 1], 12, 3, 12) is None
 
 
-@st.composite
-def admissible_minors(draw):
-    """(terms, size, rows, cols): an admissible minor of the window of terms."""
-    size = draw(st.integers(1, 9))
-    deg = draw(st.integers(0, size - 1))
-    k = draw(st.integers(1, size))
-    rows = sorted(draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k, unique=True)))
-    rows[0] = min(rows[0], deg)
-    rows = tuple(sorted(set(rows)))
-    cols = [0]
-    for r in rows[1:]:
-        cols.append(draw(st.integers(max(cols[-1] + 1, r - deg), r)))
-    terms = draw(st.lists(st.integers(-9, 9), min_size=deg + 1, max_size=deg + 1))
-    return terms, size, rows, tuple(cols)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(admissible_minors())
-def test_twin_is_an_involution_onto_equal_admissible_minors(query):
-    terms, size, rows, cols = query
-    deg = len(terms) - 1
-
-    def admissible(rows, cols):
-        return cols[0] == 0 and all(c <= r <= c + deg for r, c in zip(rows, cols))
-
-    def value(rows, cols):
-        m = toeplitz_window(terms, size)
-        return bareiss_determinant([[int(m[i][j]) for j in cols] for i in rows])
-
-    assert admissible(rows, cols)
-    twin = persymmetric_twin(rows, cols)
-    assert admissible(*twin) and max(twin[0]) == max(rows)
-    assert persymmetric_twin(*twin) == (rows, cols)
-    assert value(*twin) == value(rows, cols)
-
-
-def test_minor_guard_counts_the_2x2_table(monkeypatch):
-    """Dense windows are refused in `tests/test_cli.py::test_pf_minors_guard`;
-    here few minors are admissible, but the 2 x 2 table is too large."""
-    assert pf._admissible_count(60, 1, 2) < 1000
-    monkeypatch.setattr(pf, "_plan", None)
-    with pytest.raises(PreconditionError, match="more than"):
-        minors_nonneg((1, 1), 60, 2)
-    assert minors_nonneg((1, 1), 60, 1).nonnegative
+def test_minor_guard_bounds_the_rows(monkeypatch):
+    """From order 2 on a window of more than MAX_ROWS rows from its first
+    nonzero term on is refused before the elimination, the count or the
+    scan sees it, however few minors are admissible; MAX_ROWS rows are
+    accepted by the elimination alone."""
+    assert pf.MAX_ROWS == 45
+    assert math.comb(45, 2) ** 2 <= pf.MAX_MINORS < math.comb(46, 2) ** 2
+    assert minors_nonneg((1, 1), 60, 1).nonnegative  # order 1: no row bound
+    monkeypatch.setattr(pf, "_first_negative_minor", None)
+    assert minors_nonneg((1, 1), 45, 2).nonnegative
+    assert minors_nonneg((0, 1, 1), 46, 2).nonnegative
+    monkeypatch.setattr(pf, "_neville_tn", None)
+    monkeypatch.setattr(pf, "_admissible_count", None)
+    for terms, size in (((1, 1), 46), ((1, 1), 60), ((0, 1, 1), 47), ((1, 1), 10**9)):
+        with pytest.raises(PreconditionError, match="more than 45 rows"):
+            minors_nonneg(terms, size, 2)
     assert minors_nonneg([0] * 5, 60, 15).nonnegative  # every minor of a zero window is 0

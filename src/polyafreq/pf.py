@@ -54,7 +54,6 @@ admissible minors (MAX_MINORS) and scans them.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -95,7 +94,6 @@ class MinorReport:
         return self.witness is None
 
 
-@functools.lru_cache(maxsize=128)
 def _admissible_count(size: int, deg: int, order: int) -> int:
     """Number of admissible minors of orders 1..order >= 1, for deg < size.
 

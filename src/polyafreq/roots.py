@@ -1,8 +1,8 @@
 """Exact real-root analysis via Sturm sequences.
 
 Every root question on f reads one Sturm chain: that of f itself, or that
-of its half when `is_real_rooted` or `is_simple_rooted` is asked of a
-palindrome (below).  The chain
+of its half when `rootedness`, `is_real_rooted` or `is_simple_rooted` is
+asked of a palindrome (below).  The chain
 f, f', -rem, ... ends at gcd(f, f'), and dividing every member by it leaves
 a Sturm chain of the square-free part of f (Basu, Pollack and Roy, ch. 2).
 f is real-rooted exactly when that chain counts deg f - deg gcd(f, f')
@@ -153,38 +153,39 @@ def _palindromic_half(f: Poly) -> tuple[Poly, int] | None:
     return Poly._from_ints(g, f.den), k
 
 
-def is_real_rooted(f: Poly) -> bool:
-    """All complex roots real; constants count as real-rooted."""
-    half = _palindromic_half(f)
+def _rootedness(f: Poly, half: tuple[Poly, int] | None) -> tuple[bool, bool]:
+    """(real-rooted, simple-rooted) of f, with half = `_palindromic_half(f)`,
+    from one chain: of f, or of g for a palindrome (module docstring)."""
     if half is None:
         _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
-        return distinct == f.degree - gcd_degree
-    g, _ = half
+        real = distinct == f.degree - gcd_degree
+        return real, real and gcd_degree == 0
+    g, k = half
     chain, _, distinct, gcd_degree = _squarefree_chain(g, "real-rootedness")
     if distinct != g.degree - gcd_degree:
-        return False
-    # no root in the open (-2, 2): the count on (-2, 2] is 0, or 1 at g(2) = 0
+        return False, False
+    # real: no root in the open (-2, 2), so the count on (-2, 2] is 0, or 1
+    # at g(2) = 0; simple: also k <= 1, g square-free and no root at -2 or 2
     inside = _chain_count(chain, -_TWO, _TWO)
-    return inside == 0 or (inside == 1 and g(_TWO) == 0)
+    real = inside == 0 or (inside == 1 and g(_TWO) == 0)
+    return real, inside == 0 and gcd_degree == 0 and k <= 1 and g(-_TWO) != 0
+
+
+def rootedness(f: Poly) -> tuple[bool, bool]:
+    """(`is_real_rooted(f)`, `is_simple_rooted(f)`) from one chain."""
+    return _rootedness(f, _palindromic_half(f))
+
+
+def is_real_rooted(f: Poly) -> bool:
+    """All complex roots real; constants count as real-rooted."""
+    return rootedness(f)[0]
 
 
 def is_simple_rooted(f: Poly) -> bool:
-    """All roots real and pairwise distinct."""
+    """All roots real and pairwise distinct; no chain is built for a
+    palindrome that x^2 divides."""
     half = _palindromic_half(f)
-    if half is None:
-        _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
-        return gcd_degree == 0 and distinct == f.degree
-    g, k = half
-    if k > 1:
-        return False
-    chain, _, distinct, gcd_degree = _squarefree_chain(g, "real-rootedness")
-    # no root in the closed [-2, 2]
-    return (
-        gcd_degree == 0
-        and distinct == g.degree
-        and _chain_count(chain, -_TWO, _TWO) == 0
-        and g(-_TWO) != 0
-    )
+    return (half is None or half[1] <= 1) and _rootedness(f, half)[1]
 
 
 def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:

@@ -87,6 +87,7 @@ from .roots import (
     is_real_rooted,
     is_simple_rooted,
     root_dominance,
+    rootedness,
     roots_within,
     simple_roots_within,
 )
@@ -169,17 +170,6 @@ def _from_roots(roots, lead: int = 1) -> Poly:
 def _rand_real_rooted(rng: random.Random, max_deg: int, lo=-6, hi=6, den=3) -> Poly:
     d = rng.randint(1, max_deg)
     return _from_roots(_frac(rng, lo, hi, den) for _ in range(d))
-
-
-def _rand_same_sign(rng: random.Random, max_deg: int) -> Poly:
-    sign = rng.choice((1, -1))
-    d = rng.randint(1, max_deg)
-    return _from_roots(sign * _frac(rng, 0, 5, 2) for _ in range(d))
-
-
-def _rand_unit_rooted(rng: random.Random, max_deg: int) -> Poly:
-    d = rng.randint(1, max_deg)
-    return _from_roots(-Fraction(rng.randint(0, 12), 12) for _ in range(d))
 
 
 def _repro_check(kind: str, f: Poly, flags: str = "") -> dict:
@@ -544,7 +534,19 @@ def _eval_weyl(params: dict) -> dict | None:
 # -- bilinear product rootedness --------------------------------------------------------
 
 
-_PRODUCT_OPS = ("hermite-poulain", "schur", "hadamard", "sharp", "diamond", "dot", "circ")
+# Each entry calls its product by this module's global name, which the benchmark
+# tracer and the tests rebind; a stored function object would miss the rebinding.
+_PRODUCTS = {
+    "hermite-poulain": lambda f, g, p: hermite_poulain(f, g),
+    "schur": lambda f, g, p: schur_product(f, g),
+    "hadamard": lambda f, g, p: hadamard_product(f, g),
+    "sharp": lambda f, g, p: sharp_product(f, g),
+    "diamond": lambda f, g, p: diamond_product(f, g),
+    "dot": lambda f, g, p: dot_form(f, g, MultiplierSeq(kind=p["seq"]),
+                                    rational_from_str(p["alpha"]), rational_from_str(p["beta"])),
+    "circ": lambda f, g, p: circ_form(f, g, MultiplierSeq(kind=p["seq"]), rational_from_str(p["alpha"])),
+}
+_PRODUCT_OPS = tuple(_PRODUCTS)
 
 
 def _gen_products(cfg: RunConfig) -> list[dict]:
@@ -556,14 +558,17 @@ def _gen_products(cfg: RunConfig) -> list[dict]:
             f = _rand_real_rooted(rng, top)
             entry = {"op": op, "i": i, "f": poly_to_dict(f)}
             if op in ("schur", "hadamard"):
-                entry["g"] = poly_to_dict(_rand_same_sign(rng, top))
+                sign = rng.choice((1, -1))
+                d = rng.randint(1, top)
+                entry["g"] = poly_to_dict(_from_roots(sign * _frac(rng, 0, 5, 2) for _ in range(d)))
             elif op == "sharp":
                 # the x^k weight is not symmetric under reflection, so the
                 # rootedness conclusion needs nonpositive-rooted g
                 d = rng.randint(1, top)
                 entry["g"] = poly_to_dict(_from_roots(-_frac(rng, 0, 5, 2) for _ in range(d)))
             elif op == "diamond":
-                entry["g"] = poly_to_dict(_rand_unit_rooted(rng, top))
+                d = rng.randint(1, top)
+                entry["g"] = poly_to_dict(_from_roots(-Fraction(rng.randint(0, 12), 12) for _ in range(d)))
             elif op == "dot":
                 alpha = _frac(rng, -4, 0, 2)
                 beta = alpha + Fraction(rng.randint(1, 8), 2)
@@ -587,41 +592,29 @@ def _gen_products(cfg: RunConfig) -> list[dict]:
 
 
 def _eval_products(params: dict) -> dict | None:
+    """A simple-rooted product passes: it is real-rooted, with no multiple root
+    to inherit and no repeated nonzero root.  Any other product runs the checks
+    in turn to name its failure; if real-rooted, its gcd(out, out') is not constant."""
     op = params["op"]
     f, g = poly_from_dict(params["f"]), poly_from_dict(params["g"])
-    if op == "hermite-poulain":
-        out = hermite_poulain(f, g)
-        if out.is_zero:
-            return None
-        if not is_real_rooted(out):
-            return _repro_check("real-rooted", out)
-        multiple = poly_gcd(out, out.derivative())
-        if multiple.degree > 0 and poly_gcd(g, g.derivative()) % squarefree_part(multiple) != ZERO:
-            return {"failed": "multiple root not inherited"}
-        return None
-    if op == "schur":
-        out = schur_product(f, g)
-    elif op == "hadamard":
-        out = hadamard_product(f, g)
-    elif op == "sharp":
-        out = sharp_product(f, g)
-    elif op == "diamond":
-        out = diamond_product(f, g)
-    elif op == "dot":
-        out = dot_form(f, g, MultiplierSeq(kind=params["seq"]),
-                       rational_from_str(params["alpha"]), rational_from_str(params["beta"]))
-    else:
-        out = circ_form(f, g, MultiplierSeq(kind=params["seq"]), rational_from_str(params["alpha"]))
+    out = _PRODUCTS[op](f, g, params)
     if out.is_zero:
         return None
-    if not is_real_rooted(out):
+    head = out
+    if op == "hadamard":  # out = x^k * head with head(0) != 0
+        k = next(i for i, c in enumerate(out.nums) if c)
+        head = Poly._from_ints(list(out.nums[k:]), out.den)
+    real, simple = rootedness(head)  # real-rooted exactly when out is
+    if simple:
+        return None
+    if not real:
         return _repro_check("real-rooted", out)
     if op == "hadamard":
-        trimmed = out
-        while not trimmed.is_zero and trimmed.coeff(0) == 0:
-            trimmed = trimmed.exact_divide(X)
-        if not trimmed.is_zero and trimmed.degree > 0 and not is_simple_rooted(trimmed):
-            return {"failed": "repeated nonzero root"}
+        return {"failed": "repeated nonzero root"}
+    if op == "hermite-poulain":
+        multiple = poly_gcd(out, out.derivative())
+        if poly_gcd(g, g.derivative()) % squarefree_part(multiple) != ZERO:
+            return {"failed": "multiple root not inherited"}
     return None
 
 
@@ -815,16 +808,11 @@ def _eval_oracles(params: dict) -> dict | None:
         if p.nums != p.nums[::-1]:
             return {"failed": "D_n descent polynomial is a palindrome"}
         return None if is_real_rooted(p) else _repro_check("real-rooted", p)
-    # Worpitzky-style series check
+    # Worpitzky-style series check: (1 - x)^(n+1) sum_{k<40} k^n x^k = A_n below x^(40-n-2)
     a = eulerian_poly(n)
-    minus = Poly([1, -1]) ** (n + 1)
-    N = 40
-    series = [Fraction(k) ** n for k in range(N)]
-    for i in range(N - n - 2):
-        conv = sum(series[j] * minus.coeff(i - j) for j in range(max(0, i - n - 1), i + 1))
-        if conv != a.coeff(i):
-            return {"index": i}
-    return None
+    series = Poly([k**n for k in range(40)]) * Poly([1, -1]) ** (n + 1)
+    wrong = [i for i in range(40 - n - 2) if series.coeff(i) != a.coeff(i)]
+    return {"index": wrong[0]} if wrong else None
 
 
 # -- integer-filled root patterns map to nonpositive spectra --------------------------------------

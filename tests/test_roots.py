@@ -619,6 +619,7 @@ def _check_against_one_chain(f):
     real, simple = is_real_rooted(f), is_simple_rooted(f)
     assert real == root_oracle.one_chain_is_real_rooted(f), f
     assert simple == root_oracle.one_chain_is_simple_rooted(f), f
+    assert roots.rootedness(f) == (real, simple), f
     return real, simple
 
 
@@ -627,6 +628,7 @@ def test_palindromes_at_half_degree_match_one_chain_of_f():
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(palindromes())
+    @example(Poly([0, 0, 1, 3, 1]))  # x^2 times a simple-rooted palindrome
     def check(f):
         half = root_oracle.palindromic_half(f)
         seen[half is not None, *_check_against_one_chain(f)] += 1
@@ -780,6 +782,7 @@ def test_real_rootedness_reads_one_chain():
                 real_reads, simple_reads = [g], [g] if k <= 1 else []
             assert reads(is_real_rooted, f) == (real, real_reads)
             assert reads(is_simple_rooted, f) == (simple, simple_reads)
+            assert reads(roots.rootedness, f) == ((real, simple), real_reads)
             assert reads(distinct_real_roots, f) == (distinct, [f])
             assert reads(roots.sample_points_between_roots, f) == (sample, [f])
             if f.degree > 0:

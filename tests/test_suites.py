@@ -5,14 +5,21 @@ import shlex
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyafreq import cli, roots, suites
 from polyafreq.combinatorics import b_euler_q, multisect, p_dn_poly
 from polyafreq.config import RunConfig
 from polyafreq.errors import ExactDivisionError
 from polyafreq.jsonio import poly_to_dict, rational_from_str
-from polyafreq.polynomial import Poly, ZERO, poly_gcd
-from polyafreq.roots import ALTERNATING_RELATIONS, INTERLACING_RELATIONS, InterlaceRelation
+from polyafreq.polynomial import Poly, ZERO, poly_gcd, squarefree_part
+from polyafreq.roots import (
+    ALTERNATING_RELATIONS,
+    INTERLACING_RELATIONS,
+    InterlaceRelation,
+    is_real_rooted,
+    is_simple_rooted,
+)
 from polyafreq.suites import SUITE_NAMES, run_suite
 
 from boundary_cases import boundary_ids
@@ -163,6 +170,7 @@ def test_evaluators_return_a_witness_or_none():
 
 
 F_PF = Poly([1, 3, 3, 1])
+LINEAR, QUADRATIC = poly_to_dict(Poly([1, 1])), poly_to_dict(Poly([2, 3, 1]))  # x + 1, (x + 1)(x + 2)
 
 
 def _forced_division(*args):
@@ -202,6 +210,13 @@ FORCED_FAILURES = [
      suites._repro_check("real-rooted", p_dn_poly(4))),
     ("oracle-coherence", {"kind": "pdn-palindrome", "n": 4}, "p_dn_poly", lambda n: Poly([1, 2]),
      {"failed": "D_n descent polynomial is a palindrome"}),
+    ("oracle-coherence", {"kind": "worpitzky", "n": 3}, "eulerian_poly", lambda n: Poly([0, 1]), {"index": 2}),
+    ("products-3", {"op": "hermite-poulain", "i": 0, "f": LINEAR, "g": QUADRATIC}, "hermite_poulain",
+     lambda f, g: Poly([25, -10, 1]), {"failed": "multiple root not inherited"}),
+    ("products-3", {"op": "hadamard", "i": 0, "f": LINEAR, "g": QUADRATIC}, "hadamard_product",
+     lambda f, g: Poly([0, 1, 2, 1]), {"failed": "repeated nonzero root"}),
+    ("products-3", {"op": "schur", "i": 0, "f": LINEAR, "g": QUADRATIC}, "schur_product",
+     lambda f, g: Poly([1, 0, 1]), suites._repro_check("real-rooted", Poly([1, 0, 1]))),
     ("thm-5-2", {"kind": "pf", "n": 3}, "w2_poly", _forced_division, {"error": "ExactDivisionError: forced"}),
 ]
 
@@ -257,6 +272,114 @@ def test_chain_strictness_matches_gcd_route():
         assert suites._eval_chain(p) == expected, p
         witnesses.add(None if expected is None else expected["failed"])
     assert {None, "common zero among the first three"} <= witnesses
+
+
+def products_by_checks(params):
+    """The products-3 evaluation that asks each check of the product in
+    turn, stripping x from a Hadamard product one division at a time."""
+    op = params["op"]
+    f, g = suites.poly_from_dict(params["f"]), suites.poly_from_dict(params["g"])
+    if op == "hermite-poulain":
+        out = suites.hermite_poulain(f, g)
+        if out.is_zero:
+            return None
+        if not is_real_rooted(out):
+            return suites._repro_check("real-rooted", out)
+        multiple = poly_gcd(out, out.derivative())
+        if multiple.degree > 0 and poly_gcd(g, g.derivative()) % squarefree_part(multiple) != ZERO:
+            return {"failed": "multiple root not inherited"}
+        return None
+    if op == "schur":
+        out = suites.schur_product(f, g)
+    elif op == "hadamard":
+        out = suites.hadamard_product(f, g)
+    elif op == "sharp":
+        out = suites.sharp_product(f, g)
+    elif op == "diamond":
+        out = suites.diamond_product(f, g)
+    elif op == "dot":
+        out = suites.dot_form(f, g, suites.MultiplierSeq(kind=params["seq"]),
+                              rational_from_str(params["alpha"]), rational_from_str(params["beta"]))
+    else:
+        out = suites.circ_form(f, g, suites.MultiplierSeq(kind=params["seq"]), rational_from_str(params["alpha"]))
+    if out.is_zero:
+        return None
+    if not is_real_rooted(out):
+        return suites._repro_check("real-rooted", out)
+    if op == "hadamard":
+        trimmed = out
+        while not trimmed.is_zero and trimmed.coeff(0) == 0:
+            trimmed = trimmed.exact_divide(Poly([0, 1]))
+        if not trimmed.is_zero and trimmed.degree > 0 and not is_simple_rooted(trimmed):
+            return {"failed": "repeated nonzero root"}
+    return None
+
+
+@st.composite
+def product_inputs(draw):
+    """0 or a nonzero constant times x^k (k <= 3), real linear factors drawn
+    with repeats, and at most two non-real quadratics x^2 + bx + c."""
+    if draw(st.integers(0, 9)) == 0:
+        return ZERO
+    f = Poly([draw(st.sampled_from([1, -1, 2, -3]))]) * Poly([0, 1]) ** draw(st.integers(0, 3))
+    for r in draw(st.lists(st.sampled_from([-2, -1, Fraction(-1, 2), 1, Fraction(3, 2)]), max_size=4)):
+        f = f * Poly([-r, 1])
+    for b, c in draw(st.lists(st.sampled_from([(0, 1), (1, 1), (-1, 1), (2, 2), (1, 3)]), max_size=2)):
+        f = f * Poly([c, b, 1])
+    return f
+
+
+@st.composite
+def product_cases(draw):
+    params = {"op": draw(st.sampled_from(suites._PRODUCT_OPS)), "i": 0,
+              "f": poly_to_dict(draw(product_inputs())), "g": poly_to_dict(draw(product_inputs()))}
+    if params["op"] in ("dot", "circ"):
+        alpha = draw(st.sampled_from([Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1)]))
+        params["alpha"] = str(alpha)
+        params["seq"] = draw(st.sampled_from(("all_ones", "factorial_inverse")))
+        if params["op"] == "dot":
+            params["beta"] = str(alpha + draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)])))
+    return params
+
+
+def _product_label(params, witness):
+    """The kind of witness, or "not simple" for a passing product of one of
+    the five ops with no check of their own that is not simple-rooted."""
+    if witness is not None:
+        return "repro" if "repro" in witness else witness["failed"]
+    if params["op"] in ("hadamard", "hermite-poulain"):
+        return None
+    f, g = suites.poly_from_dict(params["f"]), suites.poly_from_dict(params["g"])
+    out = suites._PRODUCTS[params["op"]](f, g, params)
+    return None if out.is_zero or is_simple_rooted(out) else "not simple"
+
+
+def _product_example(op, f, g):
+    return {"op": op, "i": 0, "f": poly_to_dict(Poly(f)), "g": poly_to_dict(Poly(g))}
+
+
+def test_products_match_the_check_route():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(product_cases())
+    # (1, 1, 1) * (1, 2, 1) = (1 + x)^2, and (1 + D + D^2)(x^2 - 1) = (1 + x)^2
+    @example(_product_example("hadamard", [1, 1, 1], [1, 2, 1]))
+    @example(_product_example("hermite-poulain", [1, 1, 1], [-1, 0, 1]))
+    def compare(params):
+        witness = suites._eval_products(params)
+        assert witness == products_by_checks(params), params
+        seen.add(_product_label(params, witness))
+
+    compare()
+    expected = {None, "repro", "repeated nonzero root", "multiple root not inherited", "not simple"}
+    assert expected <= seen, seen
+
+
+@pytest.mark.parametrize("seed", [0, 3, 109])
+def test_products_match_the_check_route_on_suite_cases(seed):
+    for params in suites._gen_products(RunConfig(seed=seed)):
+        assert suites._eval_products(params) == products_by_checks(params), params
 
 
 # The roots of (B_n(0), B_n(t), B_n(q)) stand-ins in the chain's relations,

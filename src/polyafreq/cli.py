@@ -219,7 +219,7 @@ def _arguments(args, what: str, arity, flags) -> list:
     if arity == _TERMS:
         read.add("terms")
         if args.terms is None:
-            inputs = [_polys(args, what, 1)[0].coeffs]
+            inputs = _polys(args, what, 1)
         elif _sources(args):
             raise UsageError(f"{what} takes --terms or one polynomial, not both")
         else:
@@ -319,7 +319,7 @@ def _phi(f: Poly, text: str) -> Poly:
     return apply_phi(BivarOp([poly_from_dict(q) for q in q_list]), f)
 
 
-def _multiplier_from_flags(args, allow_default: bool = False) -> MultiplierSeq:
+def _multiplier_from_flags(args, allow_default: bool) -> MultiplierSeq:
     chosen = [dest for dest in _MULTIPLIER_FLAGS if _given(getattr(args, dest))]
     if not chosen and allow_default:
         return MultiplierSeq.all_ones()

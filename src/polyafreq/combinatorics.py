@@ -32,19 +32,16 @@ import math
 from fractions import Fraction
 
 from .config import max_enum
-from .errors import PreconditionError, ResourceLimitError
-from .polynomial import Poly, ZERO, unitize_with_degree
+from .errors import PreconditionError
+from .polynomial import X, XP1, Poly, ZERO, unitize_with_degree
 from .transforms import e_transform, w_transform
-
-X = Poly([0, 1])
-XP1 = Poly([1, 1])
 
 
 def _require_enumerable(n: int) -> None:
     """Refuse an S_n enumeration above the POLYAFREQ_MAX_ENUM guard."""
     bound = max_enum()
     if n > bound:
-        raise ResourceLimitError(f"S_{n} enumeration exceeds guard {bound}")
+        raise PreconditionError(f"S_{n} enumeration exceeds guard {bound}")
 
 
 # -- permutation statistics -----------------------------------------------------

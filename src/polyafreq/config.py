@@ -12,10 +12,15 @@ MAX_ENUM_ENV = "POLYAFREQ_MAX_ENUM"
 
 
 def max_enum() -> int:
-    """The largest n of a symmetric-group enumeration (n! cases).
+    """The largest n of S_n that an enumeration oracle may count over.
 
-    9 unless the MAX_ENUM_ENV variable, a positive integer, overrides it;
-    no code enumerates signed permutations.
+    9 unless the MAX_ENUM_ENV variable, a positive integer, overrides it.
+    Only `q_eulerian_oracle` lists the n! permutations; `eulerian_oracle`
+    and `t_stack_poly` walk prefixes, whose memoized states grow more slowly
+    but still steeply with n and t (single runs at a guard of 14:
+    `eulerian_oracle(13)` 0.16 s, `t_stack_poly(13, 2)` 3.1 s,
+    `t_stack_poly(12, 11)` 16.5 s, `t_stack_poly(13, 12)` 133 s).  No code
+    enumerates signed permutations.
     """
     raw = os.environ.get(MAX_ENUM_ENV)
     if raw is None:

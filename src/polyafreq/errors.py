@@ -19,7 +19,3 @@ class NotRealRootedError(PolyafreqError, ValueError):
 
 class PreconditionError(PolyafreqError, ValueError):
     """An operation precondition (degree, range, sign, ...) was violated."""
-
-
-class ResourceLimitError(PolyafreqError, ValueError):
-    """An enumeration guard refused a request that would be too large."""

@@ -15,11 +15,7 @@ from .polynomial import Poly
 
 
 def rational_to_str(value: Fraction) -> str:
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def rational_from_str(text: str) -> Fraction:

@@ -299,6 +299,7 @@ class Poly:
 ZERO = Poly()
 ONE = Poly([1])
 X = Poly([0, 1])
+XP1 = Poly([1, 1])
 
 
 def monomial(k: int, c: RationalLike = 1) -> Poly:
@@ -366,8 +367,6 @@ def squarefree_part(f: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of f."""
     if f.is_zero:
         raise ZeroPolynomialError("square-free part of zero")
-    if len(f.nums) <= 2:
-        return monic(f)
     return monic(f.exact_divide(poly_gcd(f, f.derivative())))
 
 

@@ -153,9 +153,10 @@ def _palindromic_half(f: Poly) -> tuple[Poly, int] | None:
     return Poly._from_ints(g, f.den), k
 
 
-def _rootedness(f: Poly, half: tuple[Poly, int] | None) -> tuple[bool, bool]:
-    """(real-rooted, simple-rooted) of f, with half = `_palindromic_half(f)`,
-    from one chain: of f, or of g for a palindrome (module docstring)."""
+def rootedness(f: Poly) -> tuple[bool, bool]:
+    """(`is_real_rooted(f)`, `is_simple_rooted(f)`) from one chain: of f, or
+    of g for a palindrome (module docstring)."""
+    half = _palindromic_half(f)
     if half is None:
         _, _, distinct, gcd_degree = _squarefree_chain(f, "real-rootedness")
         real = distinct == f.degree - gcd_degree
@@ -171,21 +172,14 @@ def _rootedness(f: Poly, half: tuple[Poly, int] | None) -> tuple[bool, bool]:
     return real, inside == 0 and gcd_degree == 0 and k <= 1 and g(-_TWO) != 0
 
 
-def rootedness(f: Poly) -> tuple[bool, bool]:
-    """(`is_real_rooted(f)`, `is_simple_rooted(f)`) from one chain."""
-    return _rootedness(f, _palindromic_half(f))
-
-
 def is_real_rooted(f: Poly) -> bool:
     """All complex roots real; constants count as real-rooted."""
     return rootedness(f)[0]
 
 
 def is_simple_rooted(f: Poly) -> bool:
-    """All roots real and pairwise distinct; no chain is built for a
-    palindrome that x^2 divides."""
-    half = _palindromic_half(f)
-    return (half is None or half[1] <= 1) and _rootedness(f, half)[1]
+    """All roots real and pairwise distinct."""
+    return rootedness(f)[1]
 
 
 def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
@@ -206,8 +200,6 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
         hi = Fraction(hi)
     if lo > hi:
         raise PreconditionError("roots_within needs lo <= hi")
-    if len(f.nums) == 1:
-        return True
     return _within(f, _squarefree_chain(f, "roots_within"), lo, hi)
 
 

@@ -69,9 +69,10 @@ from .pf import is_log_concave, is_pf_finite, is_unimodal, minors_nonneg
 from .polynomial import (
     NEG_INF,
     ONE,
+    X,
+    XP1,
     Poly,
     ZERO,
-    binom,
     monomial,
     poly_gcd,
     squarefree_part,
@@ -100,8 +101,6 @@ from .transforms import (
 )
 
 IR = InterlaceRelation
-X = Poly([0, 1])
-XP1 = Poly([1, 1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,9 +166,9 @@ def _from_roots(roots, lead: int = 1) -> Poly:
     return Poly._from_ints(nums, den)
 
 
-def _rand_real_rooted(rng: random.Random, max_deg: int, lo=-6, hi=6, den=3) -> Poly:
+def _rand_real_rooted(rng: random.Random, max_deg: int) -> Poly:
     d = rng.randint(1, max_deg)
-    return _from_roots(_frac(rng, lo, hi, den) for _ in range(d))
+    return _from_roots(_frac(rng, -6, 6, 3) for _ in range(d))
 
 
 def _repro_check(kind: str, f: Poly, flags: str = "") -> dict:
@@ -211,8 +210,7 @@ def _eval_identities(params: dict) -> dict | None:
     mult = e_multiplicity_at_minus_one(f)
     if mult < params["staircase"]:
         return {"mult": mult}
-    w = w_transform(f)
-    wdeg = w.degree if not w.is_zero else -1
+    wdeg = w_transform(f).degree
     return None if wdeg == f.degree - mult else {"w_degree": wdeg, "mult": mult}
 
 
@@ -316,16 +314,15 @@ def _eval_two_stack(params: dict) -> dict | None:
         if not is_pf_finite(w):
             return _repro_check("pf", w)
         # multiplier pipeline from the closed-form factorization
-        odd = multisect(X * XP1 ** (2 * n), 2, 0)
-        if n > 0:
-            odd = odd.exact_divide(X)
-        stage = Poly(binom(n + k, n - 1) * c for k, c in enumerate(odd.coeffs))
-        rev = stage.reversed_coeffs(n - 1) if not stage.is_zero else stage
-        final = Poly(binom(n + k, n - 1) * c for k, c in enumerate(rev.coeffs))
+        odd = multisect(X * XP1 ** (2 * n), 2, 0).exact_divide(X)
+        weights = Poly([math.comb(n + k, n - 1) for k in range(n)])
+        stage = hadamard_product(odd, weights)
+        rev = stage.reversed_coeffs(n - 1)
+        final = hadamard_product(rev, weights)
         for step in (odd, stage, rev, final):
-            if not step.is_zero and step.degree > 0 and not is_real_rooted(step):
+            if step.degree > 0 and not is_real_rooted(step):
                 return _repro_check("real-rooted", step)
-        if final != w.scale(Fraction(n * n) * binom(2 * n, n)):
+        if final != w.scale(n * n * math.comb(2 * n, n)):
             return {"failed": "pipeline normalization"}
         return None
     return None if w2_poly(n) == t_stack_poly(n, 2) else {"failed": "W_2 closed form = two-stack enumeration"}
@@ -388,11 +385,11 @@ def _eval_negative_weights(params: dict) -> dict | None:
     e = e_q_poly(n, -m)
     if m == 0:
         return None if a.is_zero and e.is_zero else {"failed": "weight zero should collapse"}
-    if not a.is_zero and not is_real_rooted(a):
+    if not is_real_rooted(a):
         return _repro_check("real-rooted", a)
     expected = min(n, m)
-    if e.is_zero or e.degree != expected:
-        return {"degree": str(e.degree if not e.is_zero else NEG_INF), "expected": expected}
+    if e.degree != expected:
+        return {"degree": str(e.degree), "expected": expected}
     return None
 
 
@@ -462,7 +459,7 @@ def _eval_subsets(params: dict) -> dict | None:
     n = params["n"]
     if params["kind"] == "rooted":
         p = p_bn_subset(n, set(params["subset"]))
-        return None if not p.is_zero and is_simple_rooted(p) else _repro_check("simple", p)
+        return None if is_simple_rooted(p) else _repro_check("simple", p)
     for mask in range(2 ** (n + 1)):
         subset = {s for s in range(n + 1) if mask >> s & 1}
         expected = signed_descent_poly(n, [math.comb(n, j) if j in subset else 0 for j in range(n + 1)])
@@ -748,7 +745,7 @@ def _eval_pf_coherence(params: dict) -> dict | None:
         return None
     if not is_pf_finite(f):
         return _repro_check("pf", f)
-    if not is_log_concave(f.coeffs) or not is_unimodal(f.coeffs):
+    if not is_log_concave(f) or not is_unimodal(f):
         return {"failed": "log-concavity chain"}
     report = minors_nonneg(f)
     return None if report.nonnegative else minor_to_dict(report.witness)

@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PF, ROOTS, SUITES = "src/polyafreq/pf.py", "src/polyafreq/roots.py", "src/polyafreq/suites.py"
+COMBINATORICS = "src/polyafreq/combinatorics.py"
 FORCED = "tests/test_suites.py::test_forced_failure_carries_its_witness"
 
 
@@ -101,13 +102,55 @@ MUTANTS = [
         "if order >= 2 and n >= MAX_ROWS:",
         ("tests/test_pf.py::test_minor_guard_bounds_the_rows",),
     ),
-    # both root verdicts from one chain (`roots._rootedness`)
+    # the window of the trimmed terms (`minors_nonneg`) and Neville elimination (`_neville_tn`)
+    Mutant(
+        "leading zeros not trimmed",
+        PF,
+        "lo, deg = support[0], support[-1]",
+        "lo, deg = 0, support[-1]",
+        ("tests/test_pf.py::test_neville_accepts_every_pf_window",),
+    ),
+    Mutant(
+        "witness rows not shifted back by the trimmed zeros",
+        PF,
+        "tuple(r + lo for r in rows)",
+        "tuple(rows)",
+        ("tests/test_pf.py::test_leading_zeros_add_to_the_witness_rows", "tests/test_pf.py::test_minors_match_exhaustive_route"),
+    ),
+    Mutant(
+        "elimination goes on past a negative entry",
+        PF,
+        "if p <= 0 or q < 0:",
+        "if p <= 0:",
+        ("tests/test_pf.py::test_neville_acceptance_is_sound",),
+    ),
+    Mutant(
+        "elimination goes on under a zero pivot",
+        PF,
+        "if p <= 0 or q < 0:",
+        "if p < 0 or q < 0:",
+        equivalent="with p = 0 < q, row i becomes -q times row i - 1 right of column j, which has a "
+        "positive diagonal entry; a column where row i - 1 is nonzero before that entry refuses at once, "
+        "and that entry's column refuses at its negative multiple in row i",
+    ),
+    # the prefix walk (`combinatorics._descent_walk`)
+    Mutant(
+        "a run emitted out of order kept",
+        COMBINATORICS,
+        "if (run + low) & run:",
+        "if run & (low - 1):",
+        ("tests/test_combinatorics.py::test_stack_sort_degenerations", "tests/test_combinatorics.py::test_t_stack_poly_matches_recursive_oracle"),
+    ),
+    # both root verdicts from one chain (`roots.rootedness`)
     Mutant(
         "a palindrome that x^2 divides counted simple-rooted",
         ROOTS,
         "return real, inside == 0 and gcd_degree == 0 and k <= 1 and g(-_TWO) != 0",
         "return real, inside == 0 and gcd_degree == 0 and g(-_TWO) != 0",
-        ("tests/test_roots.py::test_palindromes_at_half_degree_match_one_chain_of_f",),
+        (
+            "tests/test_roots.py::test_palindromes_at_half_degree_match_one_chain_of_f",
+            "tests/test_roots.py::test_simple_rootedness_of_x_power_palindromes_reads_the_half",
+        ),
     ),
     Mutant(
         "a root of the half at -2 left out of simple-rootedness",
@@ -115,6 +158,21 @@ MUTANTS = [
         "return real, inside == 0 and gcd_degree == 0 and k <= 1 and g(-_TWO) != 0",
         "return real, inside == 0 and gcd_degree == 0 and k <= 1",
         ("tests/test_roots.py::test_palindromes_at_half_degree_match_one_chain_of_f",),
+    ),
+    # the one bisection (`roots._sample_points`) and the closed interval of `roots._within`
+    Mutant(
+        "split point left on a root",
+        ROOTS,
+        "        while chain[0](mid) == 0:\n            mid = (mid + hi) / 2\n",
+        "",
+        ("tests/test_roots.py::test_sample_points_separate_the_roots", "tests/test_roots.py::test_real_rootedness_reads_one_chain"),
+    ),
+    Mutant(
+        "root at lo not counted",
+        ROOTS,
+        "    if lo != NEG_INF and f(lo) == 0:\n        inside += 1\n",
+        "",
+        ("tests/test_roots.py::test_roots_within", "tests/test_roots.py::test_one_point_interval_reads_the_chain"),
     ),
     # products-3 (`suites._eval_products`)
     Mutant(

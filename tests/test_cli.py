@@ -305,10 +305,17 @@ def test_t_stack_with_huge_t_stops_once_sorted(capsys, monkeypatch):
 def test_enum_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "3")
     code, _, _ = run_cli(capsys, "gen", "t_stack", "--n", "5", "--t", "2")
-    assert code == 1
+    assert code == 2
     monkeypatch.setenv("POLYAFREQ_MAX_ENUM", "6")
     code, out, _ = run_cli(capsys, "gen", "t_stack", "--n", "5", "--t", "2")
     assert code == 0 and json.loads(out) == {"coeffs": ["1", "20", "49", "20", "1"]}
+
+
+def test_enumeration_guard_is_a_usage_error(capsys, monkeypatch):
+    """The S_n guard refuses a request as the other resource guards do: exit 2."""
+    monkeypatch.delenv("POLYAFREQ_MAX_ENUM", raising=False)
+    code, out, err = run_cli(capsys, "gen", "t_stack", "--n", "12", "--t", "1")
+    assert (code, out, err) == (2, "", "usage error: S_12 enumeration exceeds guard 9\n")
 
 
 def test_check_interlace_refuses_bad_input_in_either_order(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyafreq.errors import PreconditionError, ResourceLimitError
+from polyafreq.errors import PreconditionError
 from polyafreq.combinatorics import (
     b_euler_multi,
     b_euler_q,
@@ -85,7 +85,7 @@ def test_oracle_guard(monkeypatch):
         lambda: t_stack_poly(4, 1),
         lambda: q_eulerian_oracle(4, 2),
     ):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(PreconditionError, match=r"^S_4 enumeration exceeds guard 3$"):
             enumerate_s4()
     assert eulerian_oracle(3) == eulerian_poly(3)
 

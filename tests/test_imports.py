@@ -6,7 +6,8 @@ function, class and module constant, private or public, is read by package
 code other than its own definition, so a helper or a setting that no suite
 or command reaches cannot stay.  `__init__.py` is left out of both, since it
 imports names only to re-export them.  One function runs the remainder loop:
-only `_remainder_sequence` calls `_primitive_remainder`.
+only `_remainder_sequence` calls `_primitive_remainder`.  The polynomial
+constants are bound once, in `polynomial`, and imported everywhere else.
 """
 
 import ast
@@ -112,3 +113,35 @@ def test_checker_finds_callers():
 def test_one_remainder_loop():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert callers_of(sources, "_primitive_remainder") == ["_remainder_sequence"]
+
+
+SHARED_CONSTANTS = ("X", "XP1", "ONE", "ZERO")
+
+
+def rebound_constants(sources: dict[str, str]) -> list[str]:
+    """`module.NAME` for each shared constant that a top-level assignment
+    binds in a module other than `polynomial`."""
+    out = []
+    for module, source in sources.items():
+        if module == "polynomial":
+            continue
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+                out += [f"{module}.{name}" for name in SHARED_CONSTANTS if name in bound]
+    return sorted(out)
+
+
+def test_checker_finds_rebound_constants():
+    sources = {
+        "polynomial": "ONE = Poly([1])\nX = Poly([0, 1])\n",
+        "a": "from .polynomial import ONE\nX = Poly([0, 1])\nXP1: Poly = X + ONE\n",
+        "b": "ZERO, Y = Poly(), 2\ndef f():\n    ONE = 1\n    return ONE\n",
+    }
+    assert rebound_constants(sources) == ["a.X", "a.XP1", "b.ZERO"]
+
+
+def test_shared_constants_are_bound_once():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert rebound_constants(sources) == []

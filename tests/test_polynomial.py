@@ -13,6 +13,7 @@ from polyafreq.polynomial import (
     Poly,
     ZERO,
     binom,
+    monic,
     monomial,
     poly_gcd,
     root_multiplicity,
@@ -106,6 +107,13 @@ def test_squarefree_of_constant():
     assert squarefree_decomposition(Poly([4])) == []
     with pytest.raises(ZeroPolynomialError):
         squarefree_decomposition(ZERO)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polys(max_degree=1).filter(lambda f: not f.is_zero))
+def test_squarefree_part_below_degree_two_is_monic(f):
+    """The one route through gcd(f, f') gives what a shortcut for deg f <= 1 gave."""
+    assert squarefree_part(f) == monic(f)
 
 
 def test_content_primitive():

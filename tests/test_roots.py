@@ -647,6 +647,57 @@ def test_palindromes_at_half_degree_match_one_chain_of_f():
     assert sum(root_oracle.palindromic_half(f) is not None for f in fixed) >= len(fixed) - 5
 
 
+def test_simple_rootedness_of_x_power_palindromes_reads_the_half():
+    """x^k p for every k <= 3: a palindrome that x^2 divides has no exit of
+    its own, and its one remainder sequence is that of its half."""
+    seen = collections.Counter()
+    chains = []
+    real_chain = roots.sturm_chain
+
+    def counted_chain(f):
+        chains.append(f)
+        return real_chain(f)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(palindromes())
+    def check(p):
+        for k in range(4):
+            f = p * monomial(k)
+            expected = root_oracle.one_chain_is_simple_rooted(f)
+            half = root_oracle.palindromic_half(f)
+            chains.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(roots, "sturm_chain", counted_chain)
+                assert is_simple_rooted(f) == expected, f
+            assert chains == ([f] if half is None else [half[0]]), f
+            seen[half is not None, k >= 2, expected] += 1
+
+    check()
+    # x^2 | f leaves a palindrome never simple-rooted; with k <= 1 both verdicts occur
+    assert seen[True, True, True] == 0, seen
+    for key in ((True, True, False), (True, False, True), (True, False, False), (False, False, True)):
+        assert seen[key] >= 5, seen
+
+
+_constants = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool).map(lambda c: Poly([c]))
+
+
+def test_roots_within_a_constant_holds_on_every_interval():
+    """A nonzero constant has no root, so every interval holds all of them."""
+    ends = [NEG_INF, Fraction(-7), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7), POS_INF]
+    pairs = [(lo, hi) for lo in ends for hi in ends if lo <= hi and lo != POS_INF and hi != NEG_INF]
+    # infinite, equal and finite endpoints, inside and beyond the bound B = 1
+    assert {(NEG_INF, POS_INF), (Fraction(0), Fraction(0)), (Fraction(-7), Fraction(7))} <= set(pairs)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_constants)
+    def check(f):
+        for lo, hi in pairs:
+            assert roots_within(f, lo, hi) == root_oracle.roots_within(f, lo, hi) is True, (f, lo, hi)
+
+    check()
+
+
 # -- a one-point interval, and both questions from one chain ---------------------
 
 
@@ -772,16 +823,12 @@ def test_real_rootedness_reads_one_chain():
             mp.setattr(polynomial, name, _no_yun)
         mp.setattr(roots, "sturm_chain", counted_chain)
         for (f, real, simple, distinct), sample, inside in zip(cases, points, within):
-            # a palindrome is decided on the chain of its half g, and is not
-            # simple-rooted, with no chain built, when x^2 divides it
+            # a palindrome is decided on the chain of its half g, also when
+            # x^2 divides it
             half = root_oracle.palindromic_half(f)
-            if half is None:
-                real_reads = simple_reads = [f]
-            else:
-                g, k = half
-                real_reads, simple_reads = [g], [g] if k <= 1 else []
+            real_reads = [f] if half is None else [half[0]]
             assert reads(is_real_rooted, f) == (real, real_reads)
-            assert reads(is_simple_rooted, f) == (simple, simple_reads)
+            assert reads(is_simple_rooted, f) == (simple, real_reads)
             assert reads(roots.rootedness, f) == ((real, simple), real_reads)
             assert reads(distinct_real_roots, f) == (distinct, [f])
             assert reads(roots.sample_points_between_roots, f) == (sample, [f])

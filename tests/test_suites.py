@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyafreq import cli, roots, suites
-from polyafreq.combinatorics import b_euler_q, multisect, p_dn_poly
+from polyafreq.combinatorics import b_euler_q, multisect, p_bn_subset, p_dn_poly, q_eulerian_poly, w2_poly
 from polyafreq.config import RunConfig
 from polyafreq.errors import ExactDivisionError
 from polyafreq.jsonio import poly_to_dict, rational_from_str
-from polyafreq.polynomial import Poly, ZERO, poly_gcd, squarefree_part
+from polyafreq.polynomial import X, XP1, Poly, ZERO, binom, poly_gcd, squarefree_part
 from polyafreq.roots import (
     ALTERNATING_RELATIONS,
     INTERLACING_RELATIONS,
@@ -21,6 +21,7 @@ from polyafreq.roots import (
     is_simple_rooted,
 )
 from polyafreq.suites import SUITE_NAMES, run_suite
+from polyafreq.transforms import w_transform
 
 from boundary_cases import boundary_ids
 
@@ -171,6 +172,9 @@ def test_evaluators_return_a_witness_or_none():
 
 F_PF = Poly([1, 3, 3, 1])
 LINEAR, QUADRATIC = poly_to_dict(Poly([1, 1])), poly_to_dict(Poly([2, 3, 1]))  # x + 1, (x + 1)(x + 2)
+# f = x^4 + 19/2 x^3 + ..., with no root at -1: W(f) has degree 4
+W_DEGREE_LAW = {"kind": "w-degree-law", "i": 0, "staircase": 0,
+                "poly": {"coeffs": ["-165/4", "-643/8", "35/4", "19/2", "1"]}}
 
 
 def _forced_division(*args):
@@ -218,11 +222,34 @@ FORCED_FAILURES = [
     ("products-3", {"op": "schur", "i": 0, "f": LINEAR, "g": QUADRATIC}, "schur_product",
      lambda f, g: Poly([1, 0, 1]), suites._repro_check("real-rooted", Poly([1, 0, 1]))),
     ("thm-5-2", {"kind": "pf", "n": 3}, "w2_poly", _forced_division, {"error": "ExactDivisionError: forced"}),
+    ("thm-5-2", {"kind": "pf", "n": 3}, "is_real_rooted", lambda f: False,
+     suites._repro_check("real-rooted", multisect(X * XP1 ** 6, 2, 0).exact_divide(X))),
+    ("thm-5-2", {"kind": "pf", "n": 3}, "w2_poly", lambda n: w2_poly(n).scale(2),
+     {"failed": "pipeline normalization"}),
+    ("thm-6-4", {"n": 3, "m": 2}, "e_q_poly", lambda n, q: ZERO, {"degree": "-inf", "expected": 2}),
+    ("thm-6-4", {"n": 3, "m": 2}, "e_q_poly", lambda n, q: X, {"degree": "1", "expected": 2}),
+    ("thm-6-4", {"n": 3, "m": 2}, "is_real_rooted", lambda f: False,
+     suites._repro_check("real-rooted", q_eulerian_poly(3, -2))),
+    ("cor-6-10", {"kind": "rooted", "n": 3, "subset": [0, 1]}, "is_simple_rooted", lambda f: False,
+     suites._repro_check("simple", p_bn_subset(3, {0, 1}))),
+    ("lemmas-4-3-4-5", W_DEGREE_LAW, "w_transform", lambda f: X * w_transform(f), {"w_degree": 5, "mult": 0}),
 ]
 
 
+def _forced_ids(cases) -> list[str]:
+    """`suite:callee`, with -2, -3, ... on a repeated pair, so that a later
+    entry never renames an earlier one."""
+    seen = collections.Counter()
+    ids = []
+    for suite, _, callee, _, _ in cases:
+        key = f"{suite}:{callee}"
+        seen[key] += 1
+        ids.append(key if seen[key] == 1 else f"{key}-{seen[key]}")
+    return ids
+
+
 @pytest.mark.parametrize(
-    "suite, params, callee, wrong, witness", FORCED_FAILURES, ids=[f"{c[0]}:{c[2]}" for c in FORCED_FAILURES]
+    "suite, params, callee, wrong, witness", FORCED_FAILURES, ids=_forced_ids(FORCED_FAILURES)
 )
 def test_forced_failure_carries_its_witness(monkeypatch, suite, params, callee, wrong, witness):
     assert suites.evaluate_case(suite, params) == (True, None)
@@ -240,6 +267,36 @@ def test_window_witness_behind_the_pf_verdict(monkeypatch):
     monkeypatch.setattr(suites, "is_pf_finite", lambda f: True)
     witness = {"rows": [1, 2, 3], "cols": [0, 1, 2], "minor": "-1"}
     assert suites.evaluate_case("pf-coherence", params) == (False, witness)
+
+
+def two_stack_pipeline_by_binom(n):
+    """The thm-5-2 multiplier pipeline, steps and normalization, with each
+    weight C(n + k, n - 1) a generalized binomial applied per coefficient."""
+    odd = multisect(X * XP1 ** (2 * n), 2, 0)
+    if n > 0:
+        odd = odd.exact_divide(X)
+    stage = Poly(binom(n + k, n - 1) * c for k, c in enumerate(odd.coeffs))
+    rev = stage.reversed_coeffs(n - 1) if not stage.is_zero else stage
+    final = Poly(binom(n + k, n - 1) * c for k, c in enumerate(rev.coeffs))
+    return [odd, stage, rev, final], Fraction(n * n) * binom(2 * n, n)
+
+
+def test_two_stack_pipeline_matches_the_binom_route(monkeypatch):
+    asked = []
+    real = suites.is_real_rooted
+
+    def recorded(f):
+        asked.append(f)
+        return real(f)
+
+    monkeypatch.setattr(suites, "is_real_rooted", recorded)
+    for n in range(1, 15):
+        steps, normalization = two_stack_pipeline_by_binom(n)
+        asked.clear()
+        assert suites.evaluate_case("thm-5-2", {"kind": "pf", "n": n}) == (True, None)
+        assert asked == [step for step in steps if step.degree > 0], n
+        assert steps[-1] == w2_poly(n).scale(normalization)
+    assert len(asked) == 4
 
 
 def chain_by_gcds(b0, bt, bq):

@@ -221,9 +221,10 @@ def q_eulerian_poly(n: int, q) -> Poly:
     if n < 0:
         raise PreconditionError("q_eulerian_poly needs n >= 0")
     q = Fraction(q)
+    x_xm1 = X * Poly([-1, 1])
     a = Poly([1])
     for m in range(n):
-        a = Poly([q, m]) * a - (X * Poly([-1, 1])) * a.derivative()
+        a = Poly([q, m]) * a - x_xm1 * a.derivative()
     return a
 
 
@@ -241,14 +242,10 @@ def q_eulerian_oracle(n: int, q) -> Poly:
 
 
 def e_q_poly(n: int, q) -> Poly:
-    """Unitized q-Eulerian family: E_{n+1} = (1+x)(q E_n + x dE_n/dx), E_0 = 1."""
+    """Unitized q-Eulerian family E_n = (1+x)^n A_n(x/(1+x); q)."""
     if n < 0:
         raise PreconditionError("e_q_poly needs n >= 0")
-    q = Fraction(q)
-    e = Poly([1])
-    for _ in range(n):
-        e = XP1 * (e.scale(q) + X * e.derivative())
-    return e
+    return unitize_with_degree(q_eulerian_poly(n, q), n)
 
 
 # -- type-B descent statistics ---------------------------------------------------------

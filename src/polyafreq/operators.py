@@ -151,44 +151,44 @@ def _first_subresultant(qs: tuple[Poly, ...]) -> Poly:
     return qs[d] * d
 
 
-def _condition_one(F: BivarOp) -> tuple[bool, list]:
+def _condition_one(F: BivarOp) -> tuple[str, object] | None:
     """Real-rootedness of F(xi, z) for every real xi."""
     if F.degree_z <= 1:
-        return True, []
+        return None
     for xi in sample_points_between_roots(_first_subresultant(F.q_list)):
         if not is_real_rooted(Poly([q(xi) for q in F.q_list])):
-            return False, [("non-real-rooted z-slice at xi", xi)]
-    return True, []
+            return ("non-real-rooted z-slice at xi", xi)
+    return None
 
 
-def _condition_two(F: BivarOp) -> tuple[bool, list]:
+def _condition_two(F: BivarOp) -> tuple[str, object] | None:
     q0, q1 = F.q(0), F.q(1)
     if q1.is_zero:
-        return False, [("Q_1 is zero", None)]
+        return ("Q_1 is zero", None)
     try:
         rel = interlace_relation(q0, q1)
     except NotRealRootedError:
-        return False, [("Q_0 or Q_1 not real-rooted", None)]
+        return ("Q_0 or Q_1 not real-rooted", None)
     if rel not in STRICT_RELATIONS:
-        return False, [("Q_0 vs Q_1 relation", rel.value)]
+        return ("Q_0 vs Q_1 relation", rel.value)
     if q0.degree > 0 and q0.is_standard != q1.is_standard:
-        return False, [("leading signs differ", None)]
-    return True, []
+        return ("leading signs differ", None)
+    return None
 
 
-def _condition_three(F: BivarOp, d: int) -> tuple[bool, list]:
+def _condition_three(F: BivarOp, d: int) -> tuple[str, object] | None:
     deg_q0 = F.q(0).degree
     sign = None
     for k in range(d + 1):
         image = apply_phi(F, monomial(k))
-        if image.is_zero or image.degree != deg_q0 + k:
-            return False, [("degree drop at monomial", k)]
+        if image.degree != deg_q0 + k:
+            return ("degree drop at monomial", k)
         s = image.is_standard
         if sign is None:
             sign = s
         elif s != sign:
-            return False, [("leading sign flip at monomial", k)]
-    return True, []
+            return ("leading sign flip at monomial", k)
+    return None
 
 
 def check_maincor(F: BivarOp, d: int) -> HypothesisReport:
@@ -197,17 +197,16 @@ def check_maincor(F: BivarOp, d: int) -> HypothesisReport:
     Condition (i) is decided exactly at every z-degree: a slice of z-degree
     at most 1 is always real-rooted, and above that the slice is checked
     between the real zeros of the subresultant D of the module docstring.
+    Each condition returns None when it holds, else its one witness.
     """
     if F.q(0).is_zero:
         raise PreconditionError("hypothesis check needs Q_0 != 0")
-    ok_i, wit_i = _condition_one(F)
-    ok_ii, wit_ii = _condition_two(F)
-    ok_iii, wit_iii = _condition_three(F, d)
+    wit_i, wit_ii, wit_iii = _condition_one(F), _condition_two(F), _condition_three(F, d)
     return HypothesisReport(
-        cond_i=ok_i,
-        cond_ii=ok_ii,
-        cond_iii=ok_iii,
-        witnesses=wit_i + wit_ii + wit_iii,
+        cond_i=wit_i is None,
+        cond_ii=wit_ii is None,
+        cond_iii=wit_iii is None,
+        witnesses=[w for w in (wit_i, wit_ii, wit_iii) if w is not None],
     )
 
 
@@ -243,8 +242,6 @@ def polya_line_check(f: Poly, b: Poly, s, t, u) -> bool:
         ratio = s / t
         weights = BivarOp([monomial(k, ratio ** k * b.coeff(k)) for k in range(n + 1)])
         out = apply_phi(weights, f.affine_compose(ratio, u / t))
-    if out.is_zero:
-        return False
     return out.degree == n and is_real_rooted(out)
 
 

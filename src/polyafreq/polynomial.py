@@ -391,9 +391,6 @@ def binom(alpha: RationalLike, k: int) -> Fraction:
     if k < 0:
         return Fraction(0)
     alpha = _as_fraction(alpha)
-    if alpha.denominator == 1 and alpha >= 0:
-        n = alpha.numerator
-        return Fraction(math.comb(n, k)) if k <= n else Fraction(0)
     num = Fraction(1)
     for i in range(k):
         num *= alpha - i

@@ -151,7 +151,7 @@ def _suite_rng(name: str, seed: int) -> random.Random:
     return random.Random((zlib.crc32(name.encode()) << 32) ^ seed)
 
 
-def _frac(rng: random.Random, lo: int, hi: int, den: int = 1) -> Fraction:
+def _frac(rng: random.Random, lo: int, hi: int, den: int) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
@@ -662,7 +662,7 @@ def _eval_operator_checks(params: dict) -> dict | None:
         return None if holds else {"cond_i": rep.cond_i}
     if params["kind"] == "image":
         out = apply_phi(F, poly_from_dict(params["f"]))
-        return None if not out.is_zero and is_real_rooted(out) else _repro_check("real-rooted", out)
+        return None if is_real_rooted(out) else _repro_check("real-rooted", out)
     f, g = poly_from_dict(params["f"]), poly_from_dict(params["g"])
     if interlace_relation(f, g) != IR.ALTERNATES_LEFT_STRICT:
         return {"failed": "input pair not strictly alternating"}

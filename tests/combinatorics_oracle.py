@@ -12,6 +12,9 @@ per permutation.  `polyafreq.combinatorics` counts the same descent sums by
 a memoized walk over prefixes, and the excedance/cycle sum by a table of
 counts.  The recursive stack sort s(L n R) = s(L) s(R) n checks the
 one-stack loop.
+
+The unitized q-Eulerian family E_n by its own recursion in n;
+`polyafreq.combinatorics.e_q_poly` unitizes A_n(x; q) instead.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from polyafreq.combinatorics import cycle_count, excedances
 from polyafreq.errors import PreconditionError
-from polyafreq.polynomial import Poly
+from polyafreq.polynomial import X, XP1, Poly
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,3 +175,12 @@ def q_eulerian_by_listing(n: int, q) -> Poly:
     for perm in itertools.permutations(range(1, n + 1)):
         coeffs[excedances(perm)] += q ** cycle_count(perm)
     return Poly(coeffs)
+
+
+def e_q_by_recursion(n: int, q) -> Poly:
+    """E_{n+1} = (1+x)(q E_n + x dE_n/dx), E_0 = 1."""
+    q = Fraction(q)
+    e = Poly([1])
+    for _ in range(n):
+        e = XP1 * (e.scale(q) + X * e.derivative())
+    return e

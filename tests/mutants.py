@@ -30,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PF, ROOTS, SUITES = "src/polyafreq/pf.py", "src/polyafreq/roots.py", "src/polyafreq/suites.py"
-COMBINATORICS = "src/polyafreq/combinatorics.py"
+COMBINATORICS, OPERATORS = "src/polyafreq/combinatorics.py", "src/polyafreq/operators.py"
 FORCED = "tests/test_suites.py::test_forced_failure_carries_its_witness"
 
 
@@ -214,6 +214,29 @@ MUTANTS = [
         'if op != "hermite-poulain":  # out = x^k * head',
         equivalent="x^k * h is real-rooted exactly when h is, so for the five ops with no check of "
         "their own a trimmed head answers every question as the product does",
+    ),
+    # the operator conditions (`operators._condition_one`, `_condition_two`), one witness or None
+    Mutant(
+        "condition (i) passes a non-real-rooted slice",
+        OPERATORS,
+        'return ("non-real-rooted z-slice at xi", xi)',
+        "return None",
+        ("tests/test_operators.py::test_check_maincor_refutation",),
+    ),
+    Mutant(
+        "condition (ii) drops its leading-sign witness",
+        OPERATORS,
+        'return ("leading signs differ", None)',
+        "return None",
+        ("tests/test_operators.py::test_condition_two_names_its_one_witness",),
+    ),
+    # E_q as the unitized A_q (`combinatorics.e_q_poly`)
+    Mutant(
+        "E_q unitized with sign -1",
+        COMBINATORICS,
+        "return unitize_with_degree(q_eulerian_poly(n, q), n)",
+        "return unitize_with_degree(q_eulerian_poly(n, q), n, sign=-1)",
+        ("tests/test_combinatorics.py::test_e_q_identity_and_degree_law",),
     ),
 ]
 

@@ -341,6 +341,7 @@ def test_bad_flag_values_are_usage_errors(capsys, monkeypatch):
         (("gen", "t_stack", "--n", "0", "--t", "1"), "t_stack_poly needs n >= 1"),
         (("gen", "t_stack", "--n", "-2", "--t", "1"), "t_stack_poly needs n >= 1"),
         (("gen", "b_euler", "--n", "-3", "--q", "1/2"), "b_euler_multi needs n >= 0"),
+        (("gen", "e_q", "--n=-1", "--q=-2"), "usage error: e_q_poly needs n >= 0"),
         # ZeroPolynomialError and NotRealRootedError are bad input, not failing verdicts
         (("check", "real-rooted", '{"coeffs":[]}'), "real-rootedness of zero polynomial"),
         (("check", "interlace", '{"coeffs":["1","0","1"]}', '{"coeffs":["1","1"]}'),

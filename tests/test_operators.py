@@ -139,6 +139,34 @@ def test_check_maincor_trivial_symbol():
         check_maincor(BivarOp([ZERO, Poly([1, 1])]), 3)
 
 
+@pytest.mark.parametrize(
+    "qs, witness",
+    [
+        ([[1, 1], []], ("Q_1 is zero", None)),
+        ([[1, 0, 1], [0, 1]], ("Q_0 or Q_1 not real-rooted", None)),
+        ([[1, 1], [2, 1]], ("Q_0 vs Q_1 relation", "equal_degree_none")),
+        ([[1, 1], [0, -1]], ("leading signs differ", None)),
+    ],
+)
+def test_condition_two_names_its_one_witness(qs, witness):
+    rep = check_maincor(BivarOp(qs), 2)
+    assert (rep.cond_i, rep.cond_ii, rep.cond_iii) == (True, False, True)
+    assert rep.witnesses == [witness]
+
+
+def test_zero_monomial_image_is_a_degree_drop(monkeypatch):
+    """Condition (iii) names the first monomial whose image vanishes."""
+    F = theorem_53_symbol(1)
+    assert check_maincor(F, 4).all_hold
+    real_apply = operators.apply_phi
+    monkeypatch.setattr(
+        operators, "apply_phi", lambda G, f: ZERO if f == monomial(2) else real_apply(G, f)
+    )
+    rep = check_maincor(F, 4)
+    assert (rep.cond_i, rep.cond_ii, rep.cond_iii) == (True, True, False)
+    assert rep.witnesses == [("degree drop at monomial", 2)]
+
+
 def refuting_slice(F):
     """The z-slice at the witness of a refuted condition (i)."""
     rep = check_maincor(F, 1)
@@ -257,6 +285,17 @@ def test_polya_line_check():
         polya_line_check(XP1 ** 2, XP1 ** 4, 0, 0, 1)
     with pytest.raises(PreconditionError):
         polya_line_check(XP1 ** 3, XP1 ** 2, 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "s, t, u, product",
+    [(1, 1, 0, "apply_phi"), (0, 1, 0, "schur_product"), (1, 0, 1, "hermite_poulain")],
+)
+def test_polya_line_check_refuses_a_zero_product(monkeypatch, s, t, u, product):
+    """A zero derivative sum has degree -inf, never deg f: the check fails."""
+    assert polya_line_check(XP1 ** 2, XP1 ** 4, s, t, u)
+    monkeypatch.setattr(operators, product, lambda *args: ZERO)
+    assert polya_line_check(XP1 ** 2, XP1 ** 4, s, t, u) is False
 
 
 def test_polya_line_random():

@@ -233,6 +233,8 @@ FORCED_FAILURES = [
     ("cor-6-10", {"kind": "rooted", "n": 3, "subset": [0, 1]}, "is_simple_rooted", lambda f: False,
      suites._repro_check("simple", p_bn_subset(3, {0, 1}))),
     ("lemmas-4-3-4-5", W_DEGREE_LAW, "w_transform", lambda f: X * w_transform(f), {"w_degree": 5, "mult": 0}),
+    ("maincor-3-6", {"kind": "image", "i": 0, "f": QUADRATIC, "symbol": "one-plus-z"}, "is_real_rooted",
+     lambda f: False, suites._repro_check("real-rooted", Poly([5, 5, 1]))),
 ]
 
 

@@ -216,16 +216,17 @@ def narayana_poly(n: int) -> Poly:
 
 
 def q_eulerian_poly(n: int, q) -> Poly:
-    """Joint excedance/cycle polynomial at a fixed cycle weight q, by the
-    recursion A_{n+1} = (n x + q) A_n - x(x-1) dA_n/dx with A_0 = 1."""
+    """Joint excedance/cycle polynomial at a fixed cycle weight q = p/s, by the
+    recursion A_{m+1} = (m x + q) A_m - x(x-1) dA_m/dx with A_0 = 1, run as
+    a'_k = (q + k) a_k + (m - k + 1) a_{k-1} on integer numerators over s^n."""
     if n < 0:
         raise PreconditionError("q_eulerian_poly needs n >= 0")
     q = Fraction(q)
-    x_xm1 = X * Poly([-1, 1])
-    a = Poly([1])
+    p, s = q.numerator, q.denominator
+    a = [1]
     for m in range(n):
-        a = Poly([q, m]) * a - x_xm1 * a.derivative()
-    return a
+        a = [(p + k * s) * x + (m - k + 1) * s * y for k, (x, y) in enumerate(zip(a + [0], [0] + a))]
+    return Poly._from_ints(a, s ** n)
 
 
 def q_eulerian_oracle(n: int, q) -> Poly:

@@ -1,13 +1,22 @@
-"""Wire format: polynomials as JSON objects with string rationals.
+r"""Wire format: polynomials as JSON objects with string rationals.
 
 The contract is {"coeffs": ["c0", "c1", ...]} ascending in degree, each
 rational rendered "p/q", or just "p" when the denominator is one.  No
 floats appear anywhere on the wire.
+
+Both directions work on `Poly`'s numerators over its one denominator.
+`poly_to_dict` prints each coefficient with one gcd.  `poly_from_dict` reads
+a text that fully matches the ASCII grammar
+``\s*[+-]?[0-9]+(/0*[1-9][0-9]*)?\s*`` as two `int`s and builds the `Poly`
+once, over the lcm of the denominators; any other text goes to
+`rational_from_str`, which gives `Fraction`'s value or a `PreconditionError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -18,12 +27,14 @@ def rational_to_str(value: Fraction) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
+_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s*", re.ASCII)
+
+
 def rational_from_str(text: str) -> Fraction:
     try:
-        value = Fraction(text.strip())
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"malformed rational {text!r}") from exc
-    return value
 
 
 def minor_to_dict(witness) -> dict:
@@ -33,13 +44,27 @@ def minor_to_dict(witness) -> dict:
 
 
 def poly_to_dict(f: Poly) -> dict:
-    return {"coeffs": [rational_to_str(c) for c in f.coeffs]}
+    den, coeffs = f.den, []
+    for p in f.nums:
+        g = math.gcd(p, den)
+        coeffs.append(str(p // g) if g == den else f"{p // g}/{den // g}")
+    return {"coeffs": coeffs}
 
 
 def poly_from_dict(data) -> Poly:
     if not isinstance(data, dict) or "coeffs" not in data or not isinstance(data["coeffs"], list):
         raise PreconditionError("polynomial JSON must be an object with a 'coeffs' list")
-    return Poly(rational_from_str(str(c)) for c in data["coeffs"])
+    pairs = []
+    for c in data["coeffs"]:
+        text = str(c)
+        match = _RATIO.fullmatch(text)
+        try:
+            pairs.append((int(match[1]), int(match[2] or 1)))
+        except (TypeError, ValueError):  # no match, or more digits than int() reads
+            value = rational_from_str(text)
+            pairs.append((value.numerator, value.denominator))
+    den = math.lcm(*(q for _, q in pairs))
+    return Poly._from_ints([p * (den // q) for p, q in pairs], den)
 
 
 def poly_to_json(f: Poly) -> str:

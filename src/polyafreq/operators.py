@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ZeroPolynomialError,
 )
-from .polynomial import ONE, Poly, X, ZERO, monomial
+from .polynomial import ONE, Poly, X, ZERO, _convolve, monomial
 from .roots import (
     STRICT_RELATIONS,
     interlace_relation,
@@ -57,22 +57,22 @@ class BivarOp:
 
 
 def apply_phi(F: BivarOp, f: Poly) -> Poly:
-    """phi_F(f) = sum_k Q_k * f^(k)."""
-    acc = ZERO
-    fk = f
-    for k, qk in enumerate(F.q_list):
-        if k > 0:
-            fk = fk.derivative()
-            if fk.is_zero:
-                break
-        if not qk.is_zero:
-            acc = acc + qk * fk
-    return acc
+    """phi_F(f) = sum_k Q_k * f^(k), summed on integer numerators over
+    lcm(Q_k.den) * f.den and normalised once, by `Poly._from_ints`."""
+    den = math.lcm(*(q.den for q in F.q_list))
+    acc, fk = [], f.nums
+    for qk in F.q_list:
+        term, m = _convolve(qk.nums, fk), den // qk.den
+        acc += [0] * (len(term) - len(acc))
+        for i, t in enumerate(term):
+            acc[i] += m * t
+        fk = [i * x for i, x in enumerate(fk)][1:]
+    return Poly._from_ints(acc, den * f.den)
 
 
 def hermite_poulain(f: Poly, g: Poly) -> Poly:
     """f(d/dx) applied to g: sum a_k g^(k) where f = sum a_k x^k."""
-    return apply_phi(BivarOp([Poly([a]) for a in f.coeffs]), g)
+    return apply_phi(BivarOp([Poly._from_ints([a], f.den) for a in f.nums]), g)
 
 
 # -- hypothesis checking -------------------------------------------------------
@@ -261,18 +261,29 @@ def hadamard_product(f: Poly, g: Poly) -> Poly:
 
 
 def _derivative_sum(f: Poly, g: Poly, c, w: Poly) -> Poly:
-    """sum_{k <= min(deg f, deg g)} c(k) f^(k) g^(k) w^k."""
+    """sum_{k <= K} c(k) f^(k) g^(k) w^k, K = min(deg f, deg g).  All c(k)
+    are taken first, L the lcm of their denominators; then Horner in w runs on
+    integer numerators, for k = K down to 0: acc <- acc * w.nums + c(k) * L *
+    w.den^(K-k) * f^(k) g^(k), over f.den * g.den * L * w.den^K, and the sum
+    is normalised once, by `Poly._from_ints`."""
     if f.is_zero or g.is_zero:
         return ZERO
-    acc = ZERO
-    fk, gk, wk = f, g, ONE
-    for k in range(min(f.degree, g.degree) + 1):
-        if k:
-            fk, gk, wk = fk.derivative(), gk.derivative(), wk * w
-        ck = c(k)
-        if ck:
-            acc = acc + (fk * gk * wk).scale(ck)
-    return acc
+    K = min(f.degree, g.degree)
+    cs = [c(k) for k in range(K + 1)]
+    lcm = math.lcm(*(ck.denominator for ck in cs))
+    fks, gks = [f.nums], [g.nums]
+    for _ in range(K):
+        fks.append([i * x for i, x in enumerate(fks[-1])][1:])
+        gks.append([i * x for i, x in enumerate(gks[-1])][1:])
+    acc, wpow = [], 1
+    for k in range(K, -1, -1):
+        acc, term = _convolve(acc, w.nums), _convolve(fks[k], gks[k])
+        weight = cs[k].numerator * (lcm // cs[k].denominator) * wpow
+        acc += [0] * (len(term) - len(acc))
+        for i, t in enumerate(term):
+            acc[i] += weight * t
+        wpow *= w.den
+    return Poly._from_ints(acc, f.den * g.den * lcm * w.den ** K)
 
 
 def sharp_product(f: Poly, g: Poly) -> Poly:

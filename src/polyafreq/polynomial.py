@@ -45,6 +45,19 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _convolve(a, b) -> list[int]:
+    """The one product loop: the coefficients of the product of the integer
+    polynomials a and b, as a new list (all zeros when either is empty)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class Poly:
     """Immutable dense polynomial over the rationals, constant term first.
@@ -145,17 +158,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return ZERO
-            if len(a) < len(b):
-                a, b = b, a
-            out = [0] * (len(a) + len(b) - 1)
-            for j, y in enumerate(b):
-                if y:
-                    for i, x in enumerate(a, j):
-                        out[i] += x * y
-            return Poly._from_ints(out, self.den * other.den)
+            return Poly._from_ints(_convolve(self.nums, other.nums), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):

@@ -13,8 +13,10 @@ a memoized walk over prefixes, and the excedance/cycle sum by a table of
 counts.  The recursive stack sort s(L n R) = s(L) s(R) n checks the
 one-stack loop.
 
-The unitized q-Eulerian family E_n by its own recursion in n;
-`polyafreq.combinatorics.e_q_poly` unitizes A_n(x; q) instead.
+The q-Eulerian A_n(x; q) by its recursion in n on `Poly`s;
+`polyafreq.combinatorics.q_eulerian_poly` runs the same recursion on
+integer coefficient lists.  The unitized family E_n by its own recursion in
+n; `polyafreq.combinatorics.e_q_poly` unitizes A_n(x; q) instead.
 """
 
 import dataclasses
@@ -175,6 +177,16 @@ def q_eulerian_by_listing(n: int, q) -> Poly:
     for perm in itertools.permutations(range(1, n + 1)):
         coeffs[excedances(perm)] += q ** cycle_count(perm)
     return Poly(coeffs)
+
+
+def q_eulerian_by_recursion(n: int, q) -> Poly:
+    """A_{m+1} = (m x + q) A_m - x(x-1) dA_m/dx, A_0 = 1, on `Poly`s."""
+    q = Fraction(q)
+    x_xm1 = X * Poly([-1, 1])
+    a = Poly([1])
+    for m in range(n):
+        a = Poly([q, m]) * a - x_xm1 * a.derivative()
+    return a
 
 
 def e_q_by_recursion(n: int, q) -> Poly:

@@ -3,15 +3,18 @@
 E, its inverse, the (1 + sign*x)^d substitution, the root product of the
 suites, the bilinear products, multisection, the finite PF verdict, the
 Cauchy bound and `monic` compute on `Poly`'s integer numerators over one
-denominator.  Before that, each read `Poly.coeffs`, the `Fraction` view,
-did its arithmetic in `Fraction` and built a `Poly` back.  These are those
-routes, written as they ran, so each kernel can be compared with them.
+denominator, and so does the wire, `jsonio.poly_to_dict` and
+`jsonio.poly_from_dict`.  Before that, each read `Poly.coeffs`, the
+`Fraction` view, did its arithmetic in `Fraction` and built a `Poly` back,
+and the wire parsed and printed one `Fraction` per coefficient.  These are
+those routes, written as they ran, so each kernel can be compared with them.
 """
 
 import math
 from fractions import Fraction
 
 from polyafreq.errors import ZeroPolynomialError
+from polyafreq.jsonio import rational_from_str
 from polyafreq.polynomial import ONE, Poly, ZERO, monomial
 from polyafreq.roots import is_real_rooted
 
@@ -108,3 +111,13 @@ def cauchy_root_bound(f: Poly) -> Fraction:
 
 def monic(f: Poly) -> Poly:
     return ZERO if f.is_zero else f.scale(1 / f.leading)
+
+
+def poly_from_coeffs(coeffs) -> Poly:
+    """The polynomial of a wire 'coeffs' list, one `Fraction(str)` per entry."""
+    return Poly(rational_from_str(str(c)) for c in coeffs)
+
+
+def poly_to_coeffs(f: Poly) -> list[str]:
+    """The wire 'coeffs' list of f, one printed `Fraction` per coefficient."""
+    return [str(c) for c in f.coeffs]

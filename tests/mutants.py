@@ -31,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PF, ROOTS, SUITES = "src/polyafreq/pf.py", "src/polyafreq/roots.py", "src/polyafreq/suites.py"
 COMBINATORICS, OPERATORS = "src/polyafreq/combinatorics.py", "src/polyafreq/operators.py"
+JSONIO, POLYNOMIAL = "src/polyafreq/jsonio.py", "src/polyafreq/polynomial.py"
 FORCED = "tests/test_suites.py::test_forced_failure_carries_its_witness"
 
 
@@ -237,6 +238,52 @@ MUTANTS = [
         "return unitize_with_degree(q_eulerian_poly(n, q), n)",
         "return unitize_with_degree(q_eulerian_poly(n, q), n, sign=-1)",
         ("tests/test_combinatorics.py::test_e_q_identity_and_degree_law",),
+    ),
+    # A_q as one integer pass per step (`combinatorics.q_eulerian_poly`)
+    Mutant(
+        "A_q recurrence weight off by one",
+        COMBINATORICS,
+        "(m - k + 1) * s * y",
+        "(m - k) * s * y",
+        ("tests/test_combinatorics.py::test_q_eulerian_matches_the_poly_recursion",),
+    ),
+    # the wire on integer numerators (`jsonio.poly_from_dict`, `jsonio.poly_to_dict`)
+    Mutant(
+        "grammar accepts a zero or signed denominator",
+        JSONIO,
+        "(?:/(0*[1-9][0-9]*))?",
+        "(?:/([+-]?[0-9]+))?",
+        ("tests/test_integer_kernels.py::test_each_wire_text_parses_as_fraction_does",),
+    ),
+    Mutant(
+        "poly_to_dict skips its gcd",
+        JSONIO,
+        "g = math.gcd(p, den)",
+        "g = 1",
+        ("tests/test_integer_kernels.py::test_poly_to_dict_matches_fraction_per_coefficient",),
+    ),
+    # the one convolution loop and the operator kernels on it (`polynomial._convolve`,
+    # `operators.apply_phi`, `operators._derivative_sum`)
+    Mutant(
+        "convolution skips index 0 instead of a zero coefficient",
+        POLYNOMIAL,
+        "        if y:\n",
+        "        if j:\n",
+        ("tests/test_polynomial.py::test_mul_square", "tests/test_poly_representation.py::test_ring_operations_match"),
+    ),
+    Mutant(
+        "apply_phi drops its lcm // Q_k.den scaling",
+        OPERATORS,
+        "term, m = _convolve(qk.nums, fk), den // qk.den",
+        "term, m = _convolve(qk.nums, fk), 1",
+        ("tests/test_operators.py::test_linear_kernels_match_defining_sums",),
+    ),
+    Mutant(
+        "Horner weight one power of w.den too high",
+        OPERATORS,
+        "acc, wpow = [], 1",
+        "acc, wpow = [], w.den",
+        ("tests/test_operators.py::test_bilinear_kernels_match_defining_sums",),
     ),
 ]
 

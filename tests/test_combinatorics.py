@@ -230,6 +230,12 @@ def test_q_eulerian():
             route(-1, q)
 
 
+def test_q_eulerian_matches_the_poly_recursion():
+    for n in range(13):
+        for q in (0, 1, 2, 7, -1, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)):
+            assert q_eulerian_poly(n, q) == oracle.q_eulerian_by_recursion(n, q), (n, q)
+
+
 def test_e_q_identity_and_degree_law():
     for n in range(0, 9):
         for q in (0, 1, -1, -2, -3, -4, -5, Fraction(1, 2), Fraction(5, 3)):

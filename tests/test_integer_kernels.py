@@ -3,7 +3,10 @@
 Each kernel reads `Poly.nums` and `Poly.den` and builds its result with
 `Poly._from_ints`; `fraction_oracle` keeps the route that read
 `Poly.coeffs`.  The strategies include the zero polynomial, constants,
-denominators that do not cancel, and repeated roots.
+denominators that do not cancel, and repeated roots.  The wire is checked
+the same way: `poly_from_dict` against one `Fraction(str)` per coefficient,
+on texts inside and outside its integer grammar, and `poly_to_dict` against
+one printed `Fraction` per coefficient.
 """
 
 from fractions import Fraction
@@ -13,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import fraction_oracle as oracle
 from polyafreq.combinatorics import multisect
-from polyafreq.errors import ZeroPolynomialError
+from polyafreq.errors import PreconditionError, ZeroPolynomialError
+from polyafreq.jsonio import poly_from_dict, poly_to_dict
 from polyafreq.operators import hadamard_product, schur_product
 from polyafreq.pf import is_pf_finite
 from polyafreq.polynomial import Poly, ZERO, monic, unitize_with_degree
@@ -98,3 +102,62 @@ def test_cauchy_bound_and_monic_match(f):
             cauchy_root_bound(f)
     else:
         assert cauchy_root_bound(f) == oracle.cauchy_root_bound(f)
+
+
+# -- the wire --------------------------------------------------------------------
+
+#: Texts on both sides of the grammar \s*[+-]?[0-9]+(/0*[1-9][0-9]*)?\s*.
+WIRE_TEXTS = [
+    "0", "-0", "+0", "+3", "-12", "007", " 7 ", "\t-2/3\n", "2/4", "-6/8", "0/5", "3/007",
+    "1.5", "-.5", "1e3", "2E-2", "1_000", "1/2_0", "1/0", "1/00", "-0/0", "3 / 4", "3/ 4",
+    "3/-4", "3/+4", "+-3", "--3", "", " ", "/4", "3/", "1/2/3", "abc", "nan", "inf",
+    "\u0663", "1\u0660", "\u00a01", "2\u2003", "\u20031/2", "1" * 4400, "1/" + "7" * 4400,
+]
+wire_alphabet = st.sampled_from(list("0123456789+-/ .e_\t") + ["\u0663", "\u00a0", "\u2003"])
+wire_coeffs = st.one_of(
+    st.sampled_from(WIRE_TEXTS),
+    st.text(wire_alphabet, max_size=8),
+    st.fractions(max_denominator=10**9).map(str),
+    st.integers(-10**30, 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+wire_polys = st.one_of(
+    polys,
+    st.lists(st.integers(-10**40, 10**40) | st.fractions(max_denominator=10**12), max_size=8).map(Poly),
+)
+
+
+def _outcome(route, coeffs):
+    """The polynomial a route builds, or the message of its `PreconditionError`."""
+    try:
+        return route(coeffs)
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+@pytest.mark.parametrize("text", WIRE_TEXTS, ids=range(len(WIRE_TEXTS)))
+def test_each_wire_text_parses_as_fraction_does(text):
+    for coeffs in ([text], ["1/2", text, "3"]):
+        assert _outcome(lambda cs: poly_from_dict({"coeffs": cs}), coeffs) == _outcome(
+            oracle.poly_from_coeffs, coeffs
+        )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(wire_coeffs, max_size=6))
+@example([1, -2, 0, 3.0])
+@example([0.5, "1/3", -0.0])
+def test_poly_from_dict_matches_fraction_per_coefficient(coeffs):
+    assert _outcome(lambda cs: poly_from_dict({"coeffs": cs}), coeffs) == _outcome(
+        oracle.poly_from_coeffs, coeffs
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wire_polys)
+@example(ZERO)
+@example(Poly([Fraction(1, 2), Fraction(1, 4), Fraction(-3, 8)]))
+@example(Poly([10**40 + 1, Fraction(-(10**39), 7)]))
+def test_poly_to_dict_matches_fraction_per_coefficient(f):
+    assert poly_to_dict(f) == {"coeffs": oracle.poly_to_coeffs(f)}
+    assert poly_from_dict(poly_to_dict(f)) == f

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import root_oracle
 from fraction_oracle import from_roots
@@ -42,6 +42,9 @@ X = Poly([0, 1])
 XP1 = Poly([1, 1])
 
 int_polys = st.lists(st.integers(-9, 9), max_size=7).map(Poly)
+# mixed denominators, so that the kernels' common denominators do not cancel
+rational_polys = st.lists(st.fractions(-9, 9, max_denominator=6), max_size=7).map(Poly)
+kernel_polys = int_polys | rational_polys
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 sequences = st.sampled_from([
     MultiplierSeq.all_ones(),
@@ -434,8 +437,14 @@ def inverse_factorial(k):
     return Fraction(1, math.factorial(k))
 
 
+H, T = Fraction(1, 2), Fraction(1, 3)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(int_polys, max_size=4), int_polys, int_polys)
+@given(st.lists(kernel_polys, max_size=4), kernel_polys, kernel_polys)
+@example([Poly([H, 1]), ZERO, Poly([T, 0, Fraction(-2, 5)])], Poly([1, T, 2, H]), Poly([H, -1, Fraction(3, 4)]))
+@example([Poly([T]), Poly([1, H])], Poly([Fraction(5, 6)]), ZERO)
+@example([Poly([H]), ZERO, Poly([2])], ZERO, Poly([T, 1]))
 def test_linear_kernels_match_defining_sums(qs, f, g):
     F = BivarOp(qs)
     phi = ZERO
@@ -449,7 +458,10 @@ def test_linear_kernels_match_defining_sums(qs, f, g):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(int_polys, int_polys, sequences, small_rationals, st.integers(1, 12))
+@given(kernel_polys, kernel_polys, sequences, small_rationals, st.integers(1, 12))
+@example(Poly([H, T, 1, Fraction(-1, 4)]), Poly([T, 2, Fraction(5, 2)]), MultiplierSeq.all_ones(), -T, 1)
+@example(Poly([Fraction(7, 3)]), Poly([1, H, T]), MultiplierSeq.factorial_inverse(), H, 2)
+@example(ZERO, Poly([1, H]), MultiplierSeq.all_ones(), T, 1)
 def test_bilinear_kernels_match_defining_sums(f, g, L, alpha, gap):
     beta = alpha + Fraction(gap, 3)
     assert sharp_product(f, g) == defining_sum(f, g, inverse_factorial, X)

@@ -135,12 +135,14 @@ def _outcome(route, coeffs):
         return f"PreconditionError: {exc}"
 
 
+def _parse(coeffs):
+    return poly_from_dict({"coeffs": coeffs})
+
+
 @pytest.mark.parametrize("text", WIRE_TEXTS, ids=range(len(WIRE_TEXTS)))
 def test_each_wire_text_parses_as_fraction_does(text):
     for coeffs in ([text], ["1/2", text, "3"]):
-        assert _outcome(lambda cs: poly_from_dict({"coeffs": cs}), coeffs) == _outcome(
-            oracle.poly_from_coeffs, coeffs
-        )
+        assert _outcome(_parse, coeffs) == _outcome(oracle.poly_from_coeffs, coeffs)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -148,9 +150,7 @@ def test_each_wire_text_parses_as_fraction_does(text):
 @example([1, -2, 0, 3.0])
 @example([0.5, "1/3", -0.0])
 def test_poly_from_dict_matches_fraction_per_coefficient(coeffs):
-    assert _outcome(lambda cs: poly_from_dict({"coeffs": cs}), coeffs) == _outcome(
-        oracle.poly_from_coeffs, coeffs
-    )
+    assert _outcome(_parse, coeffs) == _outcome(oracle.poly_from_coeffs, coeffs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

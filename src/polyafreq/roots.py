@@ -9,16 +9,19 @@ f is real-rooted exactly when that chain counts deg f - deg gcd(f, f')
 distinct real roots; `roots_within` counts on it between its endpoints, and
 the one bisection, `_sample_points`, splits (-B, B] on it in the half-open
 convention (lo, hi] and returns one sorted point in each root-free interval.
-Root dominance builds the one chain of fg, real-rooted exactly when f and g
-are, and compares Descartes counts of f and g at its points; the sign of p
-on the reals is its sign at the points of p.  Interlacing of f and g is
-decided from the Cauchy index Ind(f/g), which one signed remainder sequence
-of g and f gives from leading signs and degrees alone, with no evaluation.
-That sequence ends at c = gcd(f, g), and c scales every member alike, so it
-moves no sign variation and Ind(f/g) is the index of the coprime parts
-f/c over g/c; no gcd is computed apart.  Whenever the index succeeds it
-also certifies that both parts are real-rooted, so only c is checked; the
-full checks on the two inputs, one chain each, run only when it fails.
+Root dominance reads the chains of f, of g and, when the two square-free
+parts share a factor c, of c: the distinct roots of fg in (lo, hi] number
+n_f + n_g - n_c, and the same bisection splits on that signed sum.  At each
+point it compares Descartes counts of f and g, each read off one integer
+Taylor shift.  The sign of p on the reals is its sign at the points of p.
+Interlacing of f and g is decided from the Cauchy index Ind(f/g), which one
+signed remainder sequence of g and f gives from leading signs and degrees
+alone, with no evaluation.  That sequence ends at c = gcd(f, g), and c
+scales every member alike, so it moves no sign variation and Ind(f/g) is
+the index of the coprime parts f/c over g/c; no gcd is computed apart.
+Whenever the index succeeds it also certifies that both parts are
+real-rooted, so only c is checked; the full checks on the two inputs, one
+chain each, run only when it fails.
 
 A palindrome is decided at half its degree.  Strip x^k from f; when the
 rest reads the same reversed and has at least 3 coefficients, divide out
@@ -364,15 +367,22 @@ def alternates(f: Poly, g: Poly, strict: bool = False) -> bool:
 # -- root dominance and global sign, from one set of sample points ------------
 
 
-def _sample_points(chain: list[Poly], B: Fraction) -> list[Fraction]:
-    """One sorted point in each root-free interval of a square-free chain.
+def _sample_points(chains: list[tuple[list[Poly], int]], B: Fraction) -> list[Fraction]:
+    """One sorted point in each root-free interval of the roots that signed
+    square-free chains count.
 
-    Bisection splits (-B, B] until each piece holds at most one root; a
-    split point that is a root moves towards the right end of its piece.
-    The points are -B and the right end of every piece that holds a root.
+    The roots in (lo, hi] number the sum of sign * (V(lo) - V(hi)) over the
+    (chain, sign) pairs.  Bisection splits (-B, B] until each piece holds at
+    most one root; a split point that is a root of the first member of any
+    chain moves towards the right end of its piece.  The points are -B and
+    the right end of every piece that holds a root.
     """
+
+    def variations(x: Fraction) -> int:
+        return sum(sign * _variations(chain, x) for chain, sign in chains)
+
     points = [-B]
-    stack = [(-B, _variations(chain, -B), B, _variations(chain, B))]
+    stack = [(-B, variations(-B), B, variations(B))]
     while stack:
         lo, v_lo, hi, v_hi = stack.pop()
         if v_lo - v_hi == 1:
@@ -380,9 +390,9 @@ def _sample_points(chain: list[Poly], B: Fraction) -> list[Fraction]:
         if v_lo - v_hi <= 1:
             continue
         mid = (lo + hi) / 2
-        while chain[0](mid) == 0:
+        while any(chain[0](mid) == 0 for chain, _ in chains):
             mid = (mid + hi) / 2
-        v_mid = _variations(chain, mid)
+        v_mid = variations(mid)
         stack.append((mid, v_mid, hi, v_hi))
         stack.append((lo, v_lo, mid, v_mid))
     return points
@@ -391,7 +401,24 @@ def _sample_points(chain: list[Poly], B: Fraction) -> list[Fraction]:
 def sample_points_between_roots(p: Poly) -> list[Fraction]:
     """One rational point in each maximal root-free interval of p, sorted."""
     chain, B, _, _ = _squarefree_chain(p, "sampling")
-    return _sample_points(chain, B)
+    return _sample_points([(chain, 1)], B)
+
+
+def _descartes_count(p: Poly, t: Fraction) -> int:
+    """Sign variations of p(t), p'(t), ..., p^(d)(t), zeros skipped.
+
+    With t = a/b and d = deg p, the coefficient of y^k in
+    sum_i nums_i * b^(d-i) * (y + a)^i is den * b^(d-k) * p^(k)(t) / k!, so
+    it has the sign of p^(k)(t); one in-place integer Taylor shift by a
+    gives them all.
+    """
+    a, b = t.numerator, t.denominator
+    d = len(p.nums) - 1
+    c = [n * b ** (d - i) for i, n in enumerate(p.nums)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return _sign_changes([v > 0 for v in c if v])
 
 
 def root_dominance(f: Poly, g: Poly) -> bool:
@@ -401,9 +428,11 @@ def root_dominance(f: Poly, g: Poly) -> bool:
     holds exactly when f has at most as many roots above t as g at every t,
     and both counts are constant between the roots of fg.  The roots of a
     real-rooted f above t are counted exactly by Descartes' rule on
-    f(x + t), whose coefficients are f(t), f'(t), ..., f^(n)(t) up to k!.
-    One square-free chain of fg, real-rooted exactly when f and g are, both
-    checks the inputs and gives the sample points.
+    f(x + t), whose coefficients are f(t), f'(t), ..., f^(n)(t) up to k!
+    (`_descartes_count`).  The square-free chains of f and g each check their
+    input, and with the chain of c, the gcd of their first members, they
+    count the distinct roots of fg in (lo, hi] as n_f + n_g - n_c, on which
+    the bisection finds the sample points in (-B, B], B = max(B_f, B_g).
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("root dominance needs nonzero polynomials")
@@ -411,15 +440,18 @@ def root_dominance(f: Poly, g: Poly) -> bool:
         raise PreconditionError("root dominance needs equal degrees")
     if not (f.is_standard and g.is_standard):
         raise PreconditionError("root dominance needs positive leading coefficients")
-    chain, B, distinct, gcd_degree = _squarefree_chain(f * g, "root dominance")
-    if distinct != 2 * f.degree - gcd_degree:
-        raise NotRealRootedError("root dominance needs real-rooted polynomials")
-    f_derivs = [f.derivative(k) for k in range(f.degree + 1)]
-    g_derivs = [g.derivative(k) for k in range(g.degree + 1)]
-    return all(
-        _variations(f_derivs, t) <= _variations(g_derivs, t)
-        for t in _sample_points(chain, B)
-    )
+    chains, bounds = [], []
+    for p in (f, g):
+        chain, B, distinct, gcd_degree = _squarefree_chain(p, "root dominance")
+        if distinct != p.degree - gcd_degree:
+            raise NotRealRootedError("root dominance needs real-rooted polynomials")
+        chains.append((chain, 1))
+        bounds.append(B)
+    c = _remainder_sequence(*(_primitive(chain[0].nums) for chain, _ in chains))[-1]
+    if len(c) > 1:
+        chains.append((sturm_chain(Poly._from_ints(c, c[-1])), -1))
+    points = _sample_points(chains, max(bounds))
+    return all(_descartes_count(f, t) <= _descartes_count(g, t) for t in points)
 
 
 def negative_witness(p: Poly) -> Fraction | None:

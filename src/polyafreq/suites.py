@@ -24,7 +24,6 @@ from fractions import Fraction
 from .combinatorics import (
     b_euler_multi,
     b_euler_q,
-    e_q_poly,
     eulerian_oracle,
     eulerian_poly,
     eulerian_t_poly,
@@ -382,7 +381,7 @@ def _gen_negative_weights(cfg: RunConfig) -> list[dict]:
 def _eval_negative_weights(params: dict) -> dict | None:
     n, m = params["n"], params["m"]
     a = q_eulerian_poly(n, -m)
-    e = e_q_poly(n, -m)
+    e = unitize_with_degree(a, n)  # E_n(x; -m), as `e_q_poly` builds it
     if m == 0:
         return None if a.is_zero and e.is_zero else {"failed": "weight zero should collapse"}
     if not is_real_rooted(a):

@@ -164,9 +164,44 @@ MUTANTS = [
     Mutant(
         "split point left on a root",
         ROOTS,
-        "        while chain[0](mid) == 0:\n            mid = (mid + hi) / 2\n",
+        "        while any(chain[0](mid) == 0 for chain, _ in chains):\n            mid = (mid + hi) / 2\n",
         "",
         ("tests/test_roots.py::test_sample_points_separate_the_roots", "tests/test_roots.py::test_real_rootedness_reads_one_chain"),
+    ),
+    # root dominance on the chains of f, g and c (`roots.root_dominance`, `roots._descartes_count`)
+    Mutant(
+        "common roots of f and g counted twice",
+        ROOTS,
+        "        chains.append((sturm_chain(Poly._from_ints(c, c[-1])), -1))\n",
+        "        pass\n",
+        ("tests/test_roots.py::test_dominance_points_separate_the_roots_of_the_product",),
+    ),
+    Mutant(
+        "bisection bounded by the smaller root bound",
+        ROOTS,
+        "_sample_points(chains, max(bounds))",
+        "_sample_points(chains, min(bounds))",
+        ("tests/test_roots.py::test_dominance_points_separate_the_roots_of_the_product",),
+    ),
+    Mutant(
+        "Taylor shift stops one coefficient short",
+        ROOTS,
+        "for j in range(d - 1, i - 1, -1):",
+        "for j in range(d - 1, i, -1):",
+        (
+            "tests/test_roots.py::test_taylor_shift_count_matches_derivative_values",
+            "tests/test_roots.py::test_root_dominance_matches_isolation_route",
+        ),
+    ),
+    Mutant(
+        "a zero coefficient counted as a sign",
+        ROOTS,
+        "return _sign_changes([v > 0 for v in c if v])",
+        "return _sign_changes([v > 0 for v in c])",
+        (
+            "tests/test_roots.py::test_taylor_shift_count_matches_derivative_values",
+            "tests/test_roots.py::test_root_dominance_matches_isolation_route",
+        ),
     ),
     Mutant(
         "root at lo not counted",

@@ -29,6 +29,13 @@ decides on the chain of its half g, f = x^k (1 + x)^e x^m g(x + 1/x).
 `palindromic_half` finds g here by peeling x^(m-j) (x^2 + 1)^j off the top
 of the palindrome, not by the D_k recurrence.
 
+The product-chain route to root dominance: the square-free chain of fg,
+real-rooted exactly when f and g are, checks both inputs and gives the
+sample points, and at each point the Descartes counts of f and g are read
+off the values of all their derivatives.  `polyafreq.roots` bisects on the
+chains of f, g and gcd(f, g) and reads each count off one integer Taylor
+shift.
+
 The check-first interlacing route: `interlace_relation` and `alternates`
 decide in full that f and g are real-rooted (here by the Yun route above)
 before they read the Cauchy index.  `polyafreq.roots` reads the index first; when it succeeds it has
@@ -57,6 +64,7 @@ from polyafreq.polynomial import (
 from polyafreq.roots import (
     InterlaceRelation,
     _chain_count,
+    _sample_points,
     _squarefree_chain,
     _variations,
     cauchy_root_bound,
@@ -348,6 +356,26 @@ def root_dominance(f, g):
         raise NotRealRootedError("root dominance needs real-rooted polynomials")
     alphas, betas, _ = _expanded_positions(f, g)
     return all(a <= b for a, b in zip(alphas, betas))
+
+
+def product_chain_root_dominance(f, g):
+    """alpha_i <= beta_i for the i-th smallest roots, from the Descartes
+    counts by derivative values at the sample points of the chain of fg."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomialError("root dominance needs nonzero polynomials")
+    if f.degree != g.degree:
+        raise PreconditionError("root dominance needs equal degrees")
+    if not (f.is_standard and g.is_standard):
+        raise PreconditionError("root dominance needs positive leading coefficients")
+    chain, B, distinct, gcd_degree = _squarefree_chain(f * g, "root dominance")
+    if distinct != 2 * f.degree - gcd_degree:
+        raise NotRealRootedError("root dominance needs real-rooted polynomials")
+    f_derivs = [f.derivative(k) for k in range(f.degree + 1)]
+    g_derivs = [g.derivative(k) for k in range(g.degree + 1)]
+    return all(
+        _variations(f_derivs, t) <= _variations(g_derivs, t)
+        for t in _sample_points([(chain, 1)], B)
+    )
 
 
 def check_nonneg_on_reals(p):

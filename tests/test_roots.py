@@ -781,6 +781,18 @@ def _outcome(fn, *args):
         return NotRealRootedError
 
 
+def _dominance_reads(f, g):
+    """The polynomials whose chains `root_dominance(f, g)` builds: f, then g
+    once f is real-rooted, then the gcd c of their square-free parts once g
+    is too and c is not constant."""
+    if not root_oracle.is_real_rooted(f):
+        return [f]
+    if not root_oracle.is_real_rooted(g):
+        return [f, g]
+    c = polynomial.poly_gcd(polynomial.squarefree_part(f), polynomial.squarefree_part(g))
+    return [f, g] + ([c] if c.degree > 0 else [])
+
+
 def test_real_rootedness_reads_one_chain():
     cases = []
 
@@ -798,11 +810,12 @@ def test_real_rootedness_reads_one_chain():
         cases.append((f, root_oracle.is_real_rooted(f), root_oracle.is_simple_rooted(f),
                       root_oracle.count_distinct_real_roots(f)))
     # each f against itself and against x^deg f, with the oracle's verdicts
+    # and the polynomials whose chains root dominance builds
     pairs = []
     for f, _, _, _ in cases:
         f = f if f.is_standard else -f
         for g in (f, monomial(f.degree)):
-            pairs.append((f, g, _outcome(root_oracle.root_dominance, f, g)))
+            pairs.append((f, g, _outcome(root_oracle.root_dominance, f, g), _dominance_reads(f, g)))
     points = [root_oracle.sample_points_between_roots(f) for f, _, _, _ in cases]
     within = [f.degree > 0 and root_oracle.roots_within(f, -1, 0) for f, _, _, _ in cases]
     chains = []
@@ -835,9 +848,10 @@ def test_real_rootedness_reads_one_chain():
             if f.degree > 0:
                 assert reads(roots_within, f, NEG_INF, POS_INF) == (real, [f])
                 assert reads(roots_within, f, -1, 0) == (inside, [f])
-        for f, g, expected in pairs:
-            assert reads(root_dominance, f, g) == (expected, [f * g])
-    assert {expected for _, _, expected in pairs} == {True, False, NotRealRootedError}
+        for f, g, expected, built in pairs:
+            assert reads(root_dominance, f, g) == (expected, built)
+    assert {expected for _, _, expected, _ in pairs} == {True, False, NotRealRootedError}
+    assert {len(built) for _, _, _, built in pairs} == {1, 2, 3}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "is_real_rooted", _no_yun)
         for f, real, _, _ in cases:
@@ -877,19 +891,107 @@ def dominance_pairs(draw):
     return (g, f) if draw(st.booleans()) else (f, g)
 
 
+@st.composite
+def dominance_inputs(draw):
+    """(kind, f, g): a dominance pair, that pair as f = g, the pair times
+    high powers of linear factors, or the pair with a non-real quadratic in f
+    and a real one in g, so that f is not real-rooted."""
+    f, g = draw(dominance_pairs())
+    kind = draw(st.sampled_from(("pair", "equal", "high", "nonreal")))
+    if kind == "equal":
+        g = f
+    elif kind == "high":
+        m = draw(st.integers(3, 6))
+        f, g = f * draw(_real_linear) ** m, g * draw(_real_linear) ** m
+    elif kind == "nonreal":
+        f, g = f * draw(st.sampled_from(_NONREAL)), g * draw(st.sampled_from(_QUADRATICS))
+    return kind, f, g
+
+
 def test_root_dominance_matches_isolation_route():
+    """Both argument orders of each pair, against the merged-positions route
+    and the product-chain route, down to the NotRealRootedError."""
     seen = collections.Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(dominance_pairs())
-    def check(pair):
-        f, g = pair
-        verdict = root_dominance(f, g)
-        assert verdict == root_oracle.root_dominance(f, g)
-        seen[verdict] += 1
+    @given(dominance_inputs())
+    def check(drawn):
+        kind, f, g = drawn
+        for a, b in ((f, g), (g, f)):
+            verdict = _outcome(root_dominance, a, b)
+            assert verdict == _outcome(root_oracle.root_dominance, a, b), (a, b)
+            assert verdict == _outcome(root_oracle.product_chain_root_dominance, a, b), (a, b)
+            seen[verdict] += 1
+        seen[kind] += 1
+        if kind != "nonreal":
+            seen["shared"] += polynomial.poly_gcd(f, g).degree > 0
 
     check()
-    assert seen[True] >= 50 and seen[False] >= 50, seen
+    assert all(seen[key] >= 30 for key in ("pair", "equal", "high", "nonreal", "shared")), seen
+    assert all(seen[key] >= 50 for key in (True, False, NotRealRootedError)), seen
+
+
+def test_dominance_points_separate_the_roots_of_the_product():
+    """`root_dominance` bisects on n_f + n_g - n_c: over (-B, B] that counts
+    every distinct root of fg, and its points put exactly one root of fg
+    between neighbours."""
+    product = []
+    real_sample = roots._sample_points
+
+    def checked(chains, B):
+        fg = product[0]
+        distinct = root_oracle.count_distinct_real_roots(fg)
+        assert sum(sign * roots._chain_count(chain, -B, B) for chain, sign in chains) == distinct
+        points = real_sample(chains, B)
+        assert len(points) == distinct + 1 and points == sorted(set(points))
+        sf = polynomial.squarefree_part(fg)
+        chain = roots.sturm_chain(sf)
+        assert all(sf(t) != 0 for t in points)
+        assert all(roots._chain_count(chain, a, b) == 1 for a, b in zip(points, points[1:]))
+        return points
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dominance_inputs().filter(lambda drawn: drawn[0] != "nonreal"))
+    def check(drawn):
+        _, f, g = drawn
+        product[:] = [f * g]
+        root_dominance(f, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_sample_points", checked)
+        check()
+
+
+_shift_points = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(10**4, 10**5)),
+)
+
+
+def test_taylor_shift_count_matches_derivative_values():
+    """The Descartes count off one integer Taylor shift equals the sign
+    variations of the derivative values at t, zeros skipped."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(_polys, st.builds(_product, _factors, _leads), _constants),
+        _shift_points,
+    )
+    @example(Poly([-1, 0, 1]), Fraction(1))  # f(t) = 0, f' and f'' positive
+    @example(Poly([0, 0, 0, 1]), Fraction(0))  # every value but the last is 0
+    @example(Poly([3]), Fraction(98765, 43210))
+    def check(f, t):
+        derivs = [f.derivative(k) for k in range(f.degree + 1)]
+        assert roots._descartes_count(f, t) == roots._variations(derivs, t)
+        seen.add(("zero" if any(p(t) == 0 for p in derivs) else "nonzero", t.denominator > 10**4))
+        seen.add("constant" if f.degree == 0 else "t = 0" if t == 0 else "integer" if t.denominator == 1 else "")
+
+    check()
+    assert {"constant", "t = 0", "integer"} <= seen, seen
+    assert {("zero", False), ("nonzero", False), ("nonzero", True)} <= seen, seen
 
 
 _sign_polys = st.builds(

@@ -311,7 +311,7 @@ def _multiplier_n(n: int, seq: MultiplierSeq):
 
 def _phi(f: Poly, text: str) -> Poly:
     try:
-        q_list = json.loads(text)
+        q_list = json.loads(text, parse_float=str, parse_int=str)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed --F: {exc}") from exc
     if not isinstance(q_list, list):

@@ -10,6 +10,7 @@ a text that fully matches the ASCII grammar
 ``\s*[+-]?[0-9]+(/0*[1-9][0-9]*)?\s*`` as two `int`s and builds the `Poly`
 once, over the lcm of the denominators; any other text goes to
 `rational_from_str`, which gives `Fraction`'s value or a `PreconditionError`.
+A JSON number is read as its text, so it keeps every digit.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def poly_to_json(f: Poly) -> str:
 
 def poly_from_json(text: str) -> Poly:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=str, parse_int=str)
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"malformed polynomial JSON: {exc}") from exc
     return poly_from_dict(data)

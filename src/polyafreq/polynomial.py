@@ -7,17 +7,19 @@ polynomial is never zero.  The zero polynomial has no numerators and degree
 ``NEG_INF``, the float -inf, which compares below every number.
 
 `nums` and `den` are the one representation the kernels compute in.  Ring
-operations, derivatives, division, evaluation, `monic` and the
-(1 + sign*x)^d substitution run in Python `int` and divide by one gcd per
-result, through `Poly._from_ints`; they return the same values that
-`Fraction` arithmetic gives.  `_remainder_sequence`, the one remainder loop,
-runs a signed primitive pseudo-remainder sequence on integer numerators;
-`poly_gcd` reads its last member, and `roots` reads all of it: the whole
-Sturm chain, and for interlacing the signs at +-inf together with the last
-member, gcd(f, g), from the one sequence of the pair.  `Fraction`
-remains where a value is a rational: the views `coeffs`, `coeff` and
-`leading`, the value of an evaluation, `__str__`, and rational parameters
-such as those of `scale`, `monomial` and `binom`.
+operations, derivatives, division, evaluation, `monic` and substitutions run
+in Python `int` and divide by one gcd per result, through `Poly._from_ints`;
+they return the same values that `Fraction` arithmetic gives.  The one
+shift loop, `_taylor_shift`, expands f(x + t) for `Poly.affine_compose`,
+`unitize_with_degree`, `root_multiplicity` and `roots._descartes_count`.
+The one remainder loop, `_remainder_sequence`, runs a signed primitive
+pseudo-remainder sequence on integer numerators; `poly_gcd` reads its last
+member, and `roots` reads all of it: the whole Sturm chain, and for
+interlacing the signs at +-inf together with the last member, gcd(f, g),
+from the one sequence of the pair.  `Fraction` remains where a value is a
+rational: the views `coeffs`, `coeff` and `leading`, the value of an
+evaluation, `__str__`, and rational parameters such as those of `scale`,
+`monomial` and `binom`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ def _convolve(a, b) -> list[int]:
             for i, x in enumerate(a, j):
                 out[i] += x * y
     return out
+
+
+def _taylor_shift(nums, a: int, b: int = 1) -> list[int]:
+    """The one shift loop: the new list c with sum_k c_k * y^k equal to
+    sum_i nums_i * b^(d-i) * (y + a)^i = b^d * f((y + a)/b), f = sum_i nums_i * x^i."""
+    d = len(nums) - 1
+    c = [n * b ** (d - i) for i, n in enumerate(nums)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -258,12 +271,14 @@ class Poly:
         return Fraction(acc * b, self.den * bpow)
 
     def affine_compose(self, a: RationalLike, b: RationalLike) -> Poly:
-        """Expand self(a*x + b) exactly."""
-        arg = Poly([_as_fraction(b), _as_fraction(a)])
-        acc = ZERO
-        for c in reversed(self.nums):
-            acc = acc * arg + Poly._from_ints([c], self.den)
-        return acc
+        """Expand self(a*x + b) exactly: with b = p/q, a = r/s and c the shift of
+        nums by p/q, x^k has c_k * (q*r)^k * s^(d-k) / (den * (q*s)^d)."""
+        a, b = _as_fraction(a), _as_fraction(b)
+        q, r, s = b.denominator, a.numerator, a.denominator
+        c = _taylor_shift(self.nums, b.numerator, q)
+        d = len(c) - 1
+        out = [ck * (q * r) ** k * s ** (d - k) for k, ck in enumerate(c)]
+        return Poly._from_ints(out, self.den * (q * s) ** max(d, 0))
 
     def reversed_coeffs(self, degree: int | None = None) -> Poly:
         """x^d * self(1/x) for d = degree (defaults to deg self)."""
@@ -374,16 +389,13 @@ def squarefree_part(f: Poly) -> Poly:
 
 
 def root_multiplicity(f: Poly, x0: RationalLike) -> int:
-    """Multiplicity of the rational point x0 as a root of f."""
+    """Multiplicity of the rational point x0 as a root of f: the index of the
+    first nonzero coefficient of f(x + x0)."""
     if f.is_zero:
         raise ZeroPolynomialError("root multiplicity in zero polynomial")
     x0 = _as_fraction(x0)
-    lin = Poly([-x0, 1])
-    mult = 0
-    while f(x0) == 0:
-        f = f.exact_divide(lin)
-        mult += 1
-    return mult
+    c = _taylor_shift(f.nums, x0.numerator, x0.denominator)
+    return next(k for k, v in enumerate(c) if v)
 
 
 # -- binomial machinery ------------------------------------------------------
@@ -407,15 +419,10 @@ def unitize_with_degree(f: Poly, d: int, sign: int = 1) -> Poly:
     """(1 + sign*x)^d * f(x/(1 + sign*x)) for any d >= deg f and sign = +-1.
 
     sign = +1 sends [-1,0]-rooted polynomials to nonpositive-rooted ones;
-    sign = -1 is its inverse at the same d.
+    sign = -1 is its inverse at the same d.  With R = x^d * f(1/x) the value
+    is x^d * R(1/x + sign): the reversal of R shifted by sign.
     """
     if d < len(f.nums) - 1:
         raise ValueError("unitize degree below deg f")
-    out = [0] * (d + 1)
-    for j, c in enumerate(f.nums):
-        if c:
-            # c * C(d - j, i) * sign^i, term by term from the previous one
-            for i in range(d - j + 1):
-                out[i + j] += c
-                c = c * (d - j - i) * sign // (i + 1)
-    return Poly._from_ints(out, f.den)
+    c = _taylor_shift([0] * (d + 1 - len(f.nums)) + list(reversed(f.nums)), sign)
+    return Poly._from_ints(c[::-1], f.den)

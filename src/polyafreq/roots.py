@@ -56,6 +56,7 @@ from .polynomial import (
     Poly,
     _primitive,
     _remainder_sequence,
+    _taylor_shift,
 )
 
 
@@ -405,19 +406,9 @@ def sample_points_between_roots(p: Poly) -> list[Fraction]:
 
 
 def _descartes_count(p: Poly, t: Fraction) -> int:
-    """Sign variations of p(t), p'(t), ..., p^(d)(t), zeros skipped.
-
-    With t = a/b and d = deg p, the coefficient of y^k in
-    sum_i nums_i * b^(d-i) * (y + a)^i is den * b^(d-k) * p^(k)(t) / k!, so
-    it has the sign of p^(k)(t); one in-place integer Taylor shift by a
-    gives them all.
-    """
-    a, b = t.numerator, t.denominator
-    d = len(p.nums) - 1
-    c = [n * b ** (d - i) for i, n in enumerate(p.nums)]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
+    """Sign variations of p(t), p'(t), ..., p^(d)(t), zeros skipped: those of
+    the coefficients of p(x + t), read off `polynomial._taylor_shift`."""
+    c = _taylor_shift(p.nums, t.numerator, t.denominator)
     return _sign_changes([v > 0 for v in c if v])
 
 

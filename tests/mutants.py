@@ -11,7 +11,8 @@ a patch no longer applies because its old text is not found exactly once
 (the code moved: update the mutant), or when pytest cannot run the tests.
 An equivalent mutant, one that no test can kill because the program still
 means the same, is listed with its reason; its patch must still apply, but
-its tests are not run.
+its tests are not run.  A run that outlasts `TIMEOUT_S` kills the mutant:
+its process group is killed, and the mutant is reported as timed out.
 
 Pytest does not collect this file (its name has no `test_` prefix), and
 Tier-1 does not run it: it is slow.  Only the standard library and pytest
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -33,6 +35,9 @@ PF, ROOTS, SUITES = "src/polyafreq/pf.py", "src/polyafreq/roots.py", "src/polyaf
 COMBINATORICS, OPERATORS = "src/polyafreq/combinatorics.py", "src/polyafreq/operators.py"
 JSONIO, POLYNOMIAL = "src/polyafreq/jsonio.py", "src/polyafreq/polynomial.py"
 FORCED = "tests/test_suites.py::test_forced_failure_carries_its_witness"
+#: seconds one mutant's tests may run; a mutant that keeps a loop from
+#: ending is killed at this bound, with every process of its session
+TIMEOUT_S = 120
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,7 +173,7 @@ MUTANTS = [
         "",
         ("tests/test_roots.py::test_sample_points_separate_the_roots", "tests/test_roots.py::test_real_rootedness_reads_one_chain"),
     ),
-    # root dominance on the chains of f, g and c (`roots.root_dominance`, `roots._descartes_count`)
+    # root dominance on the chains of f, g and c (`roots.root_dominance`), counted by `roots._descartes_count`
     Mutant(
         "common roots of f and g counted twice",
         ROOTS,
@@ -182,16 +187,6 @@ MUTANTS = [
         "_sample_points(chains, max(bounds))",
         "_sample_points(chains, min(bounds))",
         ("tests/test_roots.py::test_dominance_points_separate_the_roots_of_the_product",),
-    ),
-    Mutant(
-        "Taylor shift stops one coefficient short",
-        ROOTS,
-        "for j in range(d - 1, i - 1, -1):",
-        "for j in range(d - 1, i, -1):",
-        (
-            "tests/test_roots.py::test_taylor_shift_count_matches_derivative_values",
-            "tests/test_roots.py::test_root_dominance_matches_isolation_route",
-        ),
     ),
     Mutant(
         "a zero coefficient counted as a sign",
@@ -297,6 +292,39 @@ MUTANTS = [
         "g = 1",
         ("tests/test_integer_kernels.py::test_poly_to_dict_matches_fraction_per_coefficient",),
     ),
+    # the one Taylor-shift loop and its users (`polynomial._taylor_shift`, `Poly.affine_compose`,
+    # `unitize_with_degree`, `root_multiplicity`, `roots._descartes_count`)
+    Mutant(
+        "Taylor shift stops one coefficient short",
+        POLYNOMIAL,
+        "for j in range(d - 1, i - 1, -1):",
+        "for j in range(d - 1, i, -1):",
+        (
+            "tests/test_roots.py::test_taylor_shift_count_matches_derivative_values",
+            "tests/test_roots.py::test_root_dominance_matches_isolation_route",
+        ),
+    ),
+    Mutant(
+        "unitize without the zero padding",
+        POLYNOMIAL,
+        "[0] * (d + 1 - len(f.nums)) + list(reversed(f.nums))",
+        "list(reversed(f.nums))",
+        ("tests/test_integer_kernels.py::test_unitize_matches_the_power_sum",),
+    ),
+    Mutant(
+        "root multiplicity counted from 1",
+        POLYNOMIAL,
+        "next(k for k, v in enumerate(c) if v)",
+        "next(k for k, v in enumerate(c, 1) if v)",
+        ("tests/test_poly_representation.py::test_root_multiplicity_matches",),
+    ),
+    Mutant(
+        "affine_compose scales by s^k instead of s^(d-k)",
+        POLYNOMIAL,
+        "s ** (d - k)",
+        "s ** k",
+        ("tests/test_poly_representation.py::test_affine_compose_matches",),
+    ),
     # the one convolution loop and the operator kernels on it (`polynomial._convolve`,
     # `operators.apply_phi`, `operators._derivative_sum`)
     Mutant(
@@ -340,12 +368,21 @@ def _run(mutant: Mutant) -> tuple[bool, str]:
         (work / mutant.path).write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
-        done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
-    if done.returncode == 0:
+        child = subprocess.Popen(
+            argv, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            return True, f"killed: timed out after {TIMEOUT_S} s"
+    if child.returncode == 0:
         return False, "survived: " + ", ".join(mutant.tests)
-    if done.returncode != 1:  # not a test failure: collection or usage error
-        return False, f"pytest exit {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
-    failed = [line for line in done.stdout.splitlines() if line.startswith("FAILED")]
+    if child.returncode != 1:  # not a test failure: collection or usage error
+        return False, f"pytest exit {child.returncode}:\n{stdout[-2000:]}{stderr[-2000:]}"
+    failed = [line for line in stdout.splitlines() if line.startswith("FAILED")]
     return True, "killed: " + (failed[0][len("FAILED "):] if failed else "a test failed")
 
 

@@ -5,13 +5,17 @@ coefficients, constant term first and with no trailing zero.  Each function
 takes such tuples (`Poly.coeffs`) and returns one, so the integer
 representation can be compared with them coefficient by coefficient.
 `content` and `primitive_part` are the `Fraction` definitions that
-`poly_gcd` and `sturm_chain` are checked against.
+`poly_gcd` and `sturm_chain` are checked against.  `root_multiplicity` and
+`unitize_binomial` are the loops that `polynomial._taylor_shift` replaced:
+division by x - x0 while x0 is a root, and the binomial expansion of
+(1 + sign*x)^d * f(x/(1 + sign*x)) term by term.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from polyafreq.errors import ZeroPolynomialError
 from polyafreq.polynomial import Poly, _primitive
 
 Coeffs = tuple[Fraction, ...]
@@ -142,3 +146,31 @@ def primitive_part(f: Poly) -> Poly:
     Divides the numerators by their gcd, as `poly_gcd` and `sturm_chain` do.
     """
     return Poly._from_ints(_primitive(f.nums))
+
+
+def root_multiplicity(f: Poly, x0) -> int:
+    """Multiplicity of x0 as a root of f, one exact division at a time."""
+    if f.is_zero:
+        raise ZeroPolynomialError("root multiplicity in zero polynomial")
+    x0 = Fraction(x0)
+    lin = Poly([-x0, 1])
+    mult = 0
+    while f(x0) == 0:
+        f = f.exact_divide(lin)
+        mult += 1
+    return mult
+
+
+def unitize_binomial(f: Poly, d: int, sign: int = 1) -> Poly:
+    """(1 + sign*x)^d * f(x/(1 + sign*x)) on integer numerators, as the sum
+    of nums_j * x^j * (1 + sign*x)^(d-j) over j."""
+    if d < len(f.nums) - 1:
+        raise ValueError("unitize degree below deg f")
+    out = [0] * (d + 1)
+    for j, c in enumerate(f.nums):
+        if c:
+            # c * C(d - j, i) * sign^i, term by term from the previous one
+            for i in range(d - j + 1):
+                out[i + j] += c
+                c = c * (d - j - i) * sign // (i + 1)
+    return Poly._from_ints(out, f.den)

@@ -190,6 +190,29 @@ def test_check_malformed_input(capsys):
     assert code == 2
 
 
+def test_json_numbers_keep_every_digit(capsys):
+    """A JSON number coefficient is read from its text, not rounded to a float:
+    1.00000000000000000001 - 2x + x^2 has two roots near 1, not a double one."""
+    for coeffs in ('[1.00000000000000000001,-2,1]', '["100000000000000000001/100000000000000000000","-2","1"]'):
+        code, out, _ = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":%s}' % coeffs)
+        assert code == 1 and json.loads(out)["verdict"] is False
+    code, out, _ = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":[0.5,-1.5,1.0]}')
+    assert code == 0 and json.loads(out)["verdict"] is True
+    # past the digit limit of int(), as a number or as a string: a usage error, no traceback
+    for digits in ("1" + "0" * 5000, '"1%s"' % ("0" * 5000)):
+        code, out, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":[%s,1]}' % digits)
+        assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_phi_numbers_keep_every_digit(capsys):
+    code, out, _ = run_cli(
+        capsys, "transform", "phi", '{"coeffs":["0","0","1"]}',
+        "--F", '[{"coeffs":[1.00000000000000000001]},{"coeffs":[1]}]',
+    )
+    assert code == 0
+    assert json.loads(out) == {"coeffs": ["0", "2", "100000000000000000001/100000000000000000000"]}
+
+
 def test_transform_and_op(capsys):
     code, out, _ = run_cli(capsys, "transform", "e", '{"coeffs":["0","0","1"]}')
     assert code == 0 and json.loads(out) == {"coeffs": ["0", "1", "2"]}

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_oracle as oracle
+import poly_oracle
 from polyafreq.combinatorics import multisect
 from polyafreq.errors import PreconditionError, ZeroPolynomialError
 from polyafreq.jsonio import poly_from_dict, poly_to_dict
@@ -58,10 +59,17 @@ def test_e_and_its_inverse_match_the_binomial_basis_routes(f):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(polys, st.integers(0, 3), st.sampled_from((1, -1)))
+@given(
+    polys | st.lists(st.integers(-9, 9), min_size=31, max_size=41).map(Poly),
+    st.integers(0, 3),
+    st.sampled_from((1, -1)),
+)
+@example(ZERO, 3, -1)
+@example(Poly([0, 0, Fraction(1, 2**64 - 59), 3]), 2, 1)
 def test_unitize_matches_the_power_sum(f, extra, sign):
     d = max(f.degree, 0) + extra
-    assert unitize_with_degree(f, d, sign) == oracle.unitize_with_degree(f, d, sign)
+    expected = oracle.unitize_with_degree(f, d, sign)
+    assert unitize_with_degree(f, d, sign) == expected == poly_oracle.unitize_binomial(f, d, sign)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

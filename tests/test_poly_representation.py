@@ -11,12 +11,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import poly_oracle as oracle
 from polyafreq.errors import ZeroPolynomialError
 from polyafreq.jsonio import rational_to_str
-from polyafreq.polynomial import ONE, ZERO, Poly, monomial
+from polyafreq.polynomial import ONE, ZERO, Poly, monomial, root_multiplicity
 
 coefficients = st.one_of(
     st.just(Fraction(0)),
@@ -134,10 +134,54 @@ def test_derivative_matches(f, k):
     assert_matches(f.derivative(k), oracle.derivative(f.coeffs, k))
 
 
+#: a 64-bit denominator, as deep bisection points have
+_BIG_DEN = Fraction(12345, 2**64 - 59)
+
+
 @EXAMPLES
-@given(st.lists(coefficients, max_size=7).map(Poly), scalars, scalars)
+@given(
+    st.one_of(
+        st.lists(coefficients, max_size=7).map(Poly),
+        st.lists(st.integers(-9, 9), min_size=31, max_size=41).map(Poly),
+    ),
+    scalars,
+    scalars,
+)
+@example(ZERO, Fraction(2), Fraction(1, 3))
+@example(Poly(range(-17, 19)), Fraction(0), Fraction(5, 3))
+@example(Poly(range(1, 40)), Fraction(-7, 3), _BIG_DEN)
 def test_affine_compose_matches(f, s, t):
     assert_matches(f.affine_compose(s, t), oracle.affine_compose(f.coeffs, s, t))
+
+
+_points = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(2**63, 2**64)),
+)
+
+
+def test_root_multiplicity_matches():
+    """The first nonzero coefficient of the shift against division by x - x0,
+    on g * (x - x0)^m for multiplicities m of 0 to 4."""
+    seen = set()
+
+    @EXAMPLES
+    @given(nonzero_polys, _points, st.integers(0, 4))
+    @example(Poly([7]), Fraction(0), 0)
+    @example(Poly([1, 1]), _BIG_DEN, 4)
+    def check(g, x0, m):
+        f = g * Poly([-x0, 1]) ** m
+        mult = root_multiplicity(f, x0)
+        assert mult == oracle.root_multiplicity(f, x0) and mult >= m
+        seen.add(mult)
+        seen.add("constant" if f.degree == 0 else "x0 = 0" if x0 == 0 else "64-bit" if x0.denominator >= 2**63 else "")
+
+    check()
+    assert {0, 1, 2, 3, 4, "constant", "x0 = 0", "64-bit"} <= seen, seen
+    for route in (root_multiplicity, oracle.root_multiplicity):
+        with pytest.raises(ZeroPolynomialError):
+            route(ZERO, 1)
 
 
 @EXAMPLES

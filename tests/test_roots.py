@@ -967,6 +967,7 @@ _shift_points = st.one_of(
     st.integers(-4, 4).map(Fraction),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(10**4, 10**5)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(2**63, 2**64)),
 )
 
 
@@ -977,14 +978,22 @@ def test_taylor_shift_count_matches_derivative_values():
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        st.one_of(_polys, st.builds(_product, _factors, _leads), _constants),
+        st.one_of(
+            _polys,
+            st.builds(_product, _factors, _leads),
+            _constants,
+            st.lists(st.integers(-9, 9), min_size=31, max_size=41).map(Poly),
+        ),
         _shift_points,
     )
     @example(Poly([-1, 0, 1]), Fraction(1))  # f(t) = 0, f' and f'' positive
     @example(Poly([0, 0, 0, 1]), Fraction(0))  # every value but the last is 0
     @example(Poly([3]), Fraction(98765, 43210))
+    @example(ZERO, Fraction(5, 7))
+    @example(Poly(range(-17, 19)) * Poly([-1, 3]) ** 3, Fraction(1, 3))
+    @example(Poly(range(1, 40)), Fraction(-12345, 2**64 - 59))
     def check(f, t):
-        derivs = [f.derivative(k) for k in range(f.degree + 1)]
+        derivs = [f.derivative(k) for k in range(len(f.nums))]
         assert roots._descartes_count(f, t) == roots._variations(derivs, t)
         seen.add(("zero" if any(p(t) == 0 for p in derivs) else "nonzero", t.denominator > 10**4))
         seen.add("constant" if f.degree == 0 else "t = 0" if t == 0 else "integer" if t.denominator == 1 else "")

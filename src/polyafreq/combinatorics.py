@@ -89,11 +89,11 @@ def g_poly(n: int) -> Poly:
 
 
 def eulerian_poly(n: int) -> Poly:
-    """The descent polynomial sum over S_n of x^{des+1}, computed through the
-    surjection family by the substitution x -> x/(1-x)."""
+    """The descent polynomial sum over S_n of x^{des+1}: x A_n(x; 1), since
+    excedances and descents are equidistributed over S_n (Foata)."""
     if n < 1:
         raise PreconditionError("eulerian_poly needs n >= 1")
-    return unitize_with_degree(surjection_poly(n), n, sign=-1)
+    return X * q_eulerian_poly(n, 1)
 
 
 def eulerian_oracle(n: int) -> Poly:

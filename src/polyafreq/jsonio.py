@@ -10,7 +10,9 @@ a text that fully matches the ASCII grammar
 ``\s*[+-]?[0-9]+(/0*[1-9][0-9]*)?\s*`` as two `int`s and builds the `Poly`
 once, over the lcm of the denominators; any other text goes to
 `rational_from_str`, which gives `Fraction`'s value or a `PreconditionError`.
-A JSON number is read as its text, so it keeps every digit.
+Both routes refuse a numerator or denominator of more digits than `int()`
+converts, and `rational_from_str` refuses it before building a power of ten
+from an exponent.  A JSON number is read as its text, so it keeps every digit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -31,11 +34,44 @@ def rational_to_str(value: Fraction) -> str:
 _RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s*", re.ASCII)
 
 
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _exceeds(value: Fraction, limit: int) -> bool:
+    """The numerator or denominator of value has more than limit > 0 digits;
+    a bit length above 3 * limit is necessary for that."""
+    n = max(abs(value.numerator), value.denominator)
+    return n.bit_length() > 3 * limit and n >= 10**limit
+
+
 def rational_from_str(text: str) -> Fraction:
+    """`Fraction`'s value of text, refusing a numerator or denominator of more
+    than `sys.get_int_max_str_digits()` digits, the limit `int()` holds a
+    digit string to (none when it is 0).
+
+    A text m e k, k the exponent, is read as Fraction(m e 0) * 10^k, and a
+    k too large for the limit is refused before 10^k is built: with
+    L = len(text), m has numerator and denominator below 10^L, so a nonzero
+    value has numerator above 10^(k - L) or denominator above 10^(-k - L).
+    """
+    exponent = _EXPONENT.search(text)
     try:
-        return Fraction(text.strip())
+        if exponent is None:
+            value = Fraction(text.strip())
+        else:
+            value = Fraction(text[: exponent.start()].lstrip() + "e0")
+            k = int(exponent[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"malformed rational {text!r}") from exc
+    limit = sys.get_int_max_str_digits()
+    if exponent is not None and value:
+        if limit and abs(k) >= limit + len(text):
+            value = None
+        else:
+            value *= Fraction(10) ** k
+    if value is None or (limit and _exceeds(value, limit)):
+        raise PreconditionError(f"rational {text!r} has more than {limit} digits")
+    return value
 
 
 def minor_to_dict(witness) -> dict:

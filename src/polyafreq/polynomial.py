@@ -10,16 +10,19 @@ polynomial is never zero.  The zero polynomial has no numerators and degree
 operations, derivatives, division, evaluation, `monic` and substitutions run
 in Python `int` and divide by one gcd per result, through `Poly._from_ints`;
 they return the same values that `Fraction` arithmetic gives.  The one
-shift loop, `_taylor_shift`, expands f(x + t) for `Poly.affine_compose`,
+Horner loop, `horner`, gives the integer b^d * f(a/b): its sign is that of
+f(a/b), which is all `root_multiplicity` and the sign counts of `roots` read,
+and `Poly.__call__` divides it by den * b^d into the value.  The one shift
+loop, `_taylor_shift`, expands f(x + t) for `Poly.affine_compose`,
 `unitize_with_degree`, `root_multiplicity` and `roots._descartes_count`.
 The one remainder loop, `_remainder_sequence`, runs a signed primitive
 pseudo-remainder sequence on integer numerators; `poly_gcd` reads its last
 member, and `roots` reads all of it: the whole Sturm chain, and for
 interlacing the signs at +-inf together with the last member, gcd(f, g),
 from the one sequence of the pair.  `Fraction` remains where a value is a
-rational: the views `coeffs`, `coeff` and `leading`, the value of an
-evaluation, `__str__`, and rational parameters such as those of `scale`,
-`monomial` and `binom`.
+rational: the views `coeffs`, `coeff` and `leading`, the value of
+`Poly.__call__`, `__str__`, and rational parameters such as those of
+`scale`, `monomial` and `binom`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,17 @@ def _convolve(a, b) -> list[int]:
             for i, x in enumerate(a, j):
                 out[i] += x * y
     return out
+
+
+def horner(nums, a: int, b: int = 1) -> int:
+    """The one Horner loop: sum_i nums_i * a^i * b^(d-i) = b^d * f(a/b) for
+    f = sum_i nums_i * x^i of degree d, and 0 for no nums.  With b > 0 its
+    sign is the sign of f(a/b)."""
+    acc, bpow = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
 
 
 def _taylor_shift(nums, a: int, b: int = 1) -> list[int]:
@@ -256,19 +270,11 @@ class Poly:
         return Poly._from_ints(out, self.den)
 
     def __call__(self, x0: RationalLike) -> Fraction:
-        """Exact evaluation by integer Horner on the homogenised form.
-
-        With x0 = a/b and d = deg self, the value is
-        (sum_i nums_i * a^i * b^(d-i)) / (den * b^d).
-        """
+        """Exact evaluation on the homogenised form: with x0 = a/b and
+        d = deg self, the value is `horner`(nums, a, b) / (den * b^d)."""
         x0 = _as_fraction(x0)
-        a, b = x0.numerator, x0.denominator
-        acc, bpow = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * a + c * bpow
-            bpow *= b
-        # bpow ends at b^(d+1), one factor of b past the denominator
-        return Fraction(acc * b, self.den * bpow)
+        b = x0.denominator
+        return Fraction(horner(self.nums, x0.numerator, b), self.den * b ** max(len(self.nums) - 1, 0))
 
     def affine_compose(self, a: RationalLike, b: RationalLike) -> Poly:
         """Expand self(a*x + b) exactly: with b = p/q, a = r/s and c the shift of
@@ -394,7 +400,10 @@ def root_multiplicity(f: Poly, x0: RationalLike) -> int:
     if f.is_zero:
         raise ZeroPolynomialError("root multiplicity in zero polynomial")
     x0 = _as_fraction(x0)
-    c = _taylor_shift(f.nums, x0.numerator, x0.denominator)
+    a, b = x0.numerator, x0.denominator
+    if horner(f.nums, a, b):
+        return 0
+    c = _taylor_shift(f.nums, a, b)
     return next(k for k, v in enumerate(c) if v)
 
 

@@ -38,9 +38,10 @@ and 2, answers both.  Any other input, anti-palindromes included, is read
 on the chain of f.
 
 Chains and Cauchy indices are read off the one remainder loop of the
-package, `polynomial._remainder_sequence`, in Python `int`; members are
-evaluated at rational points by integer Horner (`Poly.__call__`), and only
-the returned values are `Fraction`.
+package, `polynomial._remainder_sequence`, in Python `int`.  Every sign at a
+rational point a/b, b > 0, and every test for a root there, is that of the
+integer `polynomial.horner`(nums, a, b) = b^d * f(a/b) * den; no `Fraction`
+is built per chain member, and `Fraction` here holds only points and bounds.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .polynomial import (
     _primitive,
     _remainder_sequence,
     _taylor_shift,
+    horner,
 )
 
 
@@ -78,13 +80,18 @@ def _sign_changes(signs: list[bool]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations(chain: list[Poly], x0: Fraction) -> int:
+def _signs(members: list[Poly], a: int, b: int) -> list[bool]:
+    """Whether each member that does not vanish at a/b, b > 0, is positive there."""
     signs = []
-    for p in chain:
-        v = p(x0)
+    for p in members:
+        v = horner(p.nums, a, b)
         if v:
-            signs.append(v.numerator > 0)
-    return _sign_changes(signs)
+            signs.append(v > 0)
+    return signs
+
+
+def _variations(chain: list[Poly], x0: Fraction) -> int:
+    return _sign_changes(_signs(chain, x0.numerator, x0.denominator))
 
 
 def _chain_count(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -172,8 +179,8 @@ def rootedness(f: Poly) -> tuple[bool, bool]:
     # real: no root in the open (-2, 2), so the count on (-2, 2] is 0, or 1
     # at g(2) = 0; simple: also k <= 1, g square-free and no root at -2 or 2
     inside = _chain_count(chain, -_TWO, _TWO)
-    real = inside == 0 or (inside == 1 and g(_TWO) == 0)
-    return real, inside == 0 and gcd_degree == 0 and k <= 1 and g(-_TWO) != 0
+    real = inside == 0 or (inside == 1 and horner(g.nums, 2) == 0)
+    return real, inside == 0 and gcd_degree == 0 and k <= 1 and horner(g.nums, -2) != 0
 
 
 def is_real_rooted(f: Poly) -> bool:
@@ -223,7 +230,7 @@ def _within(
         return False
     left, right = max(lo, -B), min(hi, B)
     inside = _chain_count(chain, left, right) if left < right else 0
-    if lo != NEG_INF and f(lo) == 0:
+    if lo != NEG_INF and horner(f.nums, lo.numerator, lo.denominator) == 0:
         inside += 1
     return inside == total
 
@@ -376,11 +383,20 @@ def _sample_points(chains: list[tuple[list[Poly], int]], B: Fraction) -> list[Fr
     (chain, sign) pairs.  Bisection splits (-B, B] until each piece holds at
     most one root; a split point that is a root of the first member of any
     chain moves towards the right end of its piece.  The points are -B and
-    the right end of every piece that holds a root.
+    the right end of every piece that holds a root.  Each chain member is
+    read once at each split point, the first members before the rest.
     """
 
-    def variations(x: Fraction) -> int:
-        return sum(sign * _variations(chain, x) for chain, sign in chains)
+    def variations(x: Fraction) -> int | None:
+        """The signed sum of V(x), or None when x is a root of a first member."""
+        a, b = x.numerator, x.denominator
+        firsts = [horner(chain[0].nums, a, b) for chain, _ in chains]
+        if not all(firsts):
+            return None
+        return sum(
+            sign * _sign_changes([first > 0, *_signs(chain[1:], a, b)])
+            for (chain, sign), first in zip(chains, firsts)
+        )
 
     points = [-B]
     stack = [(-B, variations(-B), B, variations(B))]
@@ -391,9 +407,10 @@ def _sample_points(chains: list[tuple[list[Poly], int]], B: Fraction) -> list[Fr
         if v_lo - v_hi <= 1:
             continue
         mid = (lo + hi) / 2
-        while any(chain[0](mid) == 0 for chain, _ in chains):
-            mid = (mid + hi) / 2
         v_mid = variations(mid)
+        while v_mid is None:
+            mid = (mid + hi) / 2
+            v_mid = variations(mid)
         stack.append((mid, v_mid, hi, v_hi))
         stack.append((lo, v_lo, mid, v_mid))
     return points
@@ -448,7 +465,7 @@ def root_dominance(f: Poly, g: Poly) -> bool:
 def negative_witness(p: Poly) -> Fraction | None:
     """A rational point where p is negative, or None when p >= 0 everywhere."""
     for x in sample_points_between_roots(p):
-        if p(x) < 0:
+        if horner(p.nums, x.numerator, x.denominator) < 0:
             return x
     return None
 

@@ -13,7 +13,10 @@ a memoized walk over prefixes, and the excedance/cycle sum by a table of
 counts.  The recursive stack sort s(L n R) = s(L) s(R) n checks the
 one-stack loop.
 
-The q-Eulerian A_n(x; q) by its recursion in n on `Poly`s;
+The Eulerian A_n through the surjection family, by x -> x/(1 - x);
+`polyafreq.combinatorics.eulerian_poly` reads x A_n(x; 1) off the integer
+q-Eulerian recurrence instead.  The q-Eulerian A_n(x; q) by its recursion
+in n on `Poly`s;
 `polyafreq.combinatorics.q_eulerian_poly` runs the same recursion on
 integer coefficient lists.  The unitized family E_n by its own recursion in
 n; `polyafreq.combinatorics.e_q_poly` unitizes A_n(x; q) instead.
@@ -23,9 +26,9 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
-from polyafreq.combinatorics import cycle_count, excedances
+from polyafreq.combinatorics import cycle_count, excedances, surjection_poly
 from polyafreq.errors import PreconditionError
-from polyafreq.polynomial import X, XP1, Poly
+from polyafreq.polynomial import X, XP1, Poly, unitize_with_degree
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,6 +162,11 @@ def eulerian_by_listing(n: int) -> Poly:
     for perm in itertools.permutations(range(1, n + 1)):
         counts[descents(perm) + 1] += 1
     return Poly(counts)
+
+
+def eulerian_by_unitize(n: int) -> Poly:
+    """(1 - x)^n E_n(x/(1 - x)) for the surjection polynomial E_n."""
+    return unitize_with_degree(surjection_poly(n), n, sign=-1)
 
 
 def t_stack_by_listing(n: int, t: int) -> Poly:

@@ -1,5 +1,11 @@
 """The `Fraction` routes of the coefficient kernels, kept as oracles.
 
+Evaluation built one normalised `Fraction` per value, and the sign counts of
+`roots` read only the sign of its numerator; `polynomial.horner` returns the
+integer b^d * f(a/b) instead, and `roots` reads its sign.  `evaluate` and
+`variations` are that route.  `rational_from_str` is `Fraction(str)` with
+the digit limit applied to the value it builds, however long that takes.
+
 E, its inverse, the (1 + sign*x)^d substitution, the root product of the
 suites, the bilinear products, multisection, the finite PF verdict, the
 Cauchy bound and `monic` compute on `Poly`'s integer numerators over one
@@ -11,9 +17,11 @@ those routes, written as they ran, so each kernel can be compared with them.
 """
 
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
-from polyafreq.errors import ZeroPolynomialError
+from polyafreq.errors import PreconditionError, ZeroPolynomialError
 from polyafreq.jsonio import rational_from_str
 from polyafreq.polynomial import ONE, Poly, ZERO, monomial
 from polyafreq.roots import is_real_rooted
@@ -121,3 +129,36 @@ def poly_from_coeffs(coeffs) -> Poly:
 def poly_to_coeffs(f: Poly) -> list[str]:
     """The wire 'coeffs' list of f, one printed `Fraction` per coefficient."""
     return [str(c) for c in f.coeffs]
+
+
+def evaluate(f: Poly, x0) -> Fraction:
+    """f(x0) by integer Horner on the homogenised form, as one `Fraction`."""
+    x0 = Fraction(x0)
+    a, b = x0.numerator, x0.denominator
+    acc, bpow = 0, 1
+    for c in reversed(f.nums):
+        acc = acc * a + c * bpow
+        bpow *= b
+    # bpow ends at b^(d+1), one factor of b past the denominator
+    return Fraction(acc * b, f.den * bpow)
+
+
+def variations(chain, x0) -> int:
+    """Sign changes of the nonzero values of the chain at x0, each read off
+    the numerator of its `Fraction`."""
+    signs = [v.numerator > 0 for v in (evaluate(p, x0) for p in chain) if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def rational_from_str(text: str) -> Fraction:
+    """`Fraction(text)`, refused when its numerator or denominator has more
+    than `sys.get_int_max_str_digits()` digits, or when it is malformed."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(f"malformed rational {text!r}") from exc
+    limit = sys.get_int_max_str_digits()
+    digits = max(Decimal(n).adjusted() + 1 for n in (value.numerator, value.denominator))
+    if limit and digits > limit:
+        raise PreconditionError(f"rational {text!r} has more than {limit} digits")
+    return value

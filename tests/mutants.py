@@ -151,8 +151,8 @@ MUTANTS = [
     Mutant(
         "a palindrome that x^2 divides counted simple-rooted",
         ROOTS,
-        "return real, inside == 0 and gcd_degree == 0 and k <= 1 and g(-_TWO) != 0",
-        "return real, inside == 0 and gcd_degree == 0 and g(-_TWO) != 0",
+        "return real, inside == 0 and gcd_degree == 0 and k <= 1 and horner(g.nums, -2) != 0",
+        "return real, inside == 0 and gcd_degree == 0 and horner(g.nums, -2) != 0",
         (
             "tests/test_roots.py::test_palindromes_at_half_degree_match_one_chain_of_f",
             "tests/test_roots.py::test_simple_rootedness_of_x_power_palindromes_reads_the_half",
@@ -161,7 +161,7 @@ MUTANTS = [
     Mutant(
         "a root of the half at -2 left out of simple-rootedness",
         ROOTS,
-        "return real, inside == 0 and gcd_degree == 0 and k <= 1 and g(-_TWO) != 0",
+        "return real, inside == 0 and gcd_degree == 0 and k <= 1 and horner(g.nums, -2) != 0",
         "return real, inside == 0 and gcd_degree == 0 and k <= 1",
         ("tests/test_roots.py::test_palindromes_at_half_degree_match_one_chain_of_f",),
     ),
@@ -169,9 +169,16 @@ MUTANTS = [
     Mutant(
         "split point left on a root",
         ROOTS,
-        "        while any(chain[0](mid) == 0 for chain, _ in chains):\n            mid = (mid + hi) / 2\n",
+        "        if not all(firsts):\n            return None\n",
         "",
         ("tests/test_roots.py::test_sample_points_separate_the_roots", "tests/test_roots.py::test_real_rootedness_reads_one_chain"),
+    ),
+    Mutant(
+        "first member read twice at a split point",
+        ROOTS,
+        "sign * _sign_changes([first > 0, *_signs(chain[1:], a, b)])",
+        "sign * _sign_changes([first > 0, *_signs(chain, a, b)[1:]])",
+        ("tests/test_roots.py::test_sample_points_read_each_member_once_per_split_point",),
     ),
     # root dominance on the chains of f, g and c (`roots.root_dominance`), counted by `roots._descartes_count`
     Mutant(
@@ -201,7 +208,7 @@ MUTANTS = [
     Mutant(
         "root at lo not counted",
         ROOTS,
-        "    if lo != NEG_INF and f(lo) == 0:\n        inside += 1\n",
+        "    if lo != NEG_INF and horner(f.nums, lo.numerator, lo.denominator) == 0:\n        inside += 1\n",
         "",
         ("tests/test_roots.py::test_roots_within", "tests/test_roots.py::test_one_point_interval_reads_the_chain"),
     ),
@@ -347,6 +354,72 @@ MUTANTS = [
         "acc, wpow = [], 1",
         "acc, wpow = [], w.den",
         ("tests/test_operators.py::test_bilinear_kernels_match_defining_sums",),
+    ),
+    # the one Horner loop (`polynomial.horner`) and the signs `roots` reads off it
+    Mutant(
+        "Horner drops the powers of b",
+        POLYNOMIAL,
+        "        acc = acc * a + c * bpow\n",
+        "        acc = acc * a + c\n",
+        ("tests/test_integer_kernels.py::test_horner_matches_one_fraction_per_value",),
+    ),
+    Mutant(
+        "Horner reads the coefficients constant term first",
+        POLYNOMIAL,
+        "    for c in reversed(nums):\n        acc = acc * a + c * bpow\n",
+        "    for c in nums:\n        acc = acc * a + c * bpow\n",
+        ("tests/test_integer_kernels.py::test_horner_matches_one_fraction_per_value",),
+    ),
+    Mutant(
+        "a zero member counted as positive",
+        ROOTS,
+        "        if v:\n            signs.append(v > 0)\n",
+        "        signs.append(v >= 0)\n",
+        ("tests/test_integer_kernels.py::test_sign_variations_match_one_fraction_per_member",),
+    ),
+    Mutant(
+        "v >= 0 read as the sign",
+        ROOTS,
+        "            signs.append(v > 0)\n",
+        "            signs.append(v >= 0)\n",
+        equivalent="a zero value is skipped before its sign is read, so v >= 0 and v > 0 agree on every value read",
+    ),
+    Mutant(
+        "root multiplicity 0 returned at a root",
+        POLYNOMIAL,
+        "    if horner(f.nums, a, b):\n        return 0\n",
+        "    if not horner(f.nums, a, b):\n        return 0\n",
+        ("tests/test_poly_representation.py::test_root_multiplicity_matches",),
+    ),
+    Mutant(
+        "root multiplicity shifts off a root",
+        POLYNOMIAL,
+        "    if horner(f.nums, a, b):\n        return 0\n",
+        "",
+        ("tests/test_poly_representation.py::test_root_multiplicity_shifts_only_at_a_root",),
+    ),
+    # the Eulerian family (`combinatorics.eulerian_poly`)
+    Mutant(
+        "Eulerian polynomial read at cycle weight 2",
+        COMBINATORICS,
+        "return X * q_eulerian_poly(n, 1)",
+        "return X * q_eulerian_poly(n, 2)",
+        ("tests/test_combinatorics.py::test_eulerian_matches_the_surjection_route",),
+    ),
+    # the digit limit of `jsonio.rational_from_str`
+    Mutant(
+        "a value of exactly 10^limit let through",
+        JSONIO,
+        "return n.bit_length() > 3 * limit and n >= 10**limit",
+        "return n.bit_length() > 3 * limit and n > 10**limit",
+        ("tests/test_cli.py::test_coefficient_digits_are_bounded_by_the_int_limit",),
+    ),
+    Mutant(
+        "the exponent applied to zero",
+        JSONIO,
+        "    if exponent is not None and value:\n",
+        "    if exponent is not None:\n",
+        ("tests/test_integer_kernels.py::test_rational_from_str_refuses_a_huge_exponent_before_building_it",),
     ),
 ]
 

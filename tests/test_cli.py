@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import sys
 
 import pytest
 
@@ -202,6 +203,26 @@ def test_json_numbers_keep_every_digit(capsys):
     for digits in ("1" + "0" * 5000, '"1%s"' % ("0" * 5000)):
         code, out, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":[%s,1]}' % digits)
         assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_coefficient_digits_are_bounded_by_the_int_limit(capsys):
+    """Every coefficient text, plain or with an exponent, string or JSON
+    number, may have a numerator and denominator of up to the limit of
+    int(), and no more: c - x^2 is real-rooted for c >= 0."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        inside = ["1" * 4300, '"1%s"' % ("0" * 4299), "1e4299", '"1e-4299"', '"5e-4300"', '"0e999999999"']
+        outside = ["1" * 4301, '"1%s"' % ("0" * 4300), "1e4300", '"1e-4300"', '"3e-4300"', "1e400000", '"1e-400000"']
+        for texts, expected in ((inside, 0), (outside, 2)):
+            for text in texts:
+                code, out, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":[%s,0,-1]}' % text)
+                assert code == expected and "Traceback" not in err, text[:20]
+                assert (out == "") == (expected == 2)
+        code, _, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":["1e4300",1]}')
+        assert "rational '1e4300' has more than 4300 digits" in err
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_phi_numbers_keep_every_digit(capsys):

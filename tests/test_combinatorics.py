@@ -75,7 +75,12 @@ def test_eulerian_frozen():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_eulerian_matches_oracle(n):
-    assert eulerian_poly(n) == eulerian_oracle(n)
+    assert eulerian_poly(n) == eulerian_oracle(n) == oracle.eulerian_by_unitize(n)
+
+
+def test_eulerian_matches_the_surjection_route():
+    for n in range(1, 61):
+        assert eulerian_poly(n) == oracle.eulerian_by_unitize(n), n
 
 
 def test_oracle_guard(monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import poly_oracle as oracle
 from polyafreq.errors import ZeroPolynomialError
 from polyafreq.jsonio import rational_to_str
+from polyafreq import polynomial
 from polyafreq.polynomial import ONE, ZERO, Poly, monomial, root_multiplicity
 
 coefficients = st.one_of(
@@ -182,6 +183,16 @@ def test_root_multiplicity_matches():
     for route in (root_multiplicity, oracle.root_multiplicity):
         with pytest.raises(ZeroPolynomialError):
             route(ZERO, 1)
+
+
+def test_root_multiplicity_shifts_only_at_a_root(monkeypatch):
+    """Off a root one Horner value answers 0 and no Taylor shift is built."""
+    shifts = []
+    real_shift = polynomial._taylor_shift
+    monkeypatch.setattr(polynomial, "_taylor_shift", lambda *args: shifts.append(args) or real_shift(*args))
+    f = Poly([-1, 0, 1]) ** 2 * Poly([Fraction(2, 3), 1])
+    assert [root_multiplicity(f, x0) for x0 in (3, Fraction(1, 2), _BIG_DEN, 1, -1, Fraction(-2, 3))] == [0, 0, 0, 2, 2, 1]
+    assert [args[1:] for args in shifts] == [(1, 1), (-1, 1), (-2, 3)]
 
 
 @EXAMPLES

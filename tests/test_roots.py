@@ -1044,6 +1044,45 @@ def test_sample_points_match_squarefree_route():
     assert seen == {False, True}
 
 
+def test_sample_points_read_each_member_once_per_split_point():
+    """At a point the bisection keeps, each chain member is read once, by one
+    `horner` call; at a point it moves off, only first members are read."""
+    real_sample, real_horner = roots._sample_points, roots.horner
+    seen = set()
+
+    def counted(chains, B):
+        calls = collections.Counter()
+
+        def spy(nums, a, b=1):
+            calls[Fraction(a, b)] += 1
+            return real_horner(nums, a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots, "horner", spy)
+            points = real_sample(chains, B)
+        members = sum(len(chain) for chain, _ in chains)
+        for x, n in calls.items():
+            if any(chain[0](x) == 0 for chain, _ in chains):
+                assert 1 <= n <= len(chains), (x, n)
+                seen.add("moved")
+            else:
+                assert n == members, (x, n, members)
+        seen.add(len(chains))
+        return points
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dominance_inputs().filter(lambda drawn: drawn[0] != "nonreal"), _sign_polys)
+    def check(drawn, p):
+        _, f, g = drawn
+        root_dominance(f, g)
+        roots.sample_points_between_roots(p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_sample_points", counted)
+        check()
+    assert {"moved", 1, 2, 3} <= seen, seen
+
+
 def test_sample_points_separate_the_roots():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_sign_polys)

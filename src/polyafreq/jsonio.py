@@ -36,6 +36,13 @@ _RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s*", re.ASCII)
 
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
 
+_DIGITS = re.compile(r"\d+(?:_\d+)*")  # a digit string as `int()` reads it
+
+
+def _excerpt(text: str) -> str:
+    """text quoted, cut to its first 20 characters when it is longer."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
 
 def _exceeds(value: Fraction, limit: int) -> bool:
     """The numerator or denominator of value has more than limit > 0 digits;
@@ -47,7 +54,8 @@ def _exceeds(value: Fraction, limit: int) -> bool:
 def rational_from_str(text: str) -> Fraction:
     """`Fraction`'s value of text, refusing a numerator or denominator of more
     than `sys.get_int_max_str_digits()` digits, the limit `int()` holds a
-    digit string to (none when it is 0).
+    digit string to (none when it is 0), and a text with a longer digit
+    string, which `int()` does not read; a message quotes an `_excerpt`.
 
     A text m e k, k the exponent, is read as Fraction(m e 0) * 10^k, and a
     k too large for the limit is refused before 10^k is built: with
@@ -55,6 +63,7 @@ def rational_from_str(text: str) -> Fraction:
     value has numerator above 10^(k - L) or denominator above 10^(-k - L).
     """
     exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
     try:
         if exponent is None:
             value = Fraction(text.strip())
@@ -62,15 +71,16 @@ def rational_from_str(text: str) -> Fraction:
             value = Fraction(text[: exponent.start()].lstrip() + "e0")
             k = int(exponent[1])
     except (ValueError, ZeroDivisionError) as exc:
-        raise PreconditionError(f"malformed rational {text!r}") from exc
-    limit = sys.get_int_max_str_digits()
+        if not (limit and any(len(d) - d.count("_") > limit for d in _DIGITS.findall(text))):
+            raise PreconditionError(f"malformed rational {_excerpt(text)}") from exc
+        value = None
     if exponent is not None and value:
         if limit and abs(k) >= limit + len(text):
             value = None
         else:
             value *= Fraction(10) ** k
     if value is None or (limit and _exceeds(value, limit)):
-        raise PreconditionError(f"rational {text!r} has more than {limit} digits")
+        raise PreconditionError(f"rational {_excerpt(text)} has more than {limit} digits")
     return value
 
 

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ZeroPolynomialError,
 )
-from .polynomial import ONE, Poly, X, ZERO, _convolve, monomial
+from .polynomial import ONE, Poly, X, ZERO, _convolve, _derivative, monomial
 from .roots import (
     STRICT_RELATIONS,
     interlace_relation,
@@ -66,7 +66,7 @@ def apply_phi(F: BivarOp, f: Poly) -> Poly:
         acc += [0] * (len(term) - len(acc))
         for i, t in enumerate(term):
             acc[i] += m * t
-        fk = [i * x for i, x in enumerate(fk)][1:]
+        fk = _derivative(fk)
     return Poly._from_ints(acc, den * f.den)
 
 
@@ -273,8 +273,8 @@ def _derivative_sum(f: Poly, g: Poly, c, w: Poly) -> Poly:
     lcm = math.lcm(*(ck.denominator for ck in cs))
     fks, gks = [f.nums], [g.nums]
     for _ in range(K):
-        fks.append([i * x for i, x in enumerate(fks[-1])][1:])
-        gks.append([i * x for i, x in enumerate(gks[-1])][1:])
+        fks.append(_derivative(fks[-1]))
+        gks.append(_derivative(gks[-1]))
     acc, wpow = [], 1
     for k in range(K, -1, -1):
         acc, term = _convolve(acc, w.nums), _convolve(fks[k], gks[k])

@@ -11,15 +11,18 @@ operations, derivatives, division, evaluation, `monic` and substitutions run
 in Python `int` and divide by one gcd per result, through `Poly._from_ints`;
 they return the same values that `Fraction` arithmetic gives.  The one
 Horner loop, `horner`, gives the integer b^d * f(a/b): its sign is that of
-f(a/b), which is all `root_multiplicity` and the sign counts of `roots` read,
-and `Poly.__call__` divides it by den * b^d into the value.  The one shift
-loop, `_taylor_shift`, expands f(x + t) for `Poly.affine_compose`,
-`unitize_with_degree`, `root_multiplicity` and `roots._descartes_count`.
-The one remainder loop, `_remainder_sequence`, runs a signed primitive
-pseudo-remainder sequence on integer numerators; `poly_gcd` reads its last
-member, and `roots` reads all of it: the whole Sturm chain, and for
-interlacing the signs at +-inf together with the last member, gcd(f, g),
-from the one sequence of the pair.  `Fraction` remains where a value is a
+f(a/b), which is all `root_multiplicity` and the sign counts of `roots`
+read, `Poly.__call__` divides it by den * b^d into the value, and
+`transforms.e_transform` reads it at 0..d.  The one shift loop,
+`_taylor_shift`, expands f(x + t) for `Poly.affine_compose`,
+`unitize_with_degree`, `root_multiplicity` and `roots._descartes_count`
+(`root_dominance`, `roots_within`), and the one derivative loop,
+`_derivative`, gives f' for `Poly.derivative`, `roots.sturm_chain` and the
+operator kernels.  The one remainder loop, `_remainder_sequence`, runs a
+signed primitive pseudo-remainder sequence on integer numerators; `poly_gcd`
+reads its last member, and `roots` reads all of it: the whole Sturm chain,
+and for interlacing the signs at +-inf and the last member, gcd(f, g), from
+the one sequence of the pair.  `Fraction` remains where a value is a
 rational: the views `coeffs`, `coeff` and `leading`, the value of
 `Poly.__call__`, `__str__`, and rational parameters such as those of
 `scale`, `monomial` and `binom`.
@@ -72,6 +75,11 @@ def horner(nums, a: int, b: int = 1) -> int:
         acc = acc * a + c * bpow
         bpow *= b
     return acc
+
+
+def _derivative(nums) -> list[int]:
+    """The one derivative loop: the integers of f' for f = sum_i nums_i * x^i."""
+    return [i * c for i, c in enumerate(nums)][1:]
 
 
 def _taylor_shift(nums, a: int, b: int = 1) -> list[int]:
@@ -261,13 +269,9 @@ class Poly:
         if k < 0:
             raise ValueError("negative derivative order")
         nums = self.nums
-        # falling factorial (i+k)!/i!, starting from k! at i = 0
-        ff = math.factorial(k)
-        out = []
-        for i in range(len(nums) - k):
-            out.append(ff * nums[i + k])
-            ff = ff * (i + k + 1) // (i + 1)
-        return Poly._from_ints(out, self.den)
+        for _ in range(k):
+            nums = _derivative(nums)
+        return Poly._from_ints(list(nums), self.den)
 
     def __call__(self, x0: RationalLike) -> Fraction:
         """Exact evaluation on the homogenised form: with x0 = a/b and

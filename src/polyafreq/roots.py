@@ -1,19 +1,20 @@
 """Exact real-root analysis via Sturm sequences.
 
 Every root question on f reads one Sturm chain: that of f itself, or that
-of its half when `rootedness`, `is_real_rooted` or `is_simple_rooted` is
-asked of a palindrome (below).  The chain
-f, f', -rem, ... ends at gcd(f, f'), and dividing every member by it leaves
-a Sturm chain of the square-free part of f (Basu, Pollack and Roy, ch. 2).
-f is real-rooted exactly when that chain counts deg f - deg gcd(f, f')
-distinct real roots; `roots_within` counts on it between its endpoints, and
-the one bisection, `_sample_points`, splits (-B, B] on it in the half-open
-convention (lo, hi] and returns one sorted point in each root-free interval.
-Root dominance reads the chains of f, of g and, when the two square-free
-parts share a factor c, of c: the distinct roots of fg in (lo, hi] number
-n_f + n_g - n_c, and the same bisection splits on that signed sum.  At each
-point it compares Descartes counts of f and g, each read off one integer
-Taylor shift.  The sign of p on the reals is its sign at the points of p.
+of its half when `rootedness`, or a function that reads it, is asked of a
+palindrome (below).  The chain f, f', -rem, ... ends at gcd(f, f'), and
+dividing every member by it leaves a Sturm chain of the square-free part of
+f (Basu, Pollack and Roy, ch. 2).  f is real-rooted exactly when that chain
+counts deg f - deg gcd(f, f') distinct real roots.  `roots_within` reads
+that verdict and then two Descartes counts, each off one integer Taylor
+shift: on a real-rooted f they count exactly the roots above hi and below
+lo.  The one bisection, `_sample_points`, splits (-B, B] on a chain in the
+half-open convention (lo, hi] and returns one sorted point in each
+root-free interval.  Root dominance reads the chains of f, of g and, when
+the two square-free parts share a factor c, of c: the distinct roots of fg
+in (lo, hi] number n_f + n_g - n_c, and the same bisection splits on that
+signed sum.  At each point it compares Descartes counts of f and g.  The
+sign of p on the reals is its sign at the points of p.
 Interlacing of f and g is decided from the Cauchy index Ind(f/g), which one
 signed remainder sequence of g and f gives from leading signs and degrees
 alone, with no evaluation.  That sequence ends at c = gcd(f, g), and c
@@ -55,6 +56,7 @@ from .polynomial import (
     NEG_INF,
     POS_INF,
     Poly,
+    _derivative,
     _primitive,
     _remainder_sequence,
     _taylor_shift,
@@ -72,8 +74,7 @@ def sturm_chain(f: Poly) -> list[Poly]:
     positive rational to integer coefficients with gcd 1.
     """
     p = _primitive(f.nums)
-    d = [i * c for i, c in enumerate(p)][1:]
-    return [Poly._from_ints(q) for q in _remainder_sequence(p, _primitive(d))]
+    return [Poly._from_ints(q) for q in _remainder_sequence(p, _primitive(_derivative(p)))]
 
 
 def _sign_changes(signs: list[bool]) -> int:
@@ -211,40 +212,29 @@ def roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
         hi = Fraction(hi)
     if lo > hi:
         raise PreconditionError("roots_within needs lo <= hi")
-    return _within(f, _squarefree_chain(f, "roots_within"), lo, hi)
+    return rootedness(f)[0] and _within(f, lo, hi)
 
 
-def _within(
-    f: Poly,
-    summary: tuple[list[Poly], Fraction, int, int],
-    lo: ExtendedRational,
-    hi: ExtendedRational,
-) -> bool:
-    """`roots_within` for lo <= hi, read off `_squarefree_chain(f)`.
+def _within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> bool:
+    """Every root of the real-rooted f in [lo, hi], for lo <= hi.
 
-    At lo = hi = a the count on the empty (a, a] is 0, so f passes exactly
-    when its one distinct real root is a and it has no other root.
+    Descartes' rule is exact on a real-rooted polynomial, so no root lies
+    above hi exactly when `_descartes_count`(f, hi) is 0, and none below lo
+    exactly when f(-x) has none above -lo.
     """
-    chain, B, total, gcd_degree = summary
-    if total < f.degree - gcd_degree:
-        return False
-    left, right = max(lo, -B), min(hi, B)
-    inside = _chain_count(chain, left, right) if left < right else 0
-    if lo != NEG_INF and horner(f.nums, lo.numerator, lo.denominator) == 0:
-        inside += 1
-    return inside == total
+    return (hi == POS_INF or _descartes_count(f, hi) == 0) and (
+        lo == NEG_INF or _descartes_count(f.affine_compose(-1, 0), -lo) == 0
+    )
 
 
-def simple_roots_within(
-    f: Poly, lo: ExtendedRational, hi: ExtendedRational
-) -> tuple[bool, bool]:
-    """(is_simple_rooted(f), roots_within(f, lo, hi)) from one chain of f, for lo < hi.
+def simple_roots_within(f: Poly, lo: ExtendedRational, hi: ExtendedRational) -> tuple[bool, bool]:
+    """(is_simple_rooted(f), roots_within(f, lo, hi)) from one chain, for lo <= hi.
 
-    The chain of f, not the half of a palindrome, answers both questions.
+    `rootedness` answers both verdicts on the chain of f, or of the half of
+    a palindrome, and two Descartes counts place the roots.
     """
-    summary = _squarefree_chain(f, "real-rootedness")
-    _, _, distinct, gcd_degree = summary
-    return gcd_degree == 0 and distinct == f.degree, _within(f, summary, lo, hi)
+    real, simple = rootedness(f)
+    return simple, real and _within(f, lo, hi)
 
 
 # -- interlacing and dominance ------------------------------------------------

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .polynomial import Poly, binom, root_multiplicity, unitize_with_degree
+from .polynomial import Poly, binom, horner, root_multiplicity, unitize_with_degree
 from .roots import is_real_rooted
 
 
@@ -24,14 +24,9 @@ def e_transform(f: Poly) -> Poly:
     """Replace C(x,k) by x^k on the binomial expansion of f.
 
     The coefficient of x^k is the k-th forward difference at 0 of the
-    integer values sum_i nums_i * j^i, j = 0..deg f, over den.
+    integer values `horner`(nums, j) = den * f(j), j = 0..deg f, over den.
     """
-    values = []
-    for j in range(len(f.nums)):
-        acc = 0
-        for c in reversed(f.nums):
-            acc = acc * j + c
-        values.append(acc)
+    values = [horner(f.nums, j) for j in range(len(f.nums))]
     out = []
     while values:
         out.append(values[0])

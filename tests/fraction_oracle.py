@@ -17,12 +17,13 @@ those routes, written as they ran, so each kernel can be compared with them.
 """
 
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 from polyafreq.errors import PreconditionError, ZeroPolynomialError
-from polyafreq.jsonio import rational_from_str
+from polyafreq.jsonio import _excerpt
 from polyafreq.polynomial import ONE, Poly, ZERO, monomial
 from polyafreq.roots import is_real_rooted
 
@@ -152,13 +153,18 @@ def variations(chain, x0) -> int:
 
 def rational_from_str(text: str) -> Fraction:
     """`Fraction(text)`, refused when its numerator or denominator has more
-    than `sys.get_int_max_str_digits()` digits, or when it is malformed."""
+    than `sys.get_int_max_str_digits()` digits, when a digit string of the
+    text has more than that many, or when it is malformed."""
+    limit = sys.get_int_max_str_digits()
+    too_long = f"rational {_excerpt(text)} has more than {limit} digits"
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise PreconditionError(f"malformed rational {text!r}") from exc
-    limit = sys.get_int_max_str_digits()
+        digit_strings = re.findall(r"\d+(?:_\d+)*", text)
+        if limit and any(len(d.replace("_", "")) > limit for d in digit_strings):
+            raise PreconditionError(too_long) from exc
+        raise PreconditionError(f"malformed rational {_excerpt(text)}") from exc
     digits = max(Decimal(n).adjusted() + 1 for n in (value.numerator, value.denominator))
     if limit and digits > limit:
-        raise PreconditionError(f"rational {text!r} has more than {limit} digits")
+        raise PreconditionError(too_long)
     return value

@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PF, ROOTS, SUITES = "src/polyafreq/pf.py", "src/polyafreq/roots.py", "src/polyafreq/suites.py"
 COMBINATORICS, OPERATORS = "src/polyafreq/combinatorics.py", "src/polyafreq/operators.py"
 JSONIO, POLYNOMIAL = "src/polyafreq/jsonio.py", "src/polyafreq/polynomial.py"
+TRANSFORMS = "src/polyafreq/transforms.py"
 FORCED = "tests/test_suites.py::test_forced_failure_carries_its_witness"
 #: seconds one mutant's tests may run; a mutant that keeps a loop from
 #: ending is killed at this bound, with every process of its session
@@ -165,7 +166,7 @@ MUTANTS = [
         "return real, inside == 0 and gcd_degree == 0 and k <= 1",
         ("tests/test_roots.py::test_palindromes_at_half_degree_match_one_chain_of_f",),
     ),
-    # the one bisection (`roots._sample_points`) and the closed interval of `roots._within`
+    # the one bisection (`roots._sample_points`)
     Mutant(
         "split point left on a root",
         ROOTS,
@@ -205,12 +206,27 @@ MUTANTS = [
             "tests/test_roots.py::test_root_dominance_matches_isolation_route",
         ),
     ),
+    # the closed interval of `roots._within`, from two Descartes counts
     Mutant(
-        "root at lo not counted",
+        "roots above hi let through",
         ROOTS,
-        "    if lo != NEG_INF and horner(f.nums, lo.numerator, lo.denominator) == 0:\n        inside += 1\n",
-        "",
-        ("tests/test_roots.py::test_roots_within", "tests/test_roots.py::test_one_point_interval_reads_the_chain"),
+        "hi == POS_INF or _descartes_count(f, hi) == 0",
+        "True",
+        ("tests/test_roots.py::test_roots_within", "tests/test_roots.py::test_one_chain_route_matches_yun_route"),
+    ),
+    Mutant(
+        "roots below lo let through",
+        ROOTS,
+        "lo == NEG_INF or _descartes_count(f.affine_compose(-1, 0), -lo) == 0",
+        "True",
+        ("tests/test_roots.py::test_roots_within", "tests/test_roots.py::test_one_chain_route_matches_yun_route"),
+    ),
+    Mutant(
+        "lo read on f instead of f(-x)",
+        ROOTS,
+        "_descartes_count(f.affine_compose(-1, 0), -lo)",
+        "_descartes_count(f, lo)",
+        ("tests/test_roots.py::test_roots_within", "tests/test_roots.py::test_one_chain_route_matches_yun_route"),
     ),
     # products-3 (`suites._eval_products`)
     Mutant(
@@ -355,7 +371,26 @@ MUTANTS = [
         "acc, wpow = [], w.den",
         ("tests/test_operators.py::test_bilinear_kernels_match_defining_sums",),
     ),
-    # the one Horner loop (`polynomial.horner`) and the signs `roots` reads off it
+    # the one derivative loop (`polynomial._derivative`)
+    Mutant(
+        "derivative weights x^i by i + 1",
+        POLYNOMIAL,
+        "return [i * c for i, c in enumerate(nums)][1:]",
+        "return [i * c for i, c in enumerate(nums, 1)][1:]",
+        (
+            "tests/test_poly_representation.py::test_derivative_matches",
+            "tests/test_operators.py::test_linear_kernels_match_defining_sums",
+        ),
+    ),
+    # the one Horner loop (`polynomial.horner`), the signs `roots` reads off it and
+    # the values of `transforms.e_transform`
+    Mutant(
+        "difference table of E one value short",
+        TRANSFORMS,
+        "values = [horner(f.nums, j) for j in range(len(f.nums))]",
+        "values = [horner(f.nums, j) for j in range(len(f.nums) - 1)]",
+        ("tests/test_transforms.py::test_e_transform_frozen",),
+    ),
     Mutant(
         "Horner drops the powers of b",
         POLYNOMIAL,
@@ -412,6 +447,20 @@ MUTANTS = [
         JSONIO,
         "return n.bit_length() > 3 * limit and n >= 10**limit",
         "return n.bit_length() > 3 * limit and n > 10**limit",
+        ("tests/test_cli.py::test_coefficient_digits_are_bounded_by_the_int_limit",),
+    ),
+    Mutant(
+        "a digit string past the limit called malformed",
+        JSONIO,
+        'if not (limit and any(len(d) - d.count("_") > limit for d in _DIGITS.findall(text))):',
+        "if True:",
+        ("tests/test_cli.py::test_coefficient_digits_are_bounded_by_the_int_limit",),
+    ),
+    Mutant(
+        "a message quotes the whole text",
+        JSONIO,
+        "return repr(text) if len(text) <= 20 else",
+        "return repr(text) if True else",
         ("tests/test_cli.py::test_coefficient_digits_are_bounded_by_the_int_limit",),
     ),
     Mutant(

@@ -208,7 +208,10 @@ def test_json_numbers_keep_every_digit(capsys):
 def test_coefficient_digits_are_bounded_by_the_int_limit(capsys):
     """Every coefficient text, plain or with an exponent, string or JSON
     number, may have a numerator and denominator of up to the limit of
-    int(), and no more: c - x^2 is real-rooted for c >= 0."""
+    int(), and no more: c - x^2 is real-rooted for c >= 0.  A text past the
+    limit, a digit string that int() refuses to read or a value of more
+    digits, exits 2 with the one message of the limit, and a message quotes
+    at most the first 20 characters of the text."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -219,8 +222,13 @@ def test_coefficient_digits_are_bounded_by_the_int_limit(capsys):
                 code, out, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":[%s,0,-1]}' % text)
                 assert code == expected and "Traceback" not in err, text[:20]
                 assert (out == "") == (expected == 2)
+                assert expected == 0 or ("has more than 4300 digits\n" in err and len(err) < 100), text[:20]
         code, _, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":["1e4300",1]}')
-        assert "rational '1e4300' has more than 4300 digits" in err
+        assert err == "usage error: rational '1e4300' has more than 4300 digits\n"
+        code, _, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":[%s,1]}' % ("1" * 4301))
+        assert err == "usage error: rational '%s'... (4301 characters) has more than 4300 digits\n" % ("1" * 20)
+        code, _, err = run_cli(capsys, "check", "real-rooted", "--poly", '{"coeffs":["%s",1]}' % ("x" * 5000))
+        assert code == 2 and err == "usage error: malformed rational '%s'... (5000 characters)\n" % ("x" * 20)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import root_oracle
 from fraction_oracle import from_roots
@@ -540,6 +540,39 @@ _endpoints = st.one_of(
 )
 
 
+#: a 64-bit prime, the denominator of the endpoints beside a root
+_DEN64 = 2**64 - 59
+
+
+@st.composite
+def within_queries(draw):
+    """(f, lo, hi, kind) with lo <= hi and a rational root r of f of
+    multiplicity at least m, 1 <= m <= 3.  Half the f are palindromes or
+    constants times the m-th power of x, x + 1 or (x - r)(x - 1/r), which
+    keeps or gives the shape; the others are products times (x - r)^m.  Each
+    endpoint is r, r moved by 1/_DEN64, a point over _DEN64 or one of
+    `_endpoints`; lo = hi = r is a kind of its own."""
+    r = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        factor = monomial(1) if r == 0 else Poly([1, 1]) if r == -1 else _pair(r)
+        p = draw(st.one_of(palindromes(), _leads.map(lambda c: Poly([c]))))
+        f, shape = p * factor ** m, "palindrome"
+    else:
+        f, shape = draw(_polys) * Poly([-r, 1]) ** m, "product"
+    if draw(st.booleans()):
+        return f, r, r, (shape, "point")
+    tiny = Fraction(1, _DEN64)
+    end = st.one_of(
+        st.sampled_from((r, r - tiny, r + tiny)),
+        st.integers(-4 * _DEN64, 4 * _DEN64).map(lambda n: Fraction(n, _DEN64)),
+        _endpoints,
+    )
+    lo, hi = sorted((draw(end), draw(end)))
+    assume(lo != POS_INF and hi != NEG_INF)
+    return f, lo, hi, (shape, "ends")
+
+
 def test_one_chain_route_matches_yun_route():
     seen = set()
 
@@ -562,6 +595,25 @@ def test_one_chain_route_matches_yun_route():
                 (True, True, False, True), (True, True, False, False),
                 (True, True, True, True), (True, True, True, False)):
         assert key in seen, key
+
+    reached = collections.Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(within_queries())
+    def check_at_roots(query):
+        f, lo, hi, kind = query
+        within = roots_within(f, lo, hi)
+        assert within == root_oracle.roots_within(f, lo, hi), (f, lo, hi)
+        assert roots.simple_roots_within(f, lo, hi) == (root_oracle.is_simple_rooted(f), within)
+        reached[kind, within] += 1
+        reached["half", within] += root_oracle.palindromic_half(f) is not None
+
+    check_at_roots()
+    # both verdicts on palindromes read at half degree, on products, at a
+    # root of full multiplicity and beside one
+    for kind in ("half", ("palindrome", "point"), ("palindrome", "ends"), ("product", "point"), ("product", "ends")):
+        for within in (True, False):
+            assert reached[kind, within] >= 3, reached
 
 
 # -- palindromes at half the degree, against the one chain of f --------------------
@@ -846,8 +898,10 @@ def test_real_rootedness_reads_one_chain():
             assert reads(distinct_real_roots, f) == (distinct, [f])
             assert reads(roots.sample_points_between_roots, f) == (sample, [f])
             if f.degree > 0:
-                assert reads(roots_within, f, NEG_INF, POS_INF) == (real, [f])
-                assert reads(roots_within, f, -1, 0) == (inside, [f])
+                # roots_within reads the verdict of rootedness, then Descartes
+                # counts that build no chain
+                assert reads(roots_within, f, NEG_INF, POS_INF) == (real, real_reads)
+                assert reads(roots_within, f, -1, 0) == (inside, real_reads)
         for f, g, expected, built in pairs:
             assert reads(root_dominance, f, g) == (expected, built)
     assert {expected for _, _, expected, _ in pairs} == {True, False, NotRealRootedError}
